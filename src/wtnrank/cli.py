@@ -33,8 +33,6 @@ class RunConfig:
     alpha: float = gmatrix.DEFAULT_ALPHA
     tol: float = ranking.DEFAULT_TOL
     max_iter: int = ranking.DEFAULT_MAX_ITER
-    series_tol: float = regomax.DEFAULT_SERIES_TOL
-    max_terms: int = regomax.DEFAULT_MAX_TERMS
     group: tuple[str, ...] = ()
     source_country: str | None = None
     source_product: str | None = None
@@ -54,10 +52,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.tol <= 0 or self.series_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.max_terms < 1:
-            raise ValueError("iteration caps must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -86,8 +84,6 @@ _CONVERTERS = {
     "alpha": float,
     "tol": float,
     "max_iter": int,
-    "series_tol": float,
-    "max_terms": int,
     "group": _csv_list,
     "source_country": str,
     "source_product": str,
@@ -218,12 +214,11 @@ def cmd_reduce(cfg: RunConfig, products_all: bool = False) -> int:
         tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
     )
     for tag, matrix in (("import", direct), ("export", inverted)):
-        result = regomax.reduce(
-            matrix, sel, series_tol=cfg.series_tol, max_terms=cfg.max_terms
-        )
+        result = regomax.reduce(matrix, sel)
         log.info(
-            "%s reduction: %d nodes, %d series terms, weights %s",
-            tag, sel.n_selected, result.series_terms, result.weights,
+            "%s reduction: %d nodes, lambda_c %.6f, solve residual %.2e, weights %s",
+            tag, sel.n_selected, result.complement_eigenvalue, result.solve_residual,
+            result.weights,
         )
         components = {
             "reduced_full": result.reduced,
@@ -260,8 +255,7 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     for method in cfg.methods:
         if method == sensitivity.METHOD_REDUCED:
             report = sensitivity.reduced_balance_sensitivity(
-                tensor, spec, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter,
-                series_tol=cfg.series_tol, max_terms=cfg.max_terms,
+                tensor, spec, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
             )
             path = out / "sensitivity_regomax.csv"
         elif method == sensitivity.METHOD_IMPORT_EXPORT:
@@ -298,7 +292,7 @@ def cmd_network(cfg: RunConfig, products_all: bool = False) -> int:
         ("import", direct, netexport.VIEW_IMPORT),
         ("export", inverted, netexport.VIEW_EXPORT),
     ):
-        result = regomax.reduce(matrix, sel, series_tol=cfg.series_tol, max_terms=cfg.max_terms)
+        result = regomax.reduce(matrix, sel)
         edges = netexport.top_links(result.reduced, labels, cfg.k, view=view)
         for fmt in formats:
             suffix = "dot" if fmt == "dot" else "csv"
@@ -318,6 +312,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
 
 
+_DEPRECATED_FLAGS = ("--series-tol", "--max-terms")
+
+
 def _add_selection(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="comma-separated country codes")
     p.add_argument("--source-country", dest="source_country")
@@ -327,8 +324,9 @@ def _add_selection(p: argparse.ArgumentParser) -> None:
         help="comma-separated product codes for the selection, or 'all' "
         "(default: the source product if given, else all)",
     )
-    p.add_argument("--series-tol", type=float, dest="series_tol")
-    p.add_argument("--max-terms", type=int, dest="max_terms")
+    # accepted so existing command lines keep working; main() warns they do nothing
+    for flag in _DEPRECATED_FLAGS:
+        p.add_argument(flag, dest=flag, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,6 +378,9 @@ def main(argv=None) -> int:
         level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    for flag in _DEPRECATED_FLAGS:
+        if getattr(args, flag, None) is not None:
+            log.warning("%s is deprecated and has no effect: the reduction is an exact solve", flag)
     try:
         cfg, products_all = _merge_config(args)
         func = args.func

@@ -23,13 +23,7 @@ import numpy as np
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, Registry, volumes
 from .ranking import pagerank, trace
-from .regomax import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_SERIES_TOL,
-    ReducedSet,
-    Selection,
-    reduce,
-)
+from .regomax import ReducedSet, Selection, reduce
 
 log = logging.getLogger(__name__)
 
@@ -187,23 +181,19 @@ def reduce_for_shock(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    series_tol: float = DEFAULT_SERIES_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ReducedTradePair:
     """Build the matrix pair and reduce both onto the shock selection."""
     reg = tensor.registry
     source_node = reg.node_id(spec.source_country, spec.source_product)
     sel = Selection.for_countries(reg, spec.group, extra_nodes=(source_node,))
     direct, inverted = build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter)
-    reduced_direct = reduce(direct, sel, series_tol=series_tol, max_terms=max_terms)
-    reduced_inverted = reduce(inverted, sel, series_tol=series_tol, max_terms=max_terms)
     return ReducedTradePair(
         registry=reg,
         spec=spec,
         alpha=alpha,
         selection=sel,
-        direct_set=reduced_direct,
-        inverted_set=reduced_inverted,
+        direct_set=reduce(direct, sel),
+        inverted_set=reduce(inverted, sel),
     )
 
 
@@ -240,8 +230,6 @@ def reduced_balance_sensitivity(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    series_tol: float = DEFAULT_SERIES_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
     richardson: bool = True,
     pair: ReducedTradePair | None = None,
 ) -> SensitivityReport:
@@ -252,10 +240,7 @@ def reduced_balance_sensitivity(
     delta/2 and the difference reported in metadata as an error estimate.
     """
     if pair is None:
-        pair = reduce_for_shock(
-            tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter,
-            series_tol=series_tol, max_terms=max_terms,
-        )
+        pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
     delta = spec.delta
     b_base, imp0, exp0 = _pair_balance(pair, 0.0, tol, max_iter)
     b_plus, _, _ = _pair_balance(pair, delta, tol, max_iter)

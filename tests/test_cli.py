@@ -1,5 +1,9 @@
 import csv
 import filecmp
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +149,27 @@ class TestReduce:
         header = (tmp_path / "import_reduced_full.csv").read_text().splitlines()[0]
         assert header == "AA:01,AB:01,AC:01"
 
+    def test_removed_series_flags_warn_and_do_nothing(self, tmp_path, caplog, capsys):
+        args = ("reduce", "--input", FIXTURE, "--group", "AA,AB",
+                "--source-country", "AC", "--source-product", "01")
+        assert run(*args, "--out-dir", tmp_path / "plain") == 0
+        with caplog.at_level(logging.WARNING, logger="wtnrank"):
+            rc = run(*args, "--max-terms", 2, "--out-dir", tmp_path / "old")
+        assert rc == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "--max-terms is deprecated and has no effect: the reduction is an exact solve"
+        ]
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        _, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "plain", tmp_path / "old", names, shallow=False
+        )
+        assert not mismatch and not errors
+        with pytest.raises(SystemExit):
+            run("reduce", "--help")
+        help_text = capsys.readouterr().out
+        assert "--max-terms" not in help_text and "--series-tol" not in help_text
+
 
 class TestSensitivityCommand:
     def test_reports_match_module(self, tmp_path):
@@ -213,6 +238,16 @@ class TestConfigFile:
         cfg.write_text(f"input = {FIXTURE}\n")
         out = tmp_path / "out"
         assert run("rank", "--config", cfg, "--out-dir", out) == 0
+
+
+class TestStartup:
+    def test_cli_import_leaves_sparse_linalg_unloaded(self):
+        # scipy.sparse.linalg is imported on first use: it would slow every CLI start
+        code = "import sys, wtnrank.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+        src = str(Path(w.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDeterminism:

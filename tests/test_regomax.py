@@ -70,7 +70,7 @@ class TestSingleHiddenNode:
         result = w.reduce(g, sel)
         assert np.abs(result.reduced - closed).max() < 1e-12
         assert np.abs(w.reduce_dense_oracle(g, sel) - closed).max() < 1e-12
-        # deflated series is empty: the whole hidden block is the projector
+        # a one-node complement is its own eigenvector: deflation leaves nothing
         assert not result.indirect_part.any()
 
 
@@ -161,27 +161,24 @@ class TestRankConsistency:
         assert np.abs(global_p - local_p).sum() < 1e-8
 
 
-class TestSeries:
-    def test_geometric_decay_bounded_by_second_eigenvalue(self):
-        g, _ = pair_for(6, 10, 6, 0.3)
-        sel = spread_selection(g.size, 6)
-        r = w.reduce(g, sel)
-        dense = g.to_dense()
-        s = sel.complement
-        g_ss = dense[np.ix_(s, s)]
-        eigs = np.sort(np.abs(np.linalg.eigvals(g_ss)))[::-1]
-        rate_bound = eigs[1] + 1e-9
-        norms = np.array(r.term_norms)
-        tail = norms[len(norms) // 2 :]
-        ratios = tail[1:] / tail[:-1]
-        assert np.all(ratios <= rate_bound + 0.05)
-        assert r.series_residual < 1e-14
+class TestExactSolve:
+    @pytest.mark.parametrize("seed,n_c,n_p,density,n_r", INSTANCES)
+    def test_solve_residual_both_directions(self, seed, n_c, n_p, density, n_r):
+        g, g_star = pair_for(seed, n_c, n_p, density)
+        sel = spread_selection(g.size, n_r, offset=seed % 3)
+        for matrix in (g, g_star):
+            r = w.reduce(matrix, sel)
+            assert 0.0 <= r.solve_residual < 1e-12
 
-    def test_non_convergence_raises(self):
-        g, _ = pair_for(1, 10, 4, 0.4)
-        sel = spread_selection(g.size, 6)
-        with pytest.raises(w.ConvergenceError):
-            w.reduce(g, sel, series_tol=1e-14, max_terms=2)
+    def test_closed_complement_raises(self):
+        # at alpha = 1 the other products never leak into the selection
+        tensor = w.synth_tensor(1, 10, 4, 0.4)
+        g, g_star = w.build_trade_pair(tensor, alpha=1.0)
+        reg = tensor.registry
+        sel = w.Selection.for_countries(reg, reg.countries, products=reg.products[:1])
+        for matrix in (g, g_star):
+            with pytest.raises(w.ConvergenceError, match="substochastic"):
+                w.reduce(matrix, sel)
 
 
 class TestComponentWeight:
@@ -247,4 +244,4 @@ class TestExports:
         diag_path = tmp_path / "diag.txt"
         write_diagnostics(diag_path, r)
         text = diag_path.read_text()
-        assert "lambda_c" in text and "weight_projector" in text
+        assert "lambda_c" in text and "solve_residual" in text and "weight_projector" in text
