@@ -5,7 +5,6 @@ from .errors import ConvergenceError, ParseError, TradeDataError
 from .gmatrix import (
     DEFAULT_ALPHA,
     GoogleMatrix,
-    StochasticMatrix,
     assemble_google,
     build_stochastic,
     build_trade_pair,
@@ -40,14 +39,12 @@ from .regomax import (
     Selection,
     component_weight,
     reduce,
-    reduce_dense_oracle,
     split_diagonal,
 )
 from .sensitivity import (
     SensitivityReport,
     ShockSpec,
     balance,
-    build_shock_matrices,
     global_price_sensitivity,
     import_export_sensitivity,
     reduce_for_shock,
@@ -63,7 +60,6 @@ __all__ = [
     "TradeDataError",
     "DEFAULT_ALPHA",
     "GoogleMatrix",
-    "StochasticMatrix",
     "assemble_google",
     "build_stochastic",
     "build_trade_pair",
@@ -95,12 +91,10 @@ __all__ = [
     "Selection",
     "component_weight",
     "reduce",
-    "reduce_dense_oracle",
     "split_diagonal",
     "SensitivityReport",
     "ShockSpec",
     "balance",
-    "build_shock_matrices",
     "global_price_sensitivity",
     "import_export_sensitivity",
     "reduce_for_shock",

@@ -102,13 +102,25 @@ _CONVERTERS = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
+# removed with the series solver; still accepted so old flags and config files keep working
+_DEPRECATED = ("series_tol", "max_terms")
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise TradeDataError(f"config file not found: {cfg_path}")
         file_values = _parse_config_file(cfg_path)
+    for name in _DEPRECATED:
+        in_file = file_values.pop(name, None) is not None
+        if in_file or getattr(args, name, None) is not None:
+            flag = "--" + name.replace("_", "-")
+            log.warning("%s is deprecated and has no effect: the reduction is an exact solve", flag)
+    unknown = sorted(set(file_values) - set(_CONVERTERS))
+    if unknown:
+        raise TradeDataError(f"unknown config key(s) in {cfg_path}: {', '.join(unknown)}")
     merged = {}
     for name, convert in _CONVERTERS.items():
         flag = getattr(args, name, None)
@@ -116,12 +128,7 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
             merged[name] = convert(flag) if isinstance(flag, str) else flag
         elif name in file_values:
             merged[name] = convert(file_values[name])
-    if "products" in merged and merged["products"] == ("all",):
-        merged["products"] = None
-        merged["_products_all"] = True
-    products_all = merged.pop("_products_all", False)
-    cfg = RunConfig(**merged)
-    return cfg, products_all
+    return RunConfig(**merged)
 
 
 def _load_tensor(cfg: RunConfig) -> ingest.MoneyTensor:
@@ -188,14 +195,13 @@ def cmd_rank(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_selection(cfg: RunConfig, reg: ingest.Registry, products_all: bool) -> regomax.Selection:
+def _build_selection(cfg: RunConfig, reg: ingest.Registry) -> regomax.Selection:
     group = cfg.group or reg.countries
     products = cfg.products
-    if products is None:
-        if cfg.source_product is not None and not products_all:
-            products = (cfg.source_product,)
-        else:
-            products = reg.products
+    if products is None and cfg.source_product is not None:
+        products = (cfg.source_product,)
+    elif products is None or products == ("all",):
+        products = reg.products
     extra = ()
     if cfg.source_country is not None:
         if cfg.source_product is None:
@@ -204,11 +210,11 @@ def _build_selection(cfg: RunConfig, reg: ingest.Registry, products_all: bool) -
     return regomax.Selection.for_countries(reg, group, products=products, extra_nodes=extra)
 
 
-def cmd_reduce(cfg: RunConfig, products_all: bool = False) -> int:
+def cmd_reduce(cfg: RunConfig) -> int:
     tensor = _load_tensor(cfg)
     reg = tensor.registry
     out = _out_dir(cfg)
-    sel = _build_selection(cfg, reg, products_all)
+    sel = _build_selection(cfg, reg)
     labels = sel.labels(reg)
     direct, inverted = gmatrix.build_trade_pair(
         tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
@@ -278,11 +284,11 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_network(cfg: RunConfig, products_all: bool = False) -> int:
+def cmd_network(cfg: RunConfig) -> int:
     tensor = _load_tensor(cfg)
     reg = tensor.registry
     out = _out_dir(cfg)
-    sel = _build_selection(cfg, reg, products_all)
+    sel = _build_selection(cfg, reg)
     labels = sel.labels(reg)
     direct, inverted = gmatrix.build_trade_pair(
         tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
@@ -312,9 +318,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
 
 
-_DEPRECATED_FLAGS = ("--series-tol", "--max-terms")
-
-
 def _add_selection(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="comma-separated country codes")
     p.add_argument("--source-country", dest="source_country")
@@ -324,9 +327,8 @@ def _add_selection(p: argparse.ArgumentParser) -> None:
         help="comma-separated product codes for the selection, or 'all' "
         "(default: the source product if given, else all)",
     )
-    # accepted so existing command lines keep working; main() warns they do nothing
-    for flag in _DEPRECATED_FLAGS:
-        p.add_argument(flag, dest=flag, help=argparse.SUPPRESS)
+    for name in _DEPRECATED:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-products", type=int, dest="n_products")
     p.add_argument("--density", type=float)
     p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=lambda cfg, extra: cmd_synth(cfg))
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("rank", help="stationary and volume rankings")
     _add_common(p)
-    p.set_defaults(func=lambda cfg, extra: cmd_rank(cfg))
+    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("reduce", help="reduced matrices on a selection")
     _add_common(p)
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="price increment, default 1e-3")
     p.add_argument("--methods", help="comma list: regomax,import-export,global-price")
     p.add_argument("--global-product", dest="global_product")
-    p.set_defaults(func=lambda cfg, extra: cmd_sensitivity(cfg))
+    p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("network", help="top-k partner graphs from reductions")
     _add_common(p)
@@ -378,15 +380,8 @@ def main(argv=None) -> int:
         level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    for flag in _DEPRECATED_FLAGS:
-        if getattr(args, flag, None) is not None:
-            log.warning("%s is deprecated and has no effect: the reduction is an exact solve", flag)
     try:
-        cfg, products_all = _merge_config(args)
-        func = args.func
-        if func in (cmd_reduce, cmd_network):
-            return func(cfg, products_all)
-        return func(cfg, None)
+        return args.func(_merge_config(args))
     except (TradeDataError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2

@@ -1,17 +1,19 @@
 """Column-stochastic trade matrices and their damped Google matrices.
 
-The damped matrix is never materialized: with stochastic part S, damping
-alpha and personalization v, the product is evaluated lazily as
+Both are a `GoogleMatrix`, which is never materialized. With stored sparse
+links A, dangling indicator d (columns of zero source volume, uniform over
+all N nodes), personalization v and damping alpha,
 
-    G @ x = alpha * (S @ x) + (1 - alpha) * v * sum(x)
+    G = alpha * A + U V^T,   U = [alpha/N * 1, (1 - alpha) * v],   V = [d, 1],
 
-which is exact because the teleportation term is rank one. Dangling columns
-(zero source volume) are stored as a flag set and contribute uniformly.
+so the dangling and teleportation terms are one rank-two correction, and
+every block G[rows, cols] has the same form on its sub-links. A plain
+stochastic matrix is the case alpha = 1.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -29,73 +31,68 @@ INVERTED = "inverted"
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
-    """Sparse column-stochastic matrix with an explicit dangling flag set.
+class GoogleMatrix:
+    """G = alpha * A + U V^T (see the module docstring), or a block of it.
 
-    `links` holds the normalized columns of nodes with nonzero source volume;
-    flagged columns are implicitly uniform at 1/size and stored empty.
+    `links` holds A[rows, cols], `dangling` the flags of the columns and
+    `personalization` v[rows]; `total` is the full node count N that a
+    dangling column spreads over.
     """
 
-    size: int
-    direction: str
     links: sparse.csr_matrix
     dangling: np.ndarray  # bool, per column
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = self.links @ x
-        hanging = x[self.dangling].sum()
-        if hanging != 0.0:
-            out = out + hanging / self.size
-        return out
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = self.links.T @ x
-        out[self.dangling] = x.sum() / self.size
-        return out
-
-    def column(self, j: int) -> np.ndarray:
-        if self.dangling[j]:
-            return np.full(self.size, 1.0 / self.size)
-        return self.links[:, [j]].toarray().ravel()
-
-    def column_sums(self) -> np.ndarray:
-        sums = np.asarray(self.links.sum(axis=0)).ravel()
-        sums[self.dangling] = 1.0
-        return sums
-
-    def to_dense(self) -> np.ndarray:
-        dense = self.links.toarray()
-        dense[:, self.dangling] = 1.0 / self.size
-        return dense
-
-
-@dataclass(frozen=True)
-class GoogleMatrix:
-    """Damped matrix alpha * S + (1 - alpha) * v 1^T, kept in lazy form."""
-
-    stochastic: StochasticMatrix
-    personalization: np.ndarray
+    personalization: np.ndarray  # per row
     alpha: float
+    total: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.links.shape
 
     @property
     def size(self) -> int:
-        return self.stochastic.size
+        return self.links.shape[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        uniform = np.full(self.shape[0], self.alpha / self.total)
+        return np.column_stack((uniform, (1.0 - self.alpha) * self.personalization))
+
+    @property
+    def v(self) -> np.ndarray:
+        return np.column_stack((self.dangling.astype(np.float64), np.ones(self.shape[1])))
+
+    def block(self, rows, cols) -> "GoogleMatrix":
+        return replace(
+            self,
+            links=self.links[rows][:, cols].tocsr(),
+            dangling=self.dangling[cols],
+            personalization=self.personalization[rows],
+        )
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply G to a vector or to the columns of a (cols, k) matrix."""
         x = np.asarray(x, dtype=np.float64)
-        return self.alpha * self.stochastic.matvec(x) + (
-            1.0 - self.alpha
-        ) * self.personalization * x.sum()
+        out = self.alpha * (self.links @ x + x[self.dangling].sum(axis=0) / self.total)
+        return out + np.multiply.outer((1.0 - self.alpha) * self.personalization, x.sum(axis=0))
 
-    def column(self, j: int) -> np.ndarray:
-        return self.alpha * self.stochastic.column(j) + (1.0 - self.alpha) * self.personalization
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=np.float64)
+        return self.alpha * (self.links.T @ y) + self.v @ (self.u.T @ y)
 
-    def to_dense(self) -> np.ndarray:
-        dense = self.alpha * self.stochastic.to_dense()
+    def to_dense(self, cols: slice = slice(None)) -> np.ndarray:
+        """Dense matrix, or the dense slice of its columns `cols`."""
+        dense = self.links[:, cols].toarray()
+        dense[:, self.dangling[cols]] = 1.0 / self.total
+        dense *= self.alpha
         dense += (1.0 - self.alpha) * self.personalization[:, None]
         return dense
+
+    def column(self, j: int) -> np.ndarray:
+        return self.to_dense(slice(j, j + 1))[:, 0]
+
+    def column_sums(self) -> np.ndarray:
+        return self.rmatvec(np.ones(self.shape[0]))
 
 
 def _check_personalization(v: np.ndarray, size: int) -> np.ndarray:
@@ -109,13 +106,14 @@ def _check_personalization(v: np.ndarray, size: int) -> np.ndarray:
     return v
 
 
-def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> StochasticMatrix:
+def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> GoogleMatrix:
     """Normalize per-product flows into a column-stochastic matrix.
 
     Direct: column (exporter, p) distributes over importers, normalized by
     the exporter's product export volume. Inverted: flows reversed, columns
     normalized by import volume. Products never mix except through dangling
-    columns, which are uniform over all nodes.
+    columns, which are uniform over all nodes. The result is undamped
+    (alpha = 1, uniform personalization).
     """
     if direction not in (DIRECT, INVERTED):
         raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
@@ -151,7 +149,13 @@ def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> Stochastic
         shape=(size, size),
     ).tocsr()
     dangling = (source_vol == 0).ravel()
-    return StochasticMatrix(size=size, direction=direction, links=links, dangling=dangling)
+    return GoogleMatrix(
+        links=links,
+        dangling=dangling,
+        personalization=np.full(size, 1.0 / size),
+        alpha=1.0,
+        total=size,
+    )
 
 
 def personalization_volume(tensor: MoneyTensor, direction: str = DIRECT) -> np.ndarray:
@@ -192,12 +196,13 @@ def rank_personalization(product_marginal: np.ndarray, registry: Registry) -> np
 
 
 def assemble_google(
-    stochastic: StochasticMatrix, personalization: np.ndarray, alpha: float = DEFAULT_ALPHA
+    stochastic: GoogleMatrix, personalization: np.ndarray, alpha: float = DEFAULT_ALPHA
 ) -> GoogleMatrix:
+    """Damp a stochastic matrix with teleportation vector `personalization`."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     v = _check_personalization(personalization, stochastic.size)
-    return GoogleMatrix(stochastic=stochastic, personalization=v, alpha=alpha)
+    return replace(stochastic, personalization=v, alpha=alpha)
 
 
 def build_trade_pair(
@@ -229,19 +234,3 @@ def build_trade_pair(
     g2_star = assemble_google(s_inverted, rank_personalization(prod_marginal_star, reg), alpha)
     return g2, g2_star
 
-
-def dump_google(matrix: GoogleMatrix, triples_path, sidecar_path) -> None:
-    """Debug dump: `row,col,value` triples of the stored stochastic links plus
-    a sidecar with alpha, the dangling columns and the personalization vector."""
-    coo = matrix.stochastic.links.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(triples_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row,col,value\n")
-        for k in order:
-            fh.write(f"{coo.row[k]},{coo.col[k]},{float(coo.data[k])!r}\n")
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(f"alpha {float(matrix.alpha)!r}\n")
-        hanging = ",".join(str(i) for i in np.flatnonzero(matrix.stochastic.dangling))
-        fh.write(f"dangling {hanging}\n")
-        for value in matrix.personalization:
-            fh.write(f"{float(value)!r}\n")

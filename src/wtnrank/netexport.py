@@ -31,7 +31,7 @@ def top_links(matrix: np.ndarray, labels, k: int, view: str = VIEW_IMPORT) -> Tr
     Ties break toward the smaller partner index; exact-zero entries are
     never emitted. k must be smaller than the matrix size.
     """
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape[1] != n:
         raise ValueError("expected a square matrix")
@@ -43,17 +43,15 @@ def top_links(matrix: np.ndarray, labels, k: int, view: str = VIEW_IMPORT) -> Tr
         raise ValueError("k must be at least 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the matrix size {n}")
-    edges = []
-    for j in range(n):
-        col = matrix[:, j]
-        partners = [i for i in range(n) if i != j and col[i] > 0.0]
-        # weight descending, index ascending on ties
-        partners.sort(key=lambda i: (-col[i], i))
-        for i in partners[:k]:
-            if view == VIEW_IMPORT:
-                edges.append((labels[j], labels[i], float(col[i])))
-            else:
-                edges.append((labels[i], labels[j], float(col[i])))
+    # stable sort of each column: weight descending, index ascending on ties
+    order = np.argsort(-matrix, axis=0, kind="stable")
+    keep = (np.take_along_axis(matrix, order, axis=0) > 0.0) & (order != np.arange(n))
+    keep &= np.cumsum(keep, axis=0) <= k
+    cols, ranks = np.nonzero(keep.T)  # column by column, strongest first
+    rows = order[ranks, cols]
+    weights = matrix[rows, cols].tolist()
+    src, dst = (cols, rows) if view == VIEW_IMPORT else (rows, cols)
+    edges = [(labels[a], labels[b], w) for a, b, w in zip(src.tolist(), dst.tolist(), weights)]
     return TradeEdgeList(edges=tuple(edges), view=view, k=k)
 
 

@@ -37,7 +37,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
-ORACLE_CAP = 2000
 _NEGATIVE_WARN = -1e-12
 _COLUMN_BLOCK = 256  # selected columns solved at a time; bounds the dense work arrays
 
@@ -162,46 +161,7 @@ def split_diagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, matrix - diag
 
 
-class _Block:
-    """Lazy block G[rows, cols] of a damped matrix.
-
-    Equals alpha * A[rows, cols] + U V^T, with A the stored links,
-    U = [alpha/N * 1, (1-alpha) * v[rows]] and V = [d[cols], 1] for the
-    personalization v and the dangling indicator d, so products with
-    tall/wide blocks stay O(nnz).
-    """
-
-    def __init__(self, matrix: GoogleMatrix, rows: np.ndarray, cols: np.ndarray):
-        stoch = matrix.stochastic
-        a = matrix.alpha
-        self.alpha = a
-        self.links = stoch.links[rows][:, cols].tocsr()
-        self.u = np.column_stack(
-            (np.full(rows.shape[0], a / matrix.size), (1.0 - a) * matrix.personalization[rows])
-        )
-        self.v = np.column_stack(
-            (stoch.dangling[cols].astype(np.float64), np.ones(cols.shape[0]))
-        )
-        self.shape = (rows.shape[0], cols.shape[0])
-        self._links_t = None
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Apply the block to a vector or (cols, k) matrix."""
-        return self.alpha * (self.links @ x) + self.u @ (self.v.T @ x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        if self._links_t is None:
-            self._links_t = self.links.T.tocsr()
-        return self.alpha * (self._links_t @ y) + self.v @ (self.u.T @ y)
-
-    def to_dense(self, cols: slice = slice(None)) -> np.ndarray:
-        """Dense block, or the dense slice of its columns `cols`."""
-        out = self.alpha * self.links[:, cols].toarray()
-        out += self.u @ self.v[cols].T
-        return out
-
-
-def _leading_pair(block: _Block, tol: float, max_iter: int):
+def _leading_pair(block: GoogleMatrix, tol: float, max_iter: int):
     """Leading eigenvalue of a nonnegative block with right/left vectors.
 
     Power iteration on the block and its transpose; vectors converge to the
@@ -213,7 +173,7 @@ def _leading_pair(block: _Block, tol: float, max_iter: int):
     lam = 0.0
     x = np.full(n, 1.0 / n)
     for it in range(max_iter):
-        y = block.matmat(x)
+        y = block.matvec(x)
         lam = float(y.sum())
         if lam <= 0.0:
             # complement absorbs nothing: resolvent is a finite sum
@@ -247,9 +207,8 @@ def _leading_pair(block: _Block, tol: float, max_iter: int):
 
 
 def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
-    dense = matrix.to_dense()
     order = np.asarray(sel.node_ids)
-    dense = dense[np.ix_(order, order)]
+    dense = matrix.block(order, order).to_dense()
     return ReducedSet(
         selection=sel,
         reduced=dense,
@@ -292,9 +251,9 @@ def reduce(
     r = np.asarray(sel.node_ids)
     s = sel.complement
     n = sel.n_selected
-    b_rs = _Block(matrix, r, s)
-    b_sr = _Block(matrix, s, r)
-    b_ss = _Block(matrix, s, s)
+    b_rs = matrix.block(r, s)
+    b_sr = matrix.block(s, r)
+    b_ss = matrix.block(s, s)
 
     lam, psi_r, psi_l, _ = _leading_pair(b_ss, eig_tol, eig_max_iter)
     if 1.0 - lam < 1e-12:
@@ -306,18 +265,18 @@ def reduce(
     lu = splu(sparse.identity(s.shape[0], format="csc") - (b_ss.alpha * b_ss.links).tocsc())
     z = lu.solve(b_ss.u)
     capacitance = np.eye(2) - b_ss.v.T @ z
-    projector_part = np.outer(b_rs.matmat(psi_r), b_sr.rmatvec(psi_l)) / (1.0 - lam)
+    projector_part = np.outer(b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)) / (1.0 - lam)
     indirect_part = np.empty((n, n))
     residual = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
         cols = slice(start, start + _COLUMN_BLOCK)
         x = lu.solve(b_sr.alpha * b_sr.links[:, cols].toarray())
         x += z @ np.linalg.solve(capacitance, b_ss.v.T @ x + b_sr.v[cols].T)
-        residual = max(residual, float(np.abs(x - b_ss.matmat(x) - b_sr.to_dense(cols)).max()))
+        residual = max(residual, float(np.abs(x - b_ss.matvec(x) - b_sr.to_dense(cols)).max()))
         x -= np.outer(psi_r, psi_l @ x)
-        indirect_part[:, cols] = b_rs.matmat(x)
+        indirect_part[:, cols] = b_rs.matvec(x)
 
-    direct_part = _Block(matrix, r, r).to_dense()
+    direct_part = matrix.block(r, r).to_dense()
     reduced = direct_part + projector_part + indirect_part
 
     worst = float(reduced.min())
@@ -344,23 +303,6 @@ def reduce(
         complement_left=psi_l,
         solve_residual=residual,
     )
-
-
-def reduce_dense_oracle(matrix: GoogleMatrix, sel: Selection, cap: int = ORACLE_CAP) -> np.ndarray:
-    """Reference reduction by dense block solve; for verification only."""
-    if matrix.size > cap:
-        raise ValueError(f"oracle refuses size {matrix.size} > cap {cap}")
-    dense = matrix.to_dense()
-    r = np.asarray(sel.node_ids)
-    if sel.n_complement == 0:
-        return dense[np.ix_(r, r)]
-    s = sel.complement
-    g_rr = dense[np.ix_(r, r)]
-    g_rs = dense[np.ix_(r, s)]
-    g_sr = dense[np.ix_(s, r)]
-    g_ss = dense[np.ix_(s, s)]
-    x = np.linalg.solve(np.eye(s.shape[0]) - g_ss, g_sr)
-    return g_rr + g_rs @ x
 
 
 def write_reduced_csv(path, matrix: np.ndarray, labels) -> None:

@@ -204,15 +204,22 @@ def shock_pair(pair: ReducedTradePair, delta: float) -> tuple[np.ndarray, np.nda
     return direct, inverted
 
 
-def build_shock_matrices(
-    tensor: MoneyTensor,
-    spec: ShockSpec,
-    delta: float,
-    alpha: float = DEFAULT_ALPHA,
-    **solver_options,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced (direct, inverted) matrices with the shock applied at delta."""
-    return shock_pair(reduce_for_shock(tensor, spec, alpha=alpha, **solver_options), delta)
+def _central_difference(balance_at, delta: float, richardson: bool):
+    """Central difference of `balance_at(dv) -> (balance, imports, exports)`.
+
+    Returns the baseline triple, dB/ddelta from the +/- delta evaluations
+    (zero when delta == 0), and metadata with the half-step Richardson error
+    estimate when `richardson` is set.
+    """
+    baseline = balance_at(0.0)
+    metadata = {}
+    if delta == 0.0:
+        return baseline, np.zeros_like(baseline[0]), metadata
+    derivative = (balance_at(delta)[0] - balance_at(-delta)[0]) / (2.0 * delta)
+    if richardson:
+        half = (balance_at(delta / 2.0)[0] - balance_at(-delta / 2.0)[0]) / delta
+        metadata["richardson_error"] = float(np.abs(derivative - half).max())
+    return baseline, derivative, metadata
 
 
 def _pair_balance(pair: ReducedTradePair, delta: float, tol: float, max_iter: int):
@@ -242,10 +249,9 @@ def reduced_balance_sensitivity(
     if pair is None:
         pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
     delta = spec.delta
-    b_base, imp0, exp0 = _pair_balance(pair, 0.0, tol, max_iter)
-    b_plus, _, _ = _pair_balance(pair, delta, tol, max_iter)
-    b_minus, _, _ = _pair_balance(pair, -delta, tol, max_iter)
-    derivative = (b_plus - b_minus) / (2.0 * delta)
+    (b_base, imp0, exp0), derivative, extra = _central_difference(
+        lambda dv: _pair_balance(pair, dv, tol, max_iter), delta, richardson
+    )
     metadata = {
         "alpha": alpha,
         "pagerank_tol": tol,
@@ -253,12 +259,8 @@ def reduced_balance_sensitivity(
         "complement_eigenvalue_inverted": pair.inverted_set.complement_eigenvalue,
         "weights_direct": pair.direct_set.weights,
         "weights_inverted": pair.inverted_set.weights,
+        **extra,
     }
-    if richardson:
-        bp2, _, _ = _pair_balance(pair, delta / 2.0, tol, max_iter)
-        bm2, _, _ = _pair_balance(pair, -delta / 2.0, tol, max_iter)
-        half = (bp2 - bm2) / delta
-        metadata["richardson_error"] = float(np.abs(derivative - half).max())
     return SensitivityReport(
         method=METHOD_REDUCED,
         source=spec.source_label,
@@ -306,19 +308,9 @@ def import_export_sensitivity(
         delta = spec.delta
     if not -1.0 < delta < 1.0:
         raise ValueError("delta must be in (-1, 1)")
-    b_base, imp0, exp0 = _volume_balance(tensor, spec, 0.0)
-    b_plus, _, _ = _volume_balance(tensor, spec, delta)
-    b_minus, _, _ = _volume_balance(tensor, spec, -delta)
-    if delta == 0.0:
-        derivative = np.zeros_like(b_base)
-    else:
-        derivative = (b_plus - b_minus) / (2.0 * delta)
-    metadata = {}
-    if richardson and delta != 0.0:
-        bp2, _, _ = _volume_balance(tensor, spec, delta / 2.0)
-        bm2, _, _ = _volume_balance(tensor, spec, -delta / 2.0)
-        half = (bp2 - bm2) / delta
-        metadata["richardson_error"] = float(np.abs(derivative - half).max())
+    (b_base, imp0, exp0), derivative, metadata = _central_difference(
+        lambda dv: _volume_balance(tensor, spec, dv), delta, richardson
+    )
     return SensitivityReport(
         method=METHOD_IMPORT_EXPORT,
         source=spec.source_label,
@@ -363,19 +355,8 @@ def global_price_sensitivity(
         exp = trace(p_star, "country", reg)[idx]
         return balance(exp, imp), imp, exp
 
-    b_base, imp0, exp0 = balance_at(0.0)
-    b_plus, _, _ = balance_at(delta)
-    b_minus, _, _ = balance_at(-delta)
-    if delta == 0.0:
-        derivative = np.zeros_like(b_base)
-    else:
-        derivative = (b_plus - b_minus) / (2.0 * delta)
-    metadata = {"alpha": alpha}
-    if richardson and delta != 0.0:
-        bp2, _, _ = balance_at(delta / 2.0)
-        bm2, _, _ = balance_at(-delta / 2.0)
-        half = (bp2 - bm2) / delta
-        metadata["richardson_error"] = float(np.abs(derivative - half).max())
+    (b_base, imp0, exp0), derivative, extra = _central_difference(balance_at, delta, richardson)
+    metadata = {"alpha": alpha, **extra}
     return SensitivityReport(
         method=METHOD_GLOBAL_PRICE,
         source=product,

@@ -38,6 +38,48 @@ def toy3():
     return make_toy3()
 
 
+ORACLE_CAP = 2000
+
+
+def reduce_dense_oracle(matrix, sel, cap: int = ORACLE_CAP) -> np.ndarray:
+    """Reference reduction by dense block solve; for verification only."""
+    if matrix.size > cap:
+        raise ValueError(f"oracle refuses size {matrix.size} > cap {cap}")
+    dense = matrix.to_dense()
+    r = np.asarray(sel.node_ids)
+    if sel.n_complement == 0:
+        return dense[np.ix_(r, r)]
+    s = sel.complement
+    g_rr = dense[np.ix_(r, r)]
+    g_rs = dense[np.ix_(r, s)]
+    g_sr = dense[np.ix_(s, r)]
+    g_ss = dense[np.ix_(s, s)]
+    x = np.linalg.solve(np.eye(s.shape[0]) - g_ss, g_sr)
+    return g_rr + g_rs @ x
+
+
+def dump_google(matrix, triples_path, sidecar_path) -> None:
+    """Debug dump: `row,col,value` triples of the stored stochastic links plus
+    a sidecar with alpha, the dangling columns and the personalization vector."""
+    coo = matrix.links.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(triples_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("row,col,value\n")
+        for k in order:
+            fh.write(f"{coo.row[k]},{coo.col[k]},{float(coo.data[k])!r}\n")
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        fh.write(f"alpha {float(matrix.alpha)!r}\n")
+        hanging = ",".join(str(i) for i in np.flatnonzero(matrix.dangling))
+        fh.write(f"dangling {hanging}\n")
+        for value in matrix.personalization:
+            fh.write(f"{float(value)!r}\n")
+
+
+def build_shock_matrices(tensor, spec, delta, alpha=w.DEFAULT_ALPHA):
+    """Reduced (direct, inverted) matrices with the shock applied at delta."""
+    return w.shock_pair(w.reduce_for_shock(tensor, spec, alpha=alpha), delta)
+
+
 def dense_pagerank_oracle(dense: np.ndarray) -> np.ndarray:
     """Unit-eigenvalue eigenvector via the dense eigensolver, L1-normalized."""
     vals, vecs = np.linalg.eig(dense)

@@ -18,7 +18,7 @@ import wtnrank as w
 from wtnrank.cli import main as cli_main
 from wtnrank.groups import EU27_2008
 
-from conftest import brute_force_derivative, dense_pagerank_oracle, make_toy3
+from conftest import brute_force_derivative, dense_pagerank_oracle, make_toy3, reduce_dense_oracle
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_small.csv"
 
@@ -145,7 +145,7 @@ def reduced_instances():
 def test_c3_regomax_oracle_equivalence(reduced_instances):
     with criterion(3, "regomax-oracle-equivalence"):
         for matrix, sel, reduced in reduced_instances:
-            oracle = w.reduce_dense_oracle(matrix, sel)
+            oracle = reduce_dense_oracle(matrix, sel)
             assert np.abs(reduced.reduced - oracle).max() < 1e-10
             recomposed = reduced.direct_part + reduced.projector_part + reduced.indirect_part
             assert np.abs(recomposed - reduced.reduced).max() < 1e-10

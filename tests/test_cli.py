@@ -124,6 +124,17 @@ class TestReduce:
             projector = (tmp_path / f"{tag}_projector.csv").read_text().splitlines()[1:]
             assert all(float(x) == 0.0 for line in projector for x in line.split(","))
 
+    def test_products_all_widens_source_selection(self, tmp_path):
+        rc = run(
+            "reduce", "--input", FIXTURE, "--group", "AA,AB", "--source-country", "AC",
+            "--source-product", "01", "--products", "all", "--out-dir", tmp_path,
+        )
+        assert rc == 0
+        header = (tmp_path / "import_reduced_full.csv").read_text().splitlines()[0]
+        reg = w.load_money_tensor(FIXTURE, 2016).registry
+        expected = [f"{c}:{p}" for c in ("AA", "AB") for p in reg.products] + ["AC:01"]
+        assert header.split(",") == expected
+
     def test_weights_sum_to_one(self, tmp_path):
         rc = run(
             "reduce", "--input", FIXTURE, "--group", "AA,AB",
@@ -238,6 +249,22 @@ class TestConfigFile:
         cfg.write_text(f"input = {FIXTURE}\n")
         out = tmp_path / "out"
         assert run("rank", "--config", cfg, "--out-dir", out) == 0
+
+    def test_unknown_key_rejected(self, tmp_path, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {FIXTURE}\nalpah = 0.3\n")
+        assert run("rank", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert any("alpah" in r.getMessage() for r in caplog.records)
+
+    def test_removed_series_key_warns(self, tmp_path, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {FIXTURE}\nmax_terms = 50\n")
+        with caplog.at_level(logging.WARNING, logger="wtnrank"):
+            assert run("rank", "--config", cfg, "--out-dir", tmp_path / "out") == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "--max-terms is deprecated and has no effect: the reduction is an exact solve"
+        ]
 
 
 class TestStartup:

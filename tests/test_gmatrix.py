@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import wtnrank as w
-from wtnrank.gmatrix import DIRECT, INVERTED, dump_google
+from wtnrank.gmatrix import DIRECT, INVERTED
+
+from conftest import dump_google
 
 
 class TestBuildStochastic:
@@ -115,7 +117,10 @@ class TestAssemble:
 
         n = 4
         links = sparse.csr_matrix(np.full((n, n), 1.0 / n))
-        s = w.StochasticMatrix(size=n, direction=DIRECT, links=links, dangling=np.zeros(n, bool))
+        s = w.GoogleMatrix(
+            links=links, dangling=np.zeros(n, bool), personalization=np.full(n, 1.0 / n),
+            alpha=1.0, total=n,
+        )
         g = w.assemble_google(s, np.full(n, 1.0 / n), alpha=0.5)
         np.testing.assert_allclose(g.column(0), np.full(n, 1.0 / n))
 
@@ -123,7 +128,10 @@ class TestAssemble:
         from scipy import sparse
 
         links = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        s = w.StochasticMatrix(size=2, direction=DIRECT, links=links, dangling=np.zeros(2, bool))
+        s = w.GoogleMatrix(
+            links=links, dangling=np.zeros(2, bool), personalization=np.full(2, 0.5),
+            alpha=1.0, total=2,
+        )
         g = w.assemble_google(s, np.array([0.75, 0.25]), alpha=0.5)
         np.testing.assert_allclose(g.column(0), [0.375, 0.625])
 
@@ -150,6 +158,34 @@ class TestAssemble:
             for _ in range(3):
                 x = rng.random(matrix.size)
                 assert np.abs(matrix.matvec(x) - dense @ x).max() < 1e-13
+
+
+class TestBlock:
+    @pytest.mark.parametrize("seed, n_c, n_p, density", [(4, 8, 3, 0.3), (11, 12, 5, 0.15)])
+    def test_block_is_dense_slice(self, seed, n_c, n_p, density):
+        tensor = w.synth_tensor(seed, n_c, n_p, density)
+        stochastic = w.build_stochastic(tensor, DIRECT)
+        assert stochastic.dangling.any()
+        rng = np.random.default_rng(seed)
+        for matrix in (stochastic, *w.build_trade_pair(tensor)):
+            dense = matrix.to_dense()
+            for _ in range(3):
+                rows = np.sort(rng.choice(matrix.size, rng.integers(1, matrix.size), replace=False))
+                cols = rng.permutation(matrix.size)[: rng.integers(1, matrix.size)]
+                block = matrix.block(rows, cols)
+                expected = dense[np.ix_(rows, cols)]
+                assert block.shape == expected.shape
+                np.testing.assert_array_equal(block.dangling, matrix.dangling[cols])
+                x = rng.random(cols.shape[0])
+                xs = rng.random((cols.shape[0], 4))
+                y = rng.random(rows.shape[0])
+                assert np.abs(block.matvec(x) - expected @ x).max() < 1e-13
+                assert np.abs(block.matvec(xs) - expected @ xs).max() < 1e-13
+                assert np.abs(block.rmatvec(y) - expected.T @ y).max() < 1e-13
+                assert np.abs(block.to_dense() - expected).max() < 1e-15
+                assert np.abs(block.to_dense(slice(1, 3)) - expected[:, 1:3]).max() < 1e-15
+                low_rank = expected - matrix.alpha * block.links.toarray()
+                assert np.abs(block.u @ block.v.T - low_rank).max() < 1e-15
 
 
 class TestBuildTradePair:

@@ -16,6 +16,20 @@ HAND = np.array(
 )
 
 
+def _reference_top_links(matrix, labels, k, view):
+    """Per-column Python sort: weight descending, index ascending on ties."""
+    n = matrix.shape[0]
+    edges = []
+    for j in range(n):
+        col = matrix[:, j]
+        partners = [i for i in range(n) if i != j and col[i] > 0.0]
+        partners.sort(key=lambda i: (-col[i], i))
+        for i in partners[:k]:
+            pair = (labels[j], labels[i]) if view == "import" else (labels[i], labels[j])
+            edges.append((*pair, float(col[i])))
+    return tuple(edges)
+
+
 class TestTopLinks:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -79,6 +93,18 @@ class TestTopLinks:
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
             w.top_links(HAND, LABELS4[:3], 2)
+
+    @pytest.mark.parametrize("view", ["import", "export"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_per_column_sort(self, k, view):
+        # few distinct values force ties; a third of the entries are exact zeros
+        rng = np.random.default_rng(k)
+        m = rng.integers(0, 4, size=(9, 9)) / 4.0
+        m[rng.random((9, 9)) < 0.33] = 0.0
+        m[:, 2] = 0.0
+        m[[2, 5], 2] = [0.5, 0.25]  # column 2: its diagonal and one partner only
+        labels = tuple(f"N{i}" for i in range(9))
+        assert w.top_links(m, labels, k, view=view).edges == _reference_top_links(m, labels, k, view)
 
 
 class TestSerialize:

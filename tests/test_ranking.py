@@ -11,7 +11,9 @@ from conftest import dense_pagerank_oracle
 def two_node_google():
     """alpha=0.5 damping of the swap matrix with personalization (0.75, 0.25)."""
     links = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    stoch = w.StochasticMatrix(size=2, direction="direct", links=links, dangling=np.zeros(2, bool))
+    stoch = w.GoogleMatrix(
+        links=links, dangling=np.zeros(2, bool), personalization=np.full(2, 0.5), alpha=1.0, total=2
+    )
     return w.assemble_google(stoch, np.array([0.75, 0.25]), 0.5)
 
 

@@ -4,6 +4,8 @@ import pytest
 import wtnrank as w
 from wtnrank.regomax import write_diagnostics, write_reduced_csv
 
+from conftest import reduce_dense_oracle
+
 
 def pair_for(seed, n_c, n_p, density, alpha=0.5):
     tensor = w.synth_tensor(seed, n_c, n_p, density)
@@ -51,7 +53,7 @@ class TestTrivialSelection:
     def test_all_nodes_oracle(self):
         g, _ = pair_for(1, 5, 2, 0.5)
         sel = w.Selection(node_ids=tuple(range(g.size)), total=g.size)
-        np.testing.assert_array_equal(w.reduce_dense_oracle(g, sel), g.to_dense())
+        np.testing.assert_array_equal(reduce_dense_oracle(g, sel), g.to_dense())
 
 
 class TestSingleHiddenNode:
@@ -69,7 +71,7 @@ class TestSingleHiddenNode:
         closed = g_rr + g_rs @ g_sr / (1.0 - dense[hidden, hidden])
         result = w.reduce(g, sel)
         assert np.abs(result.reduced - closed).max() < 1e-12
-        assert np.abs(w.reduce_dense_oracle(g, sel) - closed).max() < 1e-12
+        assert np.abs(reduce_dense_oracle(g, sel) - closed).max() < 1e-12
         # a one-node complement is its own eigenvector: deflation leaves nothing
         assert not result.indirect_part.any()
 
@@ -96,7 +98,7 @@ class TestAgainstOracle:
         assert g.size <= 300
         sel = spread_selection(g.size, n_r, offset=seed % 3)
         result = w.reduce(g, sel)
-        oracle = w.reduce_dense_oracle(g, sel)
+        oracle = reduce_dense_oracle(g, sel)
         assert np.abs(result.reduced - oracle).max() < 1e-10
 
     @pytest.mark.parametrize("seed,n_c,n_p,density,n_r", INSTANCES[:4])
@@ -104,7 +106,7 @@ class TestAgainstOracle:
         _, g_star = pair_for(seed, n_c, n_p, density)
         sel = spread_selection(g_star.size, n_r)
         result = w.reduce(g_star, sel)
-        oracle = w.reduce_dense_oracle(g_star, sel)
+        oracle = reduce_dense_oracle(g_star, sel)
         assert np.abs(result.reduced - oracle).max() < 1e-10
 
 
@@ -220,7 +222,7 @@ class TestOracleGuards:
         g, _ = pair_for(1, 8, 4, 0.4)
         sel = spread_selection(g.size, 4)
         with pytest.raises(ValueError, match="cap"):
-            w.reduce_dense_oracle(g, sel, cap=10)
+            reduce_dense_oracle(g, sel, cap=10)
 
     def test_size_mismatch(self):
         g, _ = pair_for(1, 4, 2, 0.6)

@@ -8,7 +8,7 @@ from wtnrank.sensitivity import (
     write_report,
 )
 
-from conftest import brute_force_derivative, make_toy3
+from conftest import brute_force_derivative, build_shock_matrices, make_toy3
 
 
 class TestBalance:
@@ -138,7 +138,7 @@ class TestBuildShockMatrices:
 
     def test_shocked_columns_stochastic(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
-        direct, inverted = w.build_shock_matrices(toy3, spec, 1e-3)
+        direct, inverted = build_shock_matrices(toy3, spec, 1e-3)
         assert np.abs(direct.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(inverted.sum(axis=0) - 1.0).max() < 1e-12
 
@@ -146,7 +146,7 @@ class TestBuildShockMatrices:
         spec = w.ShockSpec("AA", "00", ("XX",))
         pair = w.reduce_for_shock(toy3, spec)
         via_pair = w.shock_pair(pair, 2e-3)
-        direct, inverted = w.build_shock_matrices(toy3, spec, 2e-3)
+        direct, inverted = build_shock_matrices(toy3, spec, 2e-3)
         assert np.array_equal(via_pair[0], direct)
         assert np.array_equal(via_pair[1], inverted)
 
