@@ -5,9 +5,18 @@ Input CSV format (UTF-8, comment lines start with '#'):
     year,product,exporter,importer,value_usd
 
 `product` is a 2-character commodity code, `exporter`/`importer` are
-2-character country codes, `value_usd` a nonnegative decimal. Duplicate
-(product, importer, exporter) rows are summed; self-trade rows are dropped
-with a warning.
+2-character country codes, `value_usd` a nonnegative decimal. Cells are
+stripped of surrounding whitespace. Duplicate (product, importer, exporter)
+rows are summed; self-trade rows are dropped with a warning.
+
+The loader streams the file: `csv.reader` rows go into a flat buffer of
+cells that is validated and converted column by column every `_CHUNK_ROWS`
+rows. Each distinct year or code string is checked once, values are
+converted in bulk, and only integer ids and float values are kept, so the
+memory taken by the text is bounded by the chunk, not the file. Every row of
+the file is validated, whatever its year; when a chunk holds a fault, the
+per-row rules run over that chunk alone and report the first fault in row
+and field order, with its 1-based row number.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -36,6 +45,7 @@ from .ranking import RankIndex, order_indices
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("year", "product", "exporter", "importer", "value_usd")
+_CHUNK_ROWS = 65536  # data rows validated and converted at a time
 
 
 @dataclass(frozen=True)
@@ -142,17 +152,17 @@ class MoneyTensor:
     ) -> "MoneyTensor":
         """Build from parallel index arrays; duplicate triples are summed."""
         n = registry.n_countries
-        flows = []
-        product_idx = np.asarray(product_idx)
-        for p in range(registry.n_products):
-            mask = product_idx == p
-            m = sparse.coo_matrix(
-                (values[mask], (importer_idx[mask], exporter_idx[mask])), shape=(n, n)
-            ).tocsr()
-            m.sum_duplicates()
-            m.eliminate_zeros()
-            flows.append(m)
-        return cls(year=year, registry=registry, flows=tuple(flows))
+        # one CSR with the products stacked by row (product p owns rows p*n to
+        # p*n + n - 1): each row sees its entries in the same order as a
+        # per-product build, so duplicates are summed in the same order
+        stacked = sparse.coo_matrix(
+            (values, (np.asarray(product_idx) * n + importer_idx, exporter_idx)),
+            shape=(registry.n_products * n, n),
+        ).tocsr()
+        stacked.sum_duplicates()
+        stacked.eliminate_zeros()
+        flows = tuple(stacked[p * n : (p + 1) * n] for p in range(registry.n_products))
+        return cls(year=year, registry=registry, flows=flows)
 
     @classmethod
     def from_product_matrices(cls, registry: Registry, year: int, matrices) -> "MoneyTensor":
@@ -211,6 +221,17 @@ class MoneyTensor:
         flows = list(self.flows)
         flows[p] = m.tocsr()
         return MoneyTensor(year=self.year, registry=self.registry, flows=tuple(flows))
+
+    @cached_property
+    def _volumes(self) -> "VolumeTable":
+        reg = self.registry
+        imp = np.zeros((reg.n_countries, reg.n_products))
+        exp = np.zeros((reg.n_countries, reg.n_products))
+        for p, m in enumerate(self.flows):
+            imp[:, p] = np.asarray(m.sum(axis=1)).ravel()
+            exp[:, p] = np.asarray(m.sum(axis=0)).ravel()
+        imp.flags.writeable = exp.flags.writeable = False
+        return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
 
     def same_trade(self, other: "MoneyTensor") -> bool:
         """Exact equality of registries and stored flow values."""
@@ -308,42 +329,114 @@ def save_registry(registry: Registry, path) -> None:
             fh.write(p + "\n")
 
 
-def _parse_rows(fh, year: int):
-    """Yield (lineno, product, exporter, importer, value) for matching rows."""
-    reader = csv.reader(fh)
-    header_seen = False
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        if not header_seen:
+def _check_row(row: list[str], lineno: int) -> None:
+    """Raise the ParseError of a data row's first fault, in field order."""
+    if len(row) != 5:
+        raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
+    y_s, product, exporter, importer, value_s = (c.strip() for c in row)
+    try:
+        int(y_s)
+    except ValueError:
+        raise ParseError(f"bad year {y_s!r}", lineno) from None
+    if len(product) != 2:
+        raise ParseError(f"product code {product!r} is not 2 characters", lineno)
+    if len(exporter) != 2 or len(importer) != 2:
+        raise ParseError("country codes must be 2 characters", lineno)
+    try:
+        value = float(value_s)
+    except ValueError:
+        raise ParseError(f"bad value {value_s!r}", lineno) from None
+    if not np.isfinite(value) or value < 0:
+        raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
+
+
+def _data_chunks(fh):
+    """Check the header, then yield (cells, lines) for runs of data rows.
+
+    `cells` holds the 5 cells of up to `_CHUNK_ROWS` data rows back to back
+    and `lines` their 1-based row numbers. Blank and comment rows are
+    skipped. A row with the wrong column count, or a row the reader cannot
+    read, ends the run early: the rows before it are yielded, and so checked,
+    before its own error is raised.
+    """
+    rows = enumerate(csv.reader(fh), start=1)
+    for lineno, row in rows:
+        if row and not row[0].lstrip().startswith("#"):
             if tuple(c.strip() for c in row) != CSV_HEADER:
                 raise ParseError(
                     f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
                 )
-            header_seen = True
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
-        y_s, product, exporter, importer, value_s = (c.strip() for c in row)
-        try:
-            y = int(y_s)
-        except ValueError:
-            raise ParseError(f"bad year {y_s!r}", lineno) from None
-        if len(product) != 2:
-            raise ParseError(f"product code {product!r} is not 2 characters", lineno)
-        if len(exporter) != 2 or len(importer) != 2:
-            raise ParseError("country codes must be 2 characters", lineno)
-        try:
-            value = float(value_s)
-        except ValueError:
-            raise ParseError(f"bad value {value_s!r}", lineno) from None
-        if not np.isfinite(value) or value < 0:
-            raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
-        if y != year:
-            continue
-        yield lineno, product, exporter, importer, value
-    if not header_seen:
+            break
+    else:
         raise TradeDataError("no records: file is empty")
+    cells: list[str] = []
+    lines: list[int] = []
+    try:
+        for lineno, row in rows:
+            if len(row) == 5 and not row[0].lstrip().startswith("#"):
+                cells += row
+                lines.append(lineno)
+                if len(lines) == _CHUNK_ROWS:
+                    yield cells, lines
+                    cells, lines = [], []
+            elif row and not row[0].lstrip().startswith("#"):
+                _check_row(row, lineno)  # raises: the column count is wrong
+    except (ParseError, csv.Error, UnicodeDecodeError):
+        yield cells, lines  # a fault in an earlier row is reported first
+        raise
+    yield cells, lines
+
+
+class _Distinct(dict):
+    """Raw cell -> `convert(cell)`, converting each distinct cell once."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, raw: str):
+        value = self[raw] = self.convert(raw)
+        return value
+
+
+def _code_id(ids: dict[str, int], raw: str) -> int:
+    """Id of the stripped 2-character code in `ids`, added in order of first sight."""
+    code = raw.strip()
+    if len(code) != 2:
+        raise ValueError(f"code {code!r} is not 2 characters")
+    return ids.setdefault(code, len(ids))
+
+
+def _convert_chunk(cells, lines, years, products, countries):
+    """Validate one chunk column by column and keep the rows of the year.
+
+    Returns the count of self-trade rows dropped and the arrays (line,
+    product, importer, exporter, value) of the rows kept. On a fault the
+    per-row rules run over the chunk, so the error names its first fault.
+    """
+    m = len(lines)
+    try:
+        in_year = np.fromiter(map(years.__getitem__, cells[0::5]), bool, m)
+        p = np.fromiter(map(products.__getitem__, cells[1::5]), np.int64, m)
+        e = np.fromiter(map(countries.__getitem__, cells[2::5]), np.int64, m)
+        i = np.fromiter(map(countries.__getitem__, cells[3::5]), np.int64, m)
+        v = np.fromiter(map(float, cells[4::5]), np.float64, m)
+        valid = bool(np.all(np.isfinite(v) & (v >= 0)))
+    except ValueError:
+        valid = False
+    if not valid:
+        for k, lineno in enumerate(lines):
+            _check_row(cells[5 * k : 5 * k + 5], lineno)
+        raise RuntimeError("chunk rejected, but no row in it breaks the row rules")
+    self_trade = in_year & (e == i)
+    keep = in_year & ~self_trade
+    lines = np.fromiter(lines, np.int64, m)
+    return int(self_trade.sum()), (lines[keep], p[keep], i[keep], e[keep], v[keep])
+
+
+def _index_map(codes, index: dict[str, int]) -> np.ndarray:
+    """Registry index of each code, -1 for a code the registry lacks."""
+    return np.array([index.get(c, -1) for c in codes], dtype=np.int64)
 
 
 def load_money_tensor(path, year: int, registry: Registry | None = None) -> MoneyTensor:
@@ -353,39 +446,50 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
     lexicographically sorted unions of the codes seen. With a registry,
     unknown codes are rejected.
     """
-    rows = []
+    years = _Distinct(lambda raw: int(raw.strip()) == year)
+    product_ids: dict[str, int] = {}
+    country_ids: dict[str, int] = {}
+    products = _Distinct(lambda raw: _code_id(product_ids, raw))
+    countries = _Distinct(lambda raw: _code_id(country_ids, raw))
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(_parse_rows(fh, year))
-    dropped_self = 0
-    records = []
-    for lineno, product, exporter, importer, value in rows:
-        if exporter == importer:
-            dropped_self += 1
-            continue
-        records.append((lineno, product, exporter, importer, value))
+        chunks = [
+            _convert_chunk(cells, lines, years, products, countries)
+            for cells, lines in _data_chunks(fh)
+        ]
+    dropped_self = sum(dropped for dropped, _ in chunks)
+    lines, p, i, e, values = map(np.concatenate, zip(*(kept for _, kept in chunks)))
+    del chunks  # here and below: the load sets the peak memory of a `rank` run
     if dropped_self:
         log.warning("%s: dropped %d self-trade row(s)", path, dropped_self)
-    if not records:
+    if not values.size:
         raise TradeDataError(f"no records for year {year} in {path}")
 
+    # p, i, e are ids in order of first sight; remap them to the registry order
+    product_codes = list(product_ids)
+    country_codes = list(country_ids)
     if registry is None:
-        countries = sorted({r[2] for r in records} | {r[3] for r in records})
-        products = sorted({r[1] for r in records})
-        registry = Registry(countries=tuple(countries), products=tuple(products))
-
-    p_idx = np.empty(len(records), dtype=np.int64)
-    imp_idx = np.empty(len(records), dtype=np.int64)
-    exp_idx = np.empty(len(records), dtype=np.int64)
-    values = np.empty(len(records), dtype=np.float64)
-    for k, (lineno, product, exporter, importer, value) in enumerate(records):
+        used_p = np.zeros(len(product_codes), dtype=bool)
+        used_p[p] = True
+        used_c = np.zeros(len(country_codes), dtype=bool)
+        used_c[i] = used_c[e] = True
+        registry = Registry(
+            countries=tuple(sorted(country_codes[k] for k in np.flatnonzero(used_c))),
+            products=tuple(sorted(product_codes[k] for k in np.flatnonzero(used_p))),
+        )
+    product_map = _index_map(product_codes, registry._product_index)
+    country_map = _index_map(country_codes, registry._country_index)
+    unknown = (product_map[p] < 0) | (country_map[e] < 0) | (country_map[i] < 0)
+    if unknown.any():
+        k = int(np.argmax(unknown))
         try:
-            p_idx[k] = registry.product_index(product)
-            exp_idx[k] = registry.country_index(exporter)
-            imp_idx[k] = registry.country_index(importer)
+            registry.product_index(product_codes[p[k]])
+            registry.country_index(country_codes[e[k]])
+            registry.country_index(country_codes[i[k]])
         except TradeDataError as exc:
-            raise TradeDataError(f"line {lineno}: {exc}") from None
-        values[k] = value
-    return MoneyTensor.from_entries(registry, year, p_idx, imp_idx, exp_idx, values)
+            raise TradeDataError(f"line {lines[k]}: {exc}") from None
+    del lines, unknown
+    p, i, e = product_map[p], country_map[i], country_map[e]
+    return MoneyTensor.from_entries(registry, year, p, i, e, values)
 
 
 def serialize_tensor(tensor: MoneyTensor, path) -> None:
@@ -436,17 +540,12 @@ def synth_tensor(
 
 
 def volumes(tensor: MoneyTensor) -> VolumeTable:
-    """Row/column sums of the per-product flow matrices.
+    """Row/column sums of the per-product flow matrices, computed once per tensor.
 
     import_vol[c, p] adds flows into country c; export_vol[c, p] flows out.
+    The arrays are shared by every caller and read-only.
     """
-    reg = tensor.registry
-    imp = np.zeros((reg.n_countries, reg.n_products))
-    exp = np.zeros((reg.n_countries, reg.n_products))
-    for p, m in enumerate(tensor.flows):
-        imp[:, p] = np.asarray(m.sum(axis=1)).ravel()
-        exp[:, p] = np.asarray(m.sum(axis=0)).ravel()
-    return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
+    return tensor._volumes
 
 
 def volume_ranks(vol: VolumeTable) -> VolumeRankTable:

@@ -129,14 +129,13 @@ def product_slice(vector, registry: "Registry", product: str) -> np.ndarray:
 
 def write_node_ranks(path, probabilities: np.ndarray, registry: "Registry") -> None:
     """CSV export `node,country,product,probability,rank_index`, best first."""
-    idx = order_indices(probabilities)
+    order = order_indices(probabilities).order
+    labels = [f"{c},{p}" for c in registry.countries for p in registry.products]
+    ranked = zip(order.tolist(), np.asarray(probabilities, dtype=np.float64)[order].tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("node,country,product,probability,rank_index\n")
-        for pos, node in enumerate(idx.order, start=1):
-            fh.write(
-                f"{node},{registry.country_of(node)},{registry.product_of(node)},"
-                f"{float(probabilities[node])!r},{pos}\n"
-            )
+        for pos, (node, prob) in enumerate(ranked, start=1):
+            fh.write(f"{node},{labels[node]},{prob!r},{pos}\n")
 
 
 def write_marginal_ranks(path, probabilities: np.ndarray, labels, label_name: str) -> None:

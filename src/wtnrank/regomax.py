@@ -39,6 +39,9 @@ DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 _NEGATIVE_WARN = -1e-12
 _COLUMN_BLOCK = 256  # selected columns solved at a time; bounds the dense work arrays
+# bytes allowed for the six dense n x n float64 matrices of one ReducedSet
+# (2 GiB: n up to about 6 690); larger selections are refused up front
+DENSE_CAP_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,19 @@ def reduce(
         eig_tol / eig_max_iter: complement leading-eigenpair iteration.
 
     The trivial all-nodes selection returns the dense matrix itself with
-    zero projector/indirect parts.
+    zero projector/indirect parts. A selection whose six dense n x n results
+    would exceed `DENSE_CAP_BYTES` raises ValueError before any allocation.
     """
     if matrix.size != sel.total:
         raise ValueError("selection built for a different matrix size")
+    n = sel.n_selected
+    needed = 6 * 8 * n * n
+    if needed > DENSE_CAP_BYTES:
+        raise ValueError(
+            f"a reduction to {n} nodes needs {needed / 2**20:,.1f} MiB for its six dense "
+            f"{n} x {n} matrices, above the {DENSE_CAP_BYTES / 2**20:,.1f} MiB cap; "
+            "select fewer nodes"
+        )
     if sel.n_complement == 0:
         return _trivial_reduction(matrix, sel)
 
@@ -250,7 +262,6 @@ def reduce(
 
     r = np.asarray(sel.node_ids)
     s = sel.complement
-    n = sel.n_selected
     b_rs = matrix.block(r, s)
     b_sr = matrix.block(s, r)
     b_ss = matrix.block(s, s)

@@ -1,9 +1,13 @@
+import csv
 import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import wtnrank as w
+from wtnrank.errors import ParseError, TradeDataError
+from wtnrank.ingest import CSV_HEADER
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -119,3 +123,90 @@ def brute_force_derivative(tensor, spec, alpha, delta=None):
     plus = brute_force_balance(tensor, spec, alpha, +d)
     minus = brute_force_balance(tensor, spec, alpha, -d)
     return (plus - minus) / (2.0 * d)
+
+
+def _parse_rows_reference(fh, year):
+    """Yield (lineno, product, exporter, importer, value) for matching rows."""
+    reader = csv.reader(fh)
+    header_seen = False
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (row[0].lstrip().startswith("#")):
+            continue
+        if not header_seen:
+            if tuple(c.strip() for c in row) != CSV_HEADER:
+                raise ParseError(
+                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
+                )
+            header_seen = True
+            continue
+        if len(row) != 5:
+            raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
+        y_s, product, exporter, importer, value_s = (c.strip() for c in row)
+        try:
+            y = int(y_s)
+        except ValueError:
+            raise ParseError(f"bad year {y_s!r}", lineno) from None
+        if len(product) != 2:
+            raise ParseError(f"product code {product!r} is not 2 characters", lineno)
+        if len(exporter) != 2 or len(importer) != 2:
+            raise ParseError("country codes must be 2 characters", lineno)
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise ParseError(f"bad value {value_s!r}", lineno) from None
+        if not np.isfinite(value) or value < 0:
+            raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
+        if y != year:
+            continue
+        yield lineno, product, exporter, importer, value
+    if not header_seen:
+        raise TradeDataError("no records: file is empty")
+
+
+def load_money_tensor_reference(path, year, registry=None):
+    """Row-by-row loader: every row is checked and indexed on its own, and
+    each product's matrix is built in its own pass. Verification only."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(_parse_rows_reference(fh, year))
+    dropped_self = 0
+    records = []
+    for lineno, product, exporter, importer, value in rows:
+        if exporter == importer:
+            dropped_self += 1
+            continue
+        records.append((lineno, product, exporter, importer, value))
+    if dropped_self:
+        logging.getLogger("wtnrank.ingest").warning(
+            "%s: dropped %d self-trade row(s)", path, dropped_self
+        )
+    if not records:
+        raise TradeDataError(f"no records for year {year} in {path}")
+
+    if registry is None:
+        countries = sorted({r[2] for r in records} | {r[3] for r in records})
+        products = sorted({r[1] for r in records})
+        registry = w.Registry(countries=tuple(countries), products=tuple(products))
+
+    p_idx = np.empty(len(records), dtype=np.int64)
+    imp_idx = np.empty(len(records), dtype=np.int64)
+    exp_idx = np.empty(len(records), dtype=np.int64)
+    values = np.empty(len(records), dtype=np.float64)
+    for k, (lineno, product, exporter, importer, value) in enumerate(records):
+        try:
+            p_idx[k] = registry.product_index(product)
+            exp_idx[k] = registry.country_index(exporter)
+            imp_idx[k] = registry.country_index(importer)
+        except TradeDataError as exc:
+            raise TradeDataError(f"line {lineno}: {exc}") from None
+        values[k] = value
+    n = registry.n_countries
+    flows = []
+    for p in range(registry.n_products):
+        mask = p_idx == p
+        m = sparse.coo_matrix(
+            (values[mask], (imp_idx[mask], exp_idx[mask])), shape=(n, n)
+        ).tocsr()
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        flows.append(m)
+    return w.MoneyTensor(year=year, registry=registry, flows=tuple(flows))

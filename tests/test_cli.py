@@ -124,6 +124,13 @@ class TestReduce:
             projector = (tmp_path / f"{tag}_projector.csv").read_text().splitlines()[1:]
             assert all(float(x) == 0.0 for line in projector for x in line.split(","))
 
+    def test_selection_over_dense_cap_exits_2(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", 1024)
+        rc = run("reduce", "--input", FIXTURE, "--products", "all", "--out-dir", tmp_path)
+        assert rc == 2
+        assert any("MiB cap" in r.message for r in caplog.records)
+        assert list(tmp_path.iterdir()) == []
+
     def test_products_all_widens_source_selection(self, tmp_path):
         rc = run(
             "reduce", "--input", FIXTURE, "--group", "AA,AB", "--source-country", "AC",

@@ -1,10 +1,17 @@
 import csv
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtnrank as w
+from wtnrank import ingest
 from wtnrank.errors import ParseError, TradeDataError
+
+from conftest import load_money_tensor_reference
 
 HEADER = "year,product,exporter,importer,value_usd\n"
 
@@ -116,6 +123,175 @@ class TestLoad:
         assert tensor.registry.products == ("33", "34")
 
 
+def assert_same_tensor(actual, expected):
+    assert actual.year == expected.year
+    assert actual.registry == expected.registry
+    assert len(actual.flows) == len(expected.flows)
+    for a, b in zip(actual.flows, expected.flows):
+        assert a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def load_logged(load, path, registry):
+    """(tensor or raised exception, warnings logged by wtnrank.ingest)."""
+    logger = logging.getLogger("wtnrank.ingest")
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        result = load(path, 2016, registry=registry)
+    except Exception as exc:  # compared by type and message with the reference
+        result = exc
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return result, [r.getMessage() for r in records]
+
+
+COUNTRIES = ("AA", "BB", "CC")
+PRODUCTS = ("01", "02")
+PADS = ("", "", "", " ", "  ", "\t", "\u00a0")
+GOOD = {
+    "year": ("2016",) * 6 + ("2015", "+2016", " 2016"),
+    "product": PRODUCTS,
+    "country": COUNTRIES,
+    "value": ("0", "-0", "1", "2.5", "1e3", "1_000", "0.1", "7"),
+}
+BAD = {
+    "year": ("20x6", "", "2016.0"),
+    "product": ("1", "123", ""),
+    "country": ("A", "ABC", ""),
+    "value": ("abc", "", "-5", "-1e-3", "nan", "inf", "-inf", "1e999"),
+}
+HEADERS = (
+    "year,product,exporter,importer,value_usd",
+    " year , product,exporter,importer,\"value_usd\"",
+)
+BAD_HEADERS = ("year,product,exporter,importer", "year,product,importer,exporter,value_usd")
+
+
+@st.composite
+def cell(draw, kind, bad=False):
+    if kind == "value" and not bad and draw(st.booleans()):
+        text = repr(draw(st.floats(0.0, 1e12)))
+    else:
+        text = draw(st.sampled_from(BAD[kind] if bad else GOOD[kind]))
+    text = draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+FAULTS = (None,) * 6 + ("year", "product", "exporter", "importer", "value", "short", "long")
+
+
+@st.composite
+def trade_csv(draw):
+    """Small CSV text with comments, blank rows, padding, quoting, other years,
+    duplicates and self-trade rows; with `faulty`, rows also carry faults of
+    every kind, and the header may be wrong."""
+    faulty = draw(st.booleans())
+    preamble = st.sampled_from(("", "# leading comment", "  #,a,b,c,d"))
+    out = [draw(preamble) for _ in range(draw(st.integers(0, 2)))]
+    out.append(draw(st.sampled_from(HEADERS * 4 + (BAD_HEADERS if faulty else ()))))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("data",) * 6 + ("comment", "blank", "duplicate")))
+        if kind == "comment":
+            rows.append(draw(st.sampled_from(("# note", " # a,b,c,d,e", "#2016,01,AA,BB,5"))))
+        elif kind == "blank":
+            rows.append("")
+        elif kind == "duplicate" and rows:
+            rows.append(rows[-1])
+        else:
+            fault = draw(st.sampled_from(FAULTS)) if faulty else None
+            fields = ("year", "product", "exporter", "importer", "value")
+            cells = [
+                draw(cell("country" if f in ("exporter", "importer") else f, bad=f == fault))
+                for f in fields
+            ]
+            if fault == "short":
+                cells = cells[: draw(st.integers(1, 4))]
+            elif fault == "long":
+                cells.append("9")
+            rows.append(",".join(cells))
+    return "\n".join(out + rows) + draw(st.sampled_from(("\n", "", "\r\n")))
+
+
+registries = st.sampled_from(
+    (
+        None,
+        None,
+        w.Registry(countries=("CC", "AA", "BB"), products=("02", "01")),
+        w.Registry(countries=("AA", "BB"), products=PRODUCTS),  # "CC" unknown
+        w.Registry(countries=COUNTRIES, products=("01",)),  # "02" unknown
+        w.Registry(countries=("AA",), products=PRODUCTS),  # "BB" and "CC" unknown
+        w.Registry(countries=("BB", "AA"), products=("02",)),  # "CC" and "01" unknown
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "trade.csv"
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=trade_csv(), registry=registries, chunk=st.sampled_from((1, 2, 3, 5, 65536)))
+    def test_same_tensor_or_same_error(self, csv_path, text, registry, chunk):
+        csv_path.write_text(text, encoding="utf-8")
+        expected, expected_log = load_logged(load_money_tensor_reference, csv_path, registry)
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+            actual, actual_log = load_logged(w.load_money_tensor, csv_path, registry)
+        if isinstance(expected, Exception):
+            assert type(actual) is type(expected)
+            assert str(actual) == str(expected)
+        else:
+            assert_same_tensor(actual, expected)
+        assert actual_log == expected_log
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    @pytest.mark.parametrize("fault", ["2016,01,AA,BB,-5", "2016,01,AA"])
+    def test_fault_at_first_chunk_boundary(self, tmp_path, offset, fault):
+        good = "2016,01,AA,BB,5\n"
+        n_good = ingest._CHUNK_ROWS + offset
+        path = write(tmp_path, HEADER + good * n_good + fault + "\n" + good * 3)
+        with pytest.raises(ParseError) as err:
+            w.load_money_tensor(path, 2016)
+        assert err.value.line == n_good + 2
+        with pytest.raises(ParseError) as ref:
+            load_money_tensor_reference(path, 2016)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "later", ["2016,1,AA,BB,5", "2016,01,AA", "2016,01,AA,BB,5,6", "20x6,01,AA,BB,5"]
+    )
+    def test_earlier_fault_in_chunk_wins(self, tmp_path, later):
+        path = write(tmp_path, HEADER + "2016,01,AA,BB,5\n2016,01,AA,BB,abc\n" + later + "\n")
+        with pytest.raises(ParseError, match="line 3: bad value 'abc'"):
+            w.load_money_tensor(path, 2016)
+
+    def test_reader_error_after_earlier_fault(self, tmp_path):
+        huge = "9" * (csv.field_size_limit() + 1)
+        rows = f"2016,01,AA,BB,nan\n2016,01,AA,BB,5\n2016,01,AA,BB,{huge}\n"
+        path = write(tmp_path, HEADER + rows)
+        with pytest.raises(ParseError, match="line 2: value 'nan'"):
+            w.load_money_tensor(path, 2016)
+
+    def test_padded_codes_are_one_country(self, tmp_path, caplog):
+        path = write(tmp_path, HEADER + "2016,01, RU,RU ,5\n2016,01,RU,\" NL\",7\n")
+        with caplog.at_level("WARNING", logger="wtnrank.ingest"):
+            tensor = w.load_money_tensor(path, 2016)
+        assert tensor.registry.countries == ("NL", "RU")
+        assert tensor.value("01", "NL", "RU") == 7.0
+        assert any("dropped 1 self-trade row(s)" in r.message for r in caplog.records)
+
+
 class TestRoundTrip:
     def test_serialize_load_exact(self, tmp_path):
         tensor = w.synth_tensor(5, 6, 3, 0.7)
@@ -174,6 +350,14 @@ class TestVolumes:
         assert vol.import_vol[0, 0] == 10.0
         assert vol.export_vol[1, 0] == 10.0
         assert vol.total == 10.0
+
+    def test_computed_once_and_read_only(self):
+        tensor = w.synth_tensor(1, 4, 2, 0.8)
+        vol = w.volumes(tensor)
+        assert w.volumes(tensor) is vol
+        with pytest.raises(ValueError):
+            vol.import_vol[0, 0] = 1.0
+        assert w.volumes(tensor.scaled_product("01", 2.0)) is not vol
 
     def test_empty_tensor(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))

@@ -56,6 +56,16 @@ class TestTrivialSelection:
         np.testing.assert_array_equal(reduce_dense_oracle(g, sel), g.to_dense())
 
 
+class TestDenseCap:
+    def test_refuses_before_allocating(self, monkeypatch):
+        g, _ = pair_for(1, 6, 2, 0.5)
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", 6 * 8 * 4**2)
+        w.reduce(g, w.Selection(node_ids=(0, 1, 2, 3), total=g.size))  # exactly at the cap
+        for ids in ((0, 1, 2, 3, 4), tuple(range(g.size))):
+            with pytest.raises(ValueError, match=f"{len(ids)} nodes .* {len(ids)} x {len(ids)}"):
+                w.reduce(g, w.Selection(node_ids=ids, total=g.size))
+
+
 class TestSingleHiddenNode:
     def test_scalar_closed_form(self):
         g, _ = pair_for(4, 4, 1, 1.0)
