@@ -222,9 +222,10 @@ def cmd_reduce(cfg: RunConfig) -> int:
     for tag, matrix in (("import", direct), ("export", inverted)):
         result = regomax.reduce(matrix, sel)
         log.info(
-            "%s reduction: %d nodes, lambda_c %.6f, solve residual %.2e, weights %s",
+            "%s reduction: %d nodes, lambda_c %.6f, solve residual %.2e over %d complement "
+            "block(s), weights %s",
             tag, sel.n_selected, result.complement_eigenvalue, result.solve_residual,
-            result.weights,
+            result.complement_blocks, result.weights,
         )
         components = {
             "reduced_full": result.reduced,

@@ -7,11 +7,17 @@ damped matrix G, the reduced matrix is
 
 computed without ever forming the dense complement block. Every block of G
 is sparse links plus a rank-two term, G_ss = alpha A_ss + U V_s^T and
-G_sr = alpha A_sr + U V_r^T, so X is an exact solve: one sparse LU of
-M = 1 - alpha A_ss and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
+G_sr = alpha A_sr + U V_r^T, so X is an exact solve with M = 1 - alpha A_ss
+and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
 
     X = Y + Z C^(-1) (V_s^T Y + V_r^T),
     Y = M^(-1) alpha A_sr,   Z = M^(-1) U,   C = 1 - V_s^T Z .
+
+M is block-diagonal over the weakly connected components of A_ss (on trade
+matrices, one block per product, since products mix only through the
+rank-two term). Each component is factored by its own sparse LU, link-free
+nodes are one diagonal batch, and a column of alpha A_sr is solved only on
+the components its links reach, so Y is kept sparse.
 
 The resolvent is split through the leading eigenpair of G_ss: with
 right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
@@ -106,7 +112,8 @@ class ReducedSet:
     construction up to the clamping of tiny negative rounding residue;
     `indirect_part == indirect_diag + indirect_offdiag` is exact.
     `solve_residual` is the max-norm of (1 - G_ss) X - G_sr for the exact
-    complement solve X.
+    complement solve X; `complement_blocks` counts the sparse LU blocks it
+    used (the batch of link-free complement nodes counts as one).
     """
 
     selection: Selection
@@ -120,6 +127,7 @@ class ReducedSet:
     complement_right: np.ndarray
     complement_left: np.ndarray
     solve_residual: float
+    complement_blocks: int
 
     @property
     def weights(self) -> dict[str, float]:
@@ -224,7 +232,74 @@ def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         complement_right=np.empty(0),
         complement_left=np.empty(0),
         solve_residual=0.0,
+        complement_blocks=0,
     )
+
+
+def _add_sparse(dense: np.ndarray, matrix) -> None:
+    """dense += matrix for a sparse matrix without duplicate entries."""
+    coo = matrix.tocoo()
+    dense[coo.row, coo.col] += coo.data
+
+
+def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
+    """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
+    weakly connected component of A_ss at a time (see the module docstring).
+
+    Returns Y and M Y - alpha A_sr as CSC matrices on one sparsity pattern,
+    Z and M Z - U dense, and the number of blocks solved.
+    """
+    # imported here: scipy.sparse.linalg and csgraph would slow every CLI start
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
+    m = b_ss.shape[0]
+    mat = sparse.identity(m, format="csr") - b_ss.alpha * b_ss.links
+    rhs = b_sr.alpha * b_sr.links
+    u = b_ss.u
+    n_comp, labels = connected_components(b_ss.links, directed=True, connection="weak")
+    sizes = np.bincount(labels, minlength=n_comp)
+    in_block = sizes[labels] > 1
+    lone = np.flatnonzero(~in_block)
+    linked = np.flatnonzero(in_block)
+    linked = linked[np.argsort(labels[linked], kind="stable")]
+    blocks = np.split(linked, np.cumsum(sizes[sizes > 1])[:-1]) if linked.size else []
+
+    z = np.empty((m, 2))
+    z_res = np.empty((m, 2))
+    rows, cols, y_vals, r_vals = [], [], [], []
+    for idx in blocks:
+        m_k = mat[idx][:, idx]
+        lu = splu(m_k.tocsc())
+        z[idx] = lu.solve(u[idx])
+        z_res[idx] = m_k @ z[idx] - u[idx]
+        b_k = rhs[idx]
+        reached = np.unique(b_k.indices)
+        if reached.size:
+            b_k = b_k[:, reached].toarray()
+            y_k = lu.solve(b_k)
+            rows.append(np.repeat(idx, reached.size))
+            cols.append(np.tile(reached, idx.size))
+            y_vals.append(y_k.ravel())
+            r_vals.append((m_k @ y_k - b_k).ravel())
+    if lone.size:
+        diag = mat.diagonal()[lone]
+        z[lone] = u[lone] / diag[:, None]
+        z_res[lone] = diag[:, None] * z[lone] - u[lone]
+        b_k = rhs[lone].tocoo()
+        y_k = b_k.data / diag[b_k.row]
+        rows.append(lone[b_k.row])
+        cols.append(b_k.col)
+        y_vals.append(y_k)
+        r_vals.append(diag[b_k.row] * y_k - b_k.data)
+
+    def assemble(values):
+        if not values:
+            return sparse.csc_matrix(rhs.shape)
+        pattern = (np.concatenate(rows), np.concatenate(cols))
+        return sparse.csc_matrix((np.concatenate(values), pattern), shape=rhs.shape)
+
+    return assemble(y_vals), assemble(r_vals), z, z_res, len(blocks) + bool(lone.size)
 
 
 def reduce(
@@ -257,9 +332,6 @@ def reduce(
     if sel.n_complement == 0:
         return _trivial_reduction(matrix, sel)
 
-    # imported here: scipy.sparse.linalg would add ~0.13 s to every CLI start
-    from scipy.sparse.linalg import splu
-
     r = np.asarray(sel.node_ids)
     s = sel.complement
     b_rs = matrix.block(r, s)
@@ -272,18 +344,26 @@ def reduce(
             "complement block is not strictly substochastic; resolvent undefined", 0, 1.0 - lam
         )
 
-    # links are block-diagonal per product, so LU fill stays inside each block
-    lu = splu(sparse.identity(s.shape[0], format="csc") - (b_ss.alpha * b_ss.links).tocsc())
-    z = lu.solve(b_ss.u)
+    y, y_res, z, z_res, blocks = _solve_components(b_ss, b_sr)
     capacitance = np.eye(2) - b_ss.v.T @ z
+    w_rhs = (y.T @ b_ss.v).T + b_sr.v.T
+    w = np.linalg.solve(capacitance, w_rhs)
+    w_res = capacitance @ w - w_rhs
+    u = b_ss.u
     projector_part = np.outer(b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)) / (1.0 - lam)
     indirect_part = np.empty((n, n))
     residual = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
         cols = slice(start, start + _COLUMN_BLOCK)
-        x = lu.solve(b_sr.alpha * b_sr.links[:, cols].toarray())
-        x += z @ np.linalg.solve(capacitance, b_ss.v.T @ x + b_sr.v[cols].T)
-        residual = max(residual, float(np.abs(x - b_ss.matvec(x) - b_sr.to_dense(cols)).max()))
+        # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + (M Z - U) W + U (C W - V_s^T Y - V_r^T)
+        res = z_res @ w[:, cols]
+        res += u @ w_res[:, cols]
+        _add_sparse(res, y_res[:, cols])
+        residual = max(residual, float(np.abs(res).max()))
+        del res  # freed before x is built: one (complement, block) array at a time
+        x = z @ w[:, cols]
+        _add_sparse(x, y[:, cols])
+        # deflate before G_rs: a one-node complement then leaves exactly zero
         x -= np.outer(psi_r, psi_l @ x)
         indirect_part[:, cols] = b_rs.matvec(x)
 
@@ -313,6 +393,7 @@ def reduce(
         complement_right=psi_r,
         complement_left=psi_l,
         solve_residual=residual,
+        complement_blocks=blocks,
     )
 
 
@@ -330,6 +411,7 @@ def write_diagnostics(path, reduced: ReducedSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"lambda_c {reduced.complement_eigenvalue!r}\n")
         fh.write(f"solve_residual {reduced.solve_residual!r}\n")
+        fh.write(f"complement_blocks {reduced.complement_blocks}\n")
         fh.write(f"projector_column_distance {reduced.projector_column_distance!r}\n")
         for name in ("reduced", "direct", "projector", "indirect", "indirect_offdiag"):
             fh.write(f"weight_{name} {w[name]!r}\n")

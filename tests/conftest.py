@@ -8,6 +8,7 @@ from scipy import sparse
 import wtnrank as w
 from wtnrank.errors import ParseError, TradeDataError
 from wtnrank.ingest import CSV_HEADER
+from wtnrank.regomax import _leading_pair, split_diagonal
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -60,6 +61,46 @@ def reduce_dense_oracle(matrix, sel, cap: int = ORACLE_CAP) -> np.ndarray:
     g_ss = dense[np.ix_(s, s)]
     x = np.linalg.solve(np.eye(s.shape[0]) - g_ss, g_sr)
     return g_rr + g_rs @ x
+
+
+def reduce_single_lu_reference(matrix, sel, block: int = 256) -> dict:
+    """The six reduced matrices of `regomax.reduce`, named as its fields, from
+    one sparse LU of the whole complement with every selected column solved as
+    a dense right-hand side and checked by the direct residual max-norm.
+    Verification only."""
+    from scipy.sparse.linalg import splu
+
+    n = sel.n_selected
+    r = np.asarray(sel.node_ids)
+    s = sel.complement
+    b_rs, b_sr, b_ss = matrix.block(r, s), matrix.block(s, r), matrix.block(s, s)
+    lam, psi_r, psi_l, _ = _leading_pair(b_ss, w.regomax.DEFAULT_EIG_TOL, w.regomax.DEFAULT_EIG_MAX_ITER)
+    lu = splu(sparse.identity(s.shape[0], format="csc") - (b_ss.alpha * b_ss.links).tocsc())
+    z = lu.solve(b_ss.u)
+    capacitance = np.eye(2) - b_ss.v.T @ z
+    projector = np.outer(b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)) / (1.0 - lam)
+    indirect = np.empty((n, n))
+    for start in range(0, n, block):
+        cols = slice(start, start + block)
+        x = lu.solve(b_sr.alpha * b_sr.links[:, cols].toarray())
+        x += z @ np.linalg.solve(capacitance, b_ss.v.T @ x + b_sr.v[cols].T)
+        assert np.abs(x - b_ss.matvec(x) - b_sr.to_dense(cols)).max() < 1e-12
+        x -= np.outer(psi_r, psi_l @ x)
+        indirect[:, cols] = b_rs.matvec(x)
+    direct = matrix.block(r, r).to_dense()
+    reduced = direct + projector + indirect
+    negative_cols = np.unique(np.nonzero(reduced < 0)[1])
+    np.clip(reduced, 0.0, None, out=reduced)
+    reduced[:, negative_cols] /= reduced[:, negative_cols].sum(axis=0)
+    diag, offdiag = split_diagonal(indirect)
+    return {
+        "reduced": reduced,
+        "direct_part": direct,
+        "projector_part": projector,
+        "indirect_part": indirect,
+        "indirect_diag": diag,
+        "indirect_offdiag": offdiag,
+    }
 
 
 def dump_google(matrix, triples_path, sidecar_path) -> None:

@@ -124,6 +124,22 @@ class TestReduce:
             projector = (tmp_path / f"{tag}_projector.csv").read_text().splitlines()[1:]
             assert all(float(x) == 0.0 for line in projector for x in line.split(","))
 
+    def test_complement_blocks_in_diagnostics_and_log(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="wtnrank"):
+            assert run("reduce", "--input", FIXTURE, "--group", "AA,AB", "--out-dir", tmp_path) == 0
+        tensor = w.load_money_tensor(FIXTURE, 2016)
+        sel = w.Selection.for_countries(tensor.registry, ("AA", "AB"))
+        for tag, matrix in zip(("import", "export"), w.build_trade_pair(tensor)):
+            blocks = w.reduce(matrix, sel).complement_blocks
+            assert blocks >= 1
+            text = (tmp_path / f"{tag}_diagnostics.txt").read_text()
+            assert f"complement_blocks {blocks}\n" in text
+            assert any(
+                r.getMessage().startswith(f"{tag} reduction")
+                and f"over {blocks} complement block(s)" in r.getMessage()
+                for r in caplog.records
+            )
+
     def test_selection_over_dense_cap_exits_2(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", 1024)
         rc = run("reduce", "--input", FIXTURE, "--products", "all", "--out-dir", tmp_path)
@@ -275,13 +291,20 @@ class TestConfigFile:
 
 
 class TestStartup:
-    def test_cli_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse.linalg is imported on first use: it would slow every CLI start
-        code = "import sys, wtnrank.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    @staticmethod
+    def loaded_after_cli_import(module: str) -> bool:
+        code = f"import sys, wtnrank.cli; sys.exit({module!r} in sys.modules)"
         src = str(Path(w.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+    # both are imported on first use: either would slow every CLI start
+    def test_cli_import_leaves_sparse_linalg_unloaded(self):
+        assert not self.loaded_after_cli_import("scipy.sparse.linalg")
+
+    def test_cli_import_leaves_csgraph_unloaded(self):
+        assert not self.loaded_after_cli_import("scipy.sparse.csgraph")
 
 
 class TestDeterminism:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import wtnrank as w
 from wtnrank.regomax import write_diagnostics, write_reduced_csv
 
-from conftest import reduce_dense_oracle
+from conftest import ORACLE_CAP, reduce_dense_oracle, reduce_single_lu_reference
 
 
 def pair_for(seed, n_c, n_p, density, alpha=0.5):
@@ -193,6 +194,115 @@ class TestExactSolve:
                 w.reduce(matrix, sel)
 
 
+def flow_pair(flows, alpha, seed):
+    """(direct, inverted) matrices of a dense flow matrix (flows[i, j] runs
+    from j to i), normalized by column and by row, with random positive
+    personalizations; all-zero columns are dangling."""
+    rng = np.random.default_rng(seed)
+    size = flows.shape[0]
+    pair = []
+    for f in (flows, flows.T):
+        sums = f.sum(axis=0)
+        links = np.divide(f, sums, out=np.zeros_like(f), where=sums > 0)
+        v = rng.random(size) + 0.1
+        pair.append(w.GoogleMatrix(
+            links=sparse.csr_matrix(links), dangling=sums == 0,
+            personalization=v / v.sum(), alpha=alpha, total=size,
+        ))
+    return tuple(pair)
+
+
+def random_flows(rng, size, density):
+    flows = rng.random((size, size)) * (rng.random((size, size)) < density)
+    np.fill_diagonal(flows, 0.0)
+    return flows
+
+
+def mixed_products(rng):
+    """Links across all nodes: the complement is one component."""
+    sel = tuple(sorted(rng.choice(40, 8, replace=False).tolist()))
+    return random_flows(rng, 40, 0.4), sel, 1
+
+
+def singletons_only(rng):
+    """No link between two complement nodes (a few self-links): every
+    complement node is its own component, solved as one diagonal batch."""
+    flows = random_flows(rng, 30, 0.5)
+    flows[6:, 6:] = 0.0
+    hidden = rng.choice(np.arange(6, 30), 5, replace=False)
+    flows[hidden, hidden] = rng.random(5)
+    return flows, tuple(range(6)), 1
+
+
+def unreached_blocks(rng):
+    """Four disjoint blocks, selection inside the first: no selected column
+    reaches the other three."""
+    flows = np.zeros((40, 40))
+    for b in range(4):
+        flows[b * 10:(b + 1) * 10, b * 10:(b + 1) * 10] = random_flows(rng, 10, 0.6)
+    return flows, (0, 3, 7), 4
+
+
+def closed_columns(rng):
+    """Selected columns 0-3 link only inside the selection, 4-5 are dangling."""
+    flows = random_flows(rng, 30, 0.4)
+    flows[6:, :4] = 0.0
+    flows[:, 4:6] = 0.0
+    return flows, tuple(range(6)), 1
+
+
+EDGE_CASES = [mixed_products, singletons_only, unreached_blocks, closed_columns]
+
+
+class TestComplementEdgeCases:
+    """Complements the trade pipeline never or rarely produces, against the dense oracle."""
+
+    @staticmethod
+    def check(matrix, sel):
+        r = w.reduce(matrix, sel)
+        assert np.abs(r.reduced - reduce_dense_oracle(matrix, sel)).max() <= 1e-10
+        assert 0.0 <= r.solve_residual < 1e-12
+        return r
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.85])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", EDGE_CASES, ids=lambda case: case.__name__)
+    def test_matches_dense_oracle(self, case, seed, alpha):
+        flows, ids, blocks = case(np.random.default_rng(seed))
+        sel = w.Selection(node_ids=ids, total=flows.shape[0])
+        for matrix in flow_pair(flows, alpha, seed):
+            assert self.check(matrix, sel).complement_blocks == blocks
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dangling_source(self, seed):
+        tensor = w.synth_tensor(seed, 10, 4, 0.4)
+        reg = tensor.registry
+        mats = [m.toarray() for m in tensor.flows]
+        mats[1][:, reg.country_index("AH")] = 0.0  # AH exports nothing of product 01
+        tensor = w.MoneyTensor.from_product_matrices(reg, tensor.year, mats)
+        source = reg.node_id("AH", reg.products[1])
+        sel = w.Selection.for_countries(reg, ("AA", "AB", "AC"), extra_nodes=(source,))
+        direct, inverted = w.build_trade_pair(tensor)
+        assert direct.dangling[source]
+        for matrix in (direct, inverted):
+            self.check(matrix, sel)
+
+
+class TestAgainstSingleLU:
+    def test_shock_mid_shape(self):
+        # 12 countries x 61 products + source out of 6 100 nodes, beyond the dense oracle
+        tensor = w.synth_tensor(1, 100, 61, 0.25)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel = w.Selection.for_countries(reg, reg.countries[:12], extra_nodes=(source,))
+        assert sel.n_selected == 733 and reg.size > ORACLE_CAP
+        for matrix in w.build_trade_pair(tensor):
+            result = w.reduce(matrix, sel)
+            assert result.complement_blocks == reg.n_products
+            for name, expected in reduce_single_lu_reference(matrix, sel).items():
+                assert np.abs(getattr(result, name) - expected).max() <= 1e-13, name
+
+
 class TestComponentWeight:
     def test_stochastic_matrix_weight_one(self):
         g, _ = pair_for(1, 5, 2, 0.6)
@@ -257,3 +367,7 @@ class TestExports:
         write_diagnostics(diag_path, r)
         text = diag_path.read_text()
         assert "lambda_c" in text and "solve_residual" in text and "weight_projector" in text
+        # complement AC, AD, AE: all linked in product 00; in product 01 AC and
+        # AD are linked and AE:01 has no link, so it is the link-free batch
+        assert r.complement_blocks == 3
+        assert f"complement_blocks {r.complement_blocks}\n" in text
