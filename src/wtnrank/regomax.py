@@ -15,9 +15,10 @@ and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
 
 M is block-diagonal over the weakly connected components of A_ss (on trade
 matrices, one block per product, since products mix only through the
-rank-two term). Each component is factored by its own sparse LU, link-free
-nodes are one diagonal batch, and a column of alpha A_sr is solved only on
-the components its links reach, so Y is kept sparse.
+rank-two term). Each component is factored by its own sparse LU (nodes with
+no link inside the complement are gathered into one diagonal block), and a
+column of alpha A_sr is solved only on the components its links reach, so Y
+is kept sparse.
 
 The resolvent is split through the leading eigenpair of G_ss: with
 right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
@@ -246,60 +247,43 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
     weakly connected component of A_ss at a time (see the module docstring).
 
-    Returns Y and M Y - alpha A_sr as CSC matrices on one sparsity pattern,
-    Z and M Z - U dense, and the number of blocks solved.
+    Returns Y (CSC) and Z (dense), their residuals M Y - alpha A_sr and
+    M Z - U taken with the whole M, so a wrong partition into components
+    shows there, and the number of blocks factored.
     """
     # imported here: scipy.sparse.linalg and csgraph would slow every CLI start
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
     m = b_ss.shape[0]
-    mat = sparse.identity(m, format="csr") - b_ss.alpha * b_ss.links
-    rhs = b_sr.alpha * b_sr.links
+    mat = (sparse.identity(m, format="csr") - b_ss.alpha * b_ss.links).tocsr()
+    rhs = (b_sr.alpha * b_sr.links).tocsr()
     u = b_ss.u
     n_comp, labels = connected_components(b_ss.links, directed=True, connection="weak")
     sizes = np.bincount(labels, minlength=n_comp)
-    in_block = sizes[labels] > 1
-    lone = np.flatnonzero(~in_block)
-    linked = np.flatnonzero(in_block)
-    linked = linked[np.argsort(labels[linked], kind="stable")]
-    blocks = np.split(linked, np.cumsum(sizes[sizes > 1])[:-1]) if linked.size else []
+    # nodes with no link inside the complement are gathered into one block
+    labels = np.where(sizes[labels] > 1, labels, n_comp)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
     z = np.empty((m, 2))
-    z_res = np.empty((m, 2))
-    rows, cols, y_vals, r_vals = [], [], [], []
+    rows, cols, vals = [], [], []
     for idx in blocks:
-        m_k = mat[idx][:, idx]
-        lu = splu(m_k.tocsc())
+        lu = splu(mat[idx][:, idx].tocsc())
         z[idx] = lu.solve(u[idx])
-        z_res[idx] = m_k @ z[idx] - u[idx]
         b_k = rhs[idx]
         reached = np.unique(b_k.indices)
         if reached.size:
-            b_k = b_k[:, reached].toarray()
-            y_k = lu.solve(b_k)
             rows.append(np.repeat(idx, reached.size))
             cols.append(np.tile(reached, idx.size))
-            y_vals.append(y_k.ravel())
-            r_vals.append((m_k @ y_k - b_k).ravel())
-    if lone.size:
-        diag = mat.diagonal()[lone]
-        z[lone] = u[lone] / diag[:, None]
-        z_res[lone] = diag[:, None] * z[lone] - u[lone]
-        b_k = rhs[lone].tocoo()
-        y_k = b_k.data / diag[b_k.row]
-        rows.append(lone[b_k.row])
-        cols.append(b_k.col)
-        y_vals.append(y_k)
-        r_vals.append(diag[b_k.row] * y_k - b_k.data)
-
-    def assemble(values):
-        if not values:
-            return sparse.csc_matrix(rhs.shape)
+            vals.append(lu.solve(b_k[:, reached].toarray()).ravel())
+    if vals:
         pattern = (np.concatenate(rows), np.concatenate(cols))
-        return sparse.csc_matrix((np.concatenate(values), pattern), shape=rhs.shape)
-
-    return assemble(y_vals), assemble(r_vals), z, z_res, len(blocks) + bool(lone.size)
+        y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
+    else:
+        y = sparse.csc_matrix(rhs.shape)
+    y_res = (mat @ y - rhs).tocsc()
+    return y, y_res, z, mat @ z - u, len(blocks)
 
 
 def reduce(

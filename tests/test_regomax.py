@@ -226,7 +226,7 @@ def mixed_products(rng):
 
 def singletons_only(rng):
     """No link between two complement nodes (a few self-links): every
-    complement node is its own component, solved as one diagonal batch."""
+    complement node is its own component, all factored as one diagonal block."""
     flows = random_flows(rng, 30, 0.5)
     flows[6:, 6:] = 0.0
     hidden = rng.choice(np.arange(6, 30), 5, replace=False)
@@ -286,6 +286,23 @@ class TestComplementEdgeCases:
         assert direct.dangling[source]
         for matrix in (direct, inverted):
             self.check(matrix, sel)
+
+    def test_residual_flags_a_wrong_partition(self, monkeypatch):
+        """Splitting one component in two drops the links between the halves
+        from the solve; the residual is taken with the whole complement matrix,
+        so it must show the fault."""
+        from scipy.sparse import csgraph
+
+        flows, ids, _ = mixed_products(np.random.default_rng(0))
+        sel = w.Selection(node_ids=ids, total=flows.shape[0])
+        monkeypatch.setattr(
+            csgraph, "connected_components",
+            lambda graph, **kw: (2, np.arange(graph.shape[0]) % 2),
+        )
+        for matrix in flow_pair(flows, 0.85, 0):
+            result = w.reduce(matrix, sel)
+            assert result.complement_blocks == 2
+            assert result.solve_residual > 1e-3
 
 
 class TestAgainstSingleLU:
