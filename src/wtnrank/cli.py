@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +20,27 @@ from .errors import ConvergenceError, TradeDataError
 
 log = logging.getLogger("wtnrank")
 
-DEFAULT_YEAR = 2016
-DEFAULT_K = 4
+_GRAPH_SUFFIX = {"dot": "dot", "edge-csv": "csv"}  # network file format -> file suffix
+_GRAPH_FORMATS = (*_GRAPH_SUFFIX, "both")
+_REPORT_FILES = {
+    sensitivity.METHOD_REDUCED: "sensitivity_regomax.csv",
+    sensitivity.METHOD_IMPORT_EXPORT: "sensitivity_import_export.csv",
+    sensitivity.METHOD_GLOBAL_PRICE: "sensitivity_global_price.csv",
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for one command invocation."""
+    """Validated settings for one command invocation.
+
+    Each field is one option: `--name-with-dashes` on the command line (only
+    `fmt` is spelt `--format`) and `name` in a config file. Its type fixes how
+    the text is converted: a `tuple[str, ...]` is a comma-separated list.
+    """
 
     input: Path | None = None
     registry: Path | None = None
-    year: int = DEFAULT_YEAR
+    year: int = 2016
     alpha: float = gmatrix.DEFAULT_ALPHA
     tol: float = ranking.DEFAULT_TOL
     max_iter: int = ranking.DEFAULT_MAX_ITER
@@ -38,7 +49,7 @@ class RunConfig:
     source_product: str | None = None
     products: tuple[str, ...] | None = None
     delta: float = sensitivity.DEFAULT_DELTA
-    k: int = DEFAULT_K
+    k: int = 4
     methods: tuple[str, ...] = (sensitivity.METHOD_REDUCED, sensitivity.METHOD_IMPORT_EXPORT)
     global_product: str | None = None
     fmt: str = "both"
@@ -58,6 +69,39 @@ class RunConfig:
             raise ValueError("max_iter must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.delta == 0.0:
+            raise ValueError("delta must be nonzero")
+        if self.fmt not in _GRAPH_FORMATS:
+            raise ValueError(f"format must be one of {', '.join(_GRAPH_FORMATS)}: {self.fmt!r}")
+        unknown = [m for m in self.methods if m not in _REPORT_FILES]
+        if unknown:
+            raise ValueError(f"unknown sensitivity method(s): {', '.join(map(repr, unknown))}")
+
+
+_HELP = {
+    "input": "trade CSV input path",
+    "registry": "registry file fixing code order",
+    "year": "trade year",
+    "alpha": "damping factor in (0, 1]",
+    "tol": "stationary-solver tolerance",
+    "max_iter": "solver iteration cap",
+    "group": "comma-separated country codes",
+    "source_country": "exporter country of the source node",
+    "source_product": "product of the source node",
+    "products": "comma-separated product codes for the selection, or 'all' "
+    "(default: the source product if given, else all)",
+    "delta": "price increment",
+    "k": "partners per country",
+    "methods": f"comma list of {', '.join(_REPORT_FILES)}",
+    "global_product": "product shocked by global-price (default: the source product)",
+    "fmt": f"graph file format: {', '.join(_GRAPH_FORMATS)}",
+    "out_dir": "output directory",
+    "seed": "random seed",
+    "n_countries": "number of countries",
+    "n_products": "number of products",
+    "density": "share of country pairs that trade each product",
+    "out": "output CSV path (default: synthetic_trade.csv in the output directory)",
+}
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -77,29 +121,12 @@ def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-_CONVERTERS = {
-    "input": Path,
-    "registry": Path,
-    "year": int,
-    "alpha": float,
-    "tol": float,
-    "max_iter": int,
-    "group": _csv_list,
-    "source_country": str,
-    "source_product": str,
-    "products": _csv_list,
-    "delta": float,
-    "k": int,
-    "methods": _csv_list,
-    "global_product": str,
-    "fmt": str,
-    "out_dir": Path,
-    "seed": int,
-    "n_countries": int,
-    "n_products": int,
-    "density": float,
-    "out": Path,
-}
+def _converter(hint):
+    """The function that turns option text into a value of type `hint`."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (hint,) = (a for a in args if a is not type(None))
+    return _csv_list if typing.get_origin(hint) is tuple else hint
 
 
 # removed with the series solver; still accepted so old flags and config files keep working
@@ -118,16 +145,22 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if in_file or getattr(args, name, None) is not None:
             flag = "--" + name.replace("_", "-")
             log.warning("%s is deprecated and has no effect: the reduction is an exact solve", flag)
-    unknown = sorted(set(file_values) - set(_CONVERTERS))
+    hints = typing.get_type_hints(RunConfig)
+    unknown = sorted(set(file_values) - set(hints))
     if unknown:
         raise TradeDataError(f"unknown config key(s) in {cfg_path}: {', '.join(unknown)}")
     merged = {}
-    for name, convert in _CONVERTERS.items():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            merged[name] = convert(flag) if isinstance(flag, str) else flag
-        elif name in file_values:
-            merged[name] = convert(file_values[name])
+    for name, hint in hints.items():
+        raw = getattr(args, name, None)
+        if raw is None:
+            raw = file_values.get(name)
+        if raw is None:
+            continue
+        convert = _converter(hint)
+        try:
+            merged[name] = convert(raw)
+        except ValueError:
+            raise TradeDataError(f"{name}: invalid {convert.__name__} value {raw!r}") from None
     return RunConfig(**merged)
 
 
@@ -210,21 +243,25 @@ def _build_selection(cfg: RunConfig, reg: ingest.Registry) -> regomax.Selection:
     return regomax.Selection.for_countries(reg, group, products=products, extra_nodes=extra)
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def _reductions(cfg: RunConfig):
+    """Load the tensor, create the output directory, and yield
+    `(tag, labels, ReducedSet)` for the import and the export direction."""
     tensor = _load_tensor(cfg)
     reg = tensor.registry
-    out = _out_dir(cfg)
+    _out_dir(cfg)
     sel = _build_selection(cfg, reg)
     labels = sel.labels(reg)
-    direct, inverted = gmatrix.build_trade_pair(
-        tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
-    )
-    for tag, matrix in (("import", direct), ("export", inverted)):
-        result = regomax.reduce(matrix, sel)
+    pair = gmatrix.build_trade_pair(tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter)
+    for tag, matrix in zip((netexport.VIEW_IMPORT, netexport.VIEW_EXPORT), pair):
+        yield tag, labels, regomax.reduce(matrix, sel)
+
+
+def cmd_reduce(cfg: RunConfig) -> int:
+    for tag, labels, result in _reductions(cfg):
         log.info(
             "%s reduction: %d nodes, lambda_c %.6f, solve residual %.2e over %d complement "
             "block(s), weights %s",
-            tag, sel.n_selected, result.complement_eigenvalue, result.solve_residual,
+            tag, len(labels), result.complement_eigenvalue, result.solve_residual,
             result.complement_blocks, result.weights,
         )
         components = {
@@ -236,14 +273,12 @@ def cmd_reduce(cfg: RunConfig) -> int:
             "indirect_offdiag": result.indirect_offdiag,
         }
         for name, m in components.items():
-            regomax.write_reduced_csv(out / f"{tag}_{name}.csv", m, labels)
-        regomax.write_diagnostics(out / f"{tag}_diagnostics.txt", result)
+            regomax.write_reduced_csv(cfg.out_dir / f"{tag}_{name}.csv", m, labels)
+        regomax.write_diagnostics(cfg.out_dir / f"{tag}_diagnostics.txt", result)
     return 0
 
 
 def cmd_sensitivity(cfg: RunConfig) -> int:
-    if cfg.delta == 0.0:
-        raise ValueError("delta must be nonzero")
     tensor = _load_tensor(cfg)
     out = _out_dir(cfg)
     needs_spec = {sensitivity.METHOD_REDUCED, sensitivity.METHOD_IMPORT_EXPORT} & set(cfg.methods)
@@ -264,11 +299,9 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
             report = sensitivity.reduced_balance_sensitivity(
                 tensor, spec, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
             )
-            path = out / "sensitivity_regomax.csv"
         elif method == sensitivity.METHOD_IMPORT_EXPORT:
             report = sensitivity.import_export_sensitivity(tensor, spec)
-            path = out / "sensitivity_import_export.csv"
-        elif method == sensitivity.METHOD_GLOBAL_PRICE:
+        else:
             product = cfg.global_product or cfg.source_product
             if product is None:
                 raise TradeDataError("global-price needs --global-product or --source-product")
@@ -276,60 +309,52 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
                 tensor, product, group=cfg.group or None, alpha=cfg.alpha,
                 delta=cfg.delta, tol=cfg.tol, max_iter=cfg.max_iter,
             )
-            path = out / "sensitivity_global_price.csv"
-        else:
-            raise TradeDataError(f"unknown sensitivity method {method!r}")
-        sensitivity.write_report(path, report)
+        sensitivity.write_report(out / _REPORT_FILES[method], report)
         if "richardson_error" in report.metadata:
             log.info("%s richardson error %.3e", method, report.metadata["richardson_error"])
     return 0
 
 
 def cmd_network(cfg: RunConfig) -> int:
-    tensor = _load_tensor(cfg)
-    reg = tensor.registry
-    out = _out_dir(cfg)
-    sel = _build_selection(cfg, reg)
-    labels = sel.labels(reg)
-    direct, inverted = gmatrix.build_trade_pair(
-        tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter
-    )
-    formats = ("dot", "edge-csv") if cfg.fmt == "both" else (cfg.fmt,)
-    for tag, matrix, view in (
-        ("import", direct, netexport.VIEW_IMPORT),
-        ("export", inverted, netexport.VIEW_EXPORT),
-    ):
-        result = regomax.reduce(matrix, sel)
-        edges = netexport.top_links(result.reduced, labels, cfg.k, view=view)
+    formats = tuple(_GRAPH_SUFFIX) if cfg.fmt == "both" else (cfg.fmt,)
+    for tag, labels, result in _reductions(cfg):
+        edges = netexport.top_links(result.reduced, labels, cfg.k, view=tag)
         for fmt in formats:
-            suffix = "dot" if fmt == "dot" else "csv"
-            netexport.serialize_graph(edges, fmt, out / f"network_{tag}.{suffix}")
+            path = cfg.out_dir / f"network_{tag}.{_GRAPH_SUFFIX[fmt]}"
+            netexport.serialize_graph(edges, fmt, path)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags win")
-    p.add_argument("--input", help="trade CSV input path")
-    p.add_argument("--registry", help="registry file fixing code order")
-    p.add_argument("--year", type=int, help=f"year to load (default {DEFAULT_YEAR})")
-    p.add_argument("--alpha", type=float, help="damping factor in (0,1], default 0.5")
-    p.add_argument("--tol", type=float, help="stationary-solver tolerance, default 1e-12")
-    p.add_argument("--max-iter", type=int, dest="max_iter", help="solver iteration cap")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
+_READS_INPUT = ("input", "registry", "year", "alpha", "tol", "max_iter", "out_dir")
+_READS_SHOCK = ("group", "source_country", "source_product")
+# command -> (function, help line, its flags: the RunConfig fields it reads and the
+# hidden deprecated ones)
+_COMMANDS = {
+    "synth": (
+        cmd_synth, "generate a synthetic trade fixture",
+        ("registry", "year", "out_dir", "seed", "n_countries", "n_products", "density", "out"),
+    ),
+    "rank": (cmd_rank, "stationary and volume rankings", _READS_INPUT),
+    "reduce": (
+        cmd_reduce, "reduced matrices on a selection",
+        _READS_INPUT + _READS_SHOCK + ("products", *_DEPRECATED),
+    ),
+    "sensitivity": (
+        cmd_sensitivity, "trade-balance shock sensitivity",
+        _READS_INPUT + _READS_SHOCK + ("delta", "methods", "global_product", *_DEPRECATED),
+    ),
+    "network": (
+        cmd_network, "top-k partner graphs from reductions",
+        _READS_INPUT + _READS_SHOCK + ("products", "k", "fmt", *_DEPRECATED),
+    ),
+}
 
 
-def _add_selection(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", help="comma-separated country codes")
-    p.add_argument("--source-country", dest="source_country")
-    p.add_argument("--source-product", dest="source_product")
-    p.add_argument(
-        "--products",
-        help="comma-separated product codes for the selection, or 'all' "
-        "(default: the source product if given, else all)",
-    )
-    for name in _DEPRECATED:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, help=argparse.SUPPRESS)
+def _help(name: str, default) -> str:
+    if default is None or default == ():
+        return _HELP[name]
+    shown = ",".join(default) if isinstance(default, tuple) else default
+    return f"{_HELP[name]} (default {shown})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,39 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trade-network ranking, reduction and shock sensitivity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic trade fixture")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-countries", type=int, dest="n_countries")
-    p.add_argument("--n-products", type=int, dest="n_products")
-    p.add_argument("--density", type=float)
-    p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("rank", help="stationary and volume rankings")
-    _add_common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("reduce", help="reduced matrices on a selection")
-    _add_common(p)
-    _add_selection(p)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("sensitivity", help="trade-balance shock sensitivity")
-    _add_common(p)
-    _add_selection(p)
-    p.add_argument("--delta", type=float, help="price increment, default 1e-3")
-    p.add_argument("--methods", help="comma list: regomax,import-export,global-price")
-    p.add_argument("--global-product", dest="global_product")
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("network", help="top-k partner graphs from reductions")
-    _add_common(p)
-    _add_selection(p)
-    p.add_argument("--k", type=int, help=f"partners per country, default {DEFAULT_K}")
-    p.add_argument("--format", dest="fmt", choices=("dot", "edge-csv", "both"))
-    p.set_defaults(func=cmd_network)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for command, (func, summary, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="key=value config file; flags win")
+        for name in names:
+            flag = "--format" if name == "fmt" else "--" + name.replace("_", "-")
+            hidden = name in _DEPRECATED
+            p.add_argument(
+                flag, dest=name, help=argparse.SUPPRESS if hidden else _help(name, defaults[name])
+            )
+        p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -292,7 +292,7 @@ class VolumeRankTable:
     product_export_order: RankIndex
 
 
-def _parse_registry_file(path) -> Registry:
+def load_registry(path) -> Registry:
     countries: list[str] = []
     products: list[str] = []
     section = None
@@ -313,10 +313,6 @@ def _parse_registry_file(path) -> Registry:
     if not countries or not products:
         raise TradeDataError(f"registry file {path} must list countries and products")
     return Registry(countries=tuple(countries), products=tuple(products))
-
-
-def load_registry(path) -> Registry:
-    return _parse_registry_file(path)
 
 
 def save_registry(registry: Registry, path) -> None:

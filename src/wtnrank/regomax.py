@@ -173,7 +173,7 @@ def split_diagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, matrix - diag
 
 
-def _leading_pair(block: GoogleMatrix, tol: float, max_iter: int):
+def _leading_pair(block: GoogleMatrix):
     """Leading eigenvalue of a nonnegative block with right/left vectors.
 
     Power iteration on the block and its transpose; vectors converge to the
@@ -184,7 +184,7 @@ def _leading_pair(block: GoogleMatrix, tol: float, max_iter: int):
     n = block.shape[0]
     lam = 0.0
     x = np.full(n, 1.0 / n)
-    for it in range(max_iter):
+    for it in range(DEFAULT_EIG_MAX_ITER):
         y = block.matvec(x)
         lam = float(y.sum())
         if lam <= 0.0:
@@ -192,23 +192,27 @@ def _leading_pair(block: GoogleMatrix, tol: float, max_iter: int):
             return 0.0, x, np.zeros(n), it
         residual = float(np.abs(y - lam * x).sum())
         x = y / lam
-        if residual < tol:
+        if residual < DEFAULT_EIG_TOL:
             break
     else:
-        raise ConvergenceError("complement eigenvector iteration stalled", max_iter, residual)
+        raise ConvergenceError(
+            "complement eigenvector iteration stalled", DEFAULT_EIG_MAX_ITER, residual
+        )
 
     z = np.full(n, 1.0 / n)
-    for it_l in range(max_iter):
+    for it_l in range(DEFAULT_EIG_MAX_ITER):
         w = block.rmatvec(z)
         norm = float(np.abs(w).sum())
         if norm <= 0.0:
             return 0.0, x, np.zeros(n), it + it_l
         residual_l = float(np.abs(w - norm * z).sum())
         z = w / norm
-        if residual_l < tol:
+        if residual_l < DEFAULT_EIG_TOL:
             break
     else:
-        raise ConvergenceError("complement left-eigenvector iteration stalled", max_iter, residual_l)
+        raise ConvergenceError(
+            "complement left-eigenvector iteration stalled", DEFAULT_EIG_MAX_ITER, residual_l
+        )
 
     overlap = float(z @ x)
     if overlap <= 1e-300:
@@ -286,18 +290,12 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     return y, y_res, z, mat @ z - u, len(blocks)
 
 
-def reduce(
-    matrix: GoogleMatrix,
-    sel: Selection,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    eig_max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> ReducedSet:
+def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     """Reduce a Google matrix onto a selection with full decomposition.
 
     Args:
         matrix: the damped matrix to reduce.
         sel: ordered node selection (its order is the reduced index order).
-        eig_tol / eig_max_iter: complement leading-eigenpair iteration.
 
     The trivial all-nodes selection returns the dense matrix itself with
     zero projector/indirect parts. A selection whose six dense n x n results
@@ -322,7 +320,7 @@ def reduce(
     b_sr = matrix.block(s, r)
     b_ss = matrix.block(s, s)
 
-    lam, psi_r, psi_l, _ = _leading_pair(b_ss, eig_tol, eig_max_iter)
+    lam, psi_r, psi_l, _ = _leading_pair(b_ss)
     if 1.0 - lam < 1e-12:
         raise ConvergenceError(
             "complement block is not strictly substochastic; resolvent undefined", 0, 1.0 - lam

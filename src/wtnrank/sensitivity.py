@@ -147,7 +147,6 @@ class ReducedTradePair:
 
     registry: Registry
     spec: ShockSpec
-    alpha: float
     selection: Selection
     direct_set: ReducedSet
     inverted_set: ReducedSet
@@ -190,7 +189,6 @@ def reduce_for_shock(
     return ReducedTradePair(
         registry=reg,
         spec=spec,
-        alpha=alpha,
         selection=sel,
         direct_set=reduce(direct, sel),
         inverted_set=reduce(inverted, sel),
@@ -238,7 +236,6 @@ def reduced_balance_sensitivity(
     tol: float = 1e-12,
     max_iter: int = 10000,
     richardson: bool = True,
-    pair: ReducedTradePair | None = None,
 ) -> SensitivityReport:
     """Balance sensitivity through the reduced matrices of the selection.
 
@@ -246,8 +243,7 @@ def reduced_balance_sensitivity(
     matrices. When `richardson` is set, the derivative is recomputed at
     delta/2 and the difference reported in metadata as an error estimate.
     """
-    if pair is None:
-        pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
+    pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
     delta = spec.delta
     (b_base, imp0, exp0), derivative, extra = _central_difference(
         lambda dv: _pair_balance(pair, dv, tol, max_iter), delta, richardson

@@ -74,7 +74,7 @@ def reduce_single_lu_reference(matrix, sel, block: int = 256) -> dict:
     r = np.asarray(sel.node_ids)
     s = sel.complement
     b_rs, b_sr, b_ss = matrix.block(r, s), matrix.block(s, r), matrix.block(s, s)
-    lam, psi_r, psi_l, _ = _leading_pair(b_ss, w.regomax.DEFAULT_EIG_TOL, w.regomax.DEFAULT_EIG_MAX_ITER)
+    lam, psi_r, psi_l, _ = _leading_pair(b_ss)
     lu = splu(sparse.identity(s.shape[0], format="csc") - (b_ss.alpha * b_ss.links).tocsc())
     z = lu.solve(b_ss.u)
     capacitance = np.eye(2) - b_ss.v.T @ z

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,19 @@ from wtnrank.cli import main
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
 GOLDEN_RANK = DATA / "golden_rank"
+SHOCK = ("--input", FIXTURE, "--group", "AA,AB", "--source-country", "AC", "--source-product", "01")
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter in a fresh process that imports this wtnrank."""
+    src = str(Path(w.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 class TestExitCodes:
@@ -49,6 +59,48 @@ class TestExitCodes:
 
     def test_success_is_zero(self, tmp_path):
         assert run("rank", "--input", FIXTURE, "--out-dir", tmp_path) == 0
+
+    @pytest.mark.parametrize("argv, config, bad", [
+        (("sensitivity", *SHOCK, "--methods", "regomax,voodoo"), "", "'voodoo'"),
+        (("sensitivity", *SHOCK), "methods = regomax,voodoo", "'voodoo'"),
+        (("network", *SHOCK, "--k", 1, "--format", "xml"), "", "'xml'"),
+        (("network", *SHOCK, "--k", 1), "fmt = xml", "'xml'"),
+    ], ids=["methods-flag", "methods-config", "format-flag", "format-config"])
+    def test_bad_choice_exits_2_before_any_work(
+        self, tmp_path, caplog, monkeypatch, argv, config, bad
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("input read before the options were checked")
+
+        monkeypatch.setattr(w.ingest, "load_money_tensor", unreachable)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(*argv, "--config", cfg, "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
+        assert any(bad in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("argv", [
+        ("sensitivity", *SHOCK, "--products", "01"),
+        ("synth", "--alpha", "0.9"),
+    ], ids=["sensitivity-products", "synth-alpha"])
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, config", [
+        (("--input", FIXTURE, "--year", "abc"), ""),
+        ((), f"input = {FIXTURE}\nyear = abc"),
+    ], ids=["flag", "config"])
+    def test_unconvertible_value_names_option_and_value(self, tmp_path, caplog, flags, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        assert run("rank", *flags, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "year" in errors[0] and "'abc'" in errors[0]
 
 
 class TestSynth:
@@ -290,14 +342,31 @@ class TestConfigFile:
         ]
 
 
+_INPUT_FLAGS = {"--input", "--registry", "--year", "--alpha", "--tol", "--max-iter", "--out-dir"}
+_SHOCK_FLAGS = {"--group", "--source-country", "--source-product"}
+_HELP_FLAGS = {
+    "synth": {"--registry", "--year", "--out-dir", "--seed", "--n-countries", "--n-products",
+              "--density", "--out"},
+    "rank": _INPUT_FLAGS,
+    "reduce": _INPUT_FLAGS | _SHOCK_FLAGS | {"--products"},
+    "sensitivity": _INPUT_FLAGS | _SHOCK_FLAGS | {"--delta", "--methods", "--global-product"},
+    "network": _INPUT_FLAGS | _SHOCK_FLAGS | {"--products", "--k", "--format"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_FLAGS))
+def test_module_entry_point_help_lists_only_the_command_options(command):
+    proc = run_python("-m", "wtnrank", command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout))
+    assert shown == _HELP_FLAGS[command] | {"--help", "--config", "--verbose"}
+
+
 class TestStartup:
     @staticmethod
     def loaded_after_cli_import(module: str) -> bool:
         code = f"import sys, wtnrank.cli; sys.exit({module!r} in sys.modules)"
-        src = str(Path(w.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+        return run_python("-c", code).returncode != 0
 
     # both are imported on first use: either would slow every CLI start
     def test_cli_import_leaves_sparse_linalg_unloaded(self):
