@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError("delta must be nonzero")
         if self.fmt not in _GRAPH_FORMATS:
             raise ValueError(f"format must be one of {', '.join(_GRAPH_FORMATS)}: {self.fmt!r}")
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {', '.join(_REPORT_FILES)}")
         unknown = [m for m in self.methods if m not in _REPORT_FILES]
         if unknown:
             raise ValueError(f"unknown sensitivity method(s): {', '.join(map(repr, unknown))}")
@@ -243,14 +245,17 @@ def _build_selection(cfg: RunConfig, reg: ingest.Registry) -> regomax.Selection:
     return regomax.Selection.for_countries(reg, group, products=products, extra_nodes=extra)
 
 
-def _reductions(cfg: RunConfig):
+def _reductions(cfg: RunConfig, k: int | None = None):
     """Load the tensor, create the output directory, and yield
-    `(tag, labels, ReducedSet)` for the import and the export direction."""
+    `(tag, labels, ReducedSet)` for the import and the export direction.
+    With `k`, first check that the selection is large enough for k partners."""
     tensor = _load_tensor(cfg)
     reg = tensor.registry
     _out_dir(cfg)
     sel = _build_selection(cfg, reg)
     labels = sel.labels(reg)
+    if k is not None:
+        netexport.check_k(k, len(labels))
     pair = gmatrix.build_trade_pair(tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter)
     for tag, matrix in zip((netexport.VIEW_IMPORT, netexport.VIEW_EXPORT), pair):
         yield tag, labels, regomax.reduce(matrix, sel)
@@ -317,7 +322,7 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
 
 def cmd_network(cfg: RunConfig) -> int:
     formats = tuple(_GRAPH_SUFFIX) if cfg.fmt == "both" else (cfg.fmt,)
-    for tag, labels, result in _reductions(cfg):
+    for tag, labels, result in _reductions(cfg, k=cfg.k):
         edges = netexport.top_links(result.reduced, labels, cfg.k, view=tag)
         for fmt in formats:
             path = cfg.out_dir / f"network_{tag}.{_GRAPH_SUFFIX[fmt]}"

@@ -25,6 +25,14 @@ class TradeEdgeList:
     k: int
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless `top_links` can take k partners of n nodes."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than the matrix size {n}")
+
+
 def top_links(matrix: np.ndarray, labels, k: int, view: str = VIEW_IMPORT) -> TradeEdgeList:
     """Select each column's k largest off-diagonal entries as edges.
 
@@ -39,10 +47,7 @@ def top_links(matrix: np.ndarray, labels, k: int, view: str = VIEW_IMPORT) -> Tr
         raise ValueError("one label per node required")
     if view not in (VIEW_IMPORT, VIEW_EXPORT):
         raise ValueError(f"view must be {VIEW_IMPORT!r} or {VIEW_EXPORT!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the matrix size {n}")
+    check_k(k, n)
     # stable sort of each column: weight descending, index ascending on ties
     order = np.argsort(-matrix, axis=0, kind="stable")
     keep = (np.take_along_axis(matrix, order, axis=0) > 0.0) & (order != np.arange(n))

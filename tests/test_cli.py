@@ -65,7 +65,12 @@ class TestExitCodes:
         (("sensitivity", *SHOCK), "methods = regomax,voodoo", "'voodoo'"),
         (("network", *SHOCK, "--k", 1, "--format", "xml"), "", "'xml'"),
         (("network", *SHOCK, "--k", 1), "fmt = xml", "'xml'"),
-    ], ids=["methods-flag", "methods-config", "format-flag", "format-config"])
+        (("sensitivity", *SHOCK, "--methods", ""), "", "methods must name at least one"),
+        (("sensitivity", *SHOCK), "methods =", "methods must name at least one"),
+    ], ids=[
+        "methods-flag", "methods-config", "format-flag", "format-config",
+        "empty-methods-flag", "empty-methods-config",
+    ])
     def test_bad_choice_exits_2_before_any_work(
         self, tmp_path, caplog, monkeypatch, argv, config, bad
     ):
@@ -307,6 +312,24 @@ class TestNetworkCommand:
         reduced = w.reduce(direct, sel)
         expected = w.top_links(reduced.reduced, sel.labels(tensor.registry), 2, view="import")
         assert w.parse_edge_csv(tmp_path / "network_import.csv") == expected
+
+
+    def test_k_not_below_selection_size_exits_2_before_the_matrix_pair(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("matrix pair built before k was checked")
+
+        monkeypatch.setattr(w.gmatrix, "build_trade_pair", unreachable)
+        rc = run(
+            "network", "--input", FIXTURE, "--group", "AA",
+            "--source-country", "AC", "--source-product", "01", "--out-dir", tmp_path,
+        )
+        assert rc == 2
+        assert any(
+            "k=4 must be smaller than the matrix size 2" in r.getMessage()
+            for r in caplog.records
+        )
 
 
 class TestConfigFile:

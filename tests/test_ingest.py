@@ -166,7 +166,7 @@ GOOD = {
 BAD = {
     "year": ("20x6", "", "2016.0"),
     "product": ("1", "123", ""),
-    "country": ("A", "ABC", ""),
+    "country": ("A", "ABC", "", "A,B", "A\nB"),
     "value": ("abc", "", "-5", "-1e-3", "nan", "inf", "-inf", "1e999"),
 }
 HEADERS = (
@@ -183,18 +183,24 @@ def cell(draw, kind, bad=False):
     else:
         text = draw(st.sampled_from(BAD[kind] if bad else GOOD[kind]))
     text = draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
-    return f'"{text}"' if draw(st.booleans()) else text
+    return f'"{text}"' if draw(st.integers(0, 4)) == 4 else text  # most rows unquoted
 
 
-FAULTS = (None,) * 6 + ("year", "product", "exporter", "importer", "value", "short", "long")
+FAULTS = (None,) * 6 + (
+    "year", "product", "exporter", "importer", "value", "short", "long", "short-long", "cr"
+)
 
 
 @st.composite
 def trade_csv(draw):
     """Small CSV text with comments, blank rows, padding, quoting, other years,
-    duplicates and self-trade rows; with `faulty`, rows also carry faults of
-    every kind, and the header may be wrong."""
+    duplicates and self-trade rows, ended by "\n" or "\r\n"; with `faulty`,
+    rows also carry faults of every kind, and the header may be wrong.
+
+    A "short-long" fault splits one row in two, so that the file still has
+    4 commas per line on the whole; a "cr" fault puts "\r" inside a row."""
     faulty = draw(st.booleans())
+    eol = draw(st.sampled_from(("\n", "\n", "\r\n")))
     preamble = st.sampled_from(("", "# leading comment", "  #,a,b,c,d"))
     out = [draw(preamble) for _ in range(draw(st.integers(0, 2)))]
     out.append(draw(st.sampled_from(HEADERS * 4 + (BAD_HEADERS if faulty else ()))))
@@ -202,7 +208,9 @@ def trade_csv(draw):
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(("data",) * 6 + ("comment", "blank", "duplicate")))
         if kind == "comment":
-            rows.append(draw(st.sampled_from(("# note", " # a,b,c,d,e", "#2016,01,AA,BB,5"))))
+            rows.append(draw(st.sampled_from(
+                ("# note", " # a,b,c,d,e", "#2016,01,AA,BB,5", '"# a,b",c,d,e,f', '"# a\nb",c')
+            )))
         elif kind == "blank":
             rows.append("")
         elif kind == "duplicate" and rows:
@@ -218,8 +226,16 @@ def trade_csv(draw):
                 cells = cells[: draw(st.integers(1, 4))]
             elif fault == "long":
                 cells.append("9")
-            rows.append(",".join(cells))
-    return "\n".join(out + rows) + draw(st.sampled_from(("\n", "", "\r\n")))
+            elif fault == "short-long":
+                cut = draw(st.integers(1, 4))
+                rows.append(",".join(cells[:cut]))
+                cells = cells[cut:] + cells
+            row = ",".join(cells)
+            if fault == "cr":  # a lone carriage return ends a line for csv.reader
+                cut = draw(st.integers(0, len(row)))
+                row = row[:cut] + "\r" + row[cut:]
+            rows.append(row)
+    return eol.join(out + rows) + draw(st.sampled_from(("\n", "", "\r\n")))
 
 
 registries = st.sampled_from(
@@ -242,11 +258,17 @@ def csv_path(tmp_path_factory):
 
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(text=trade_csv(), registry=registries, chunk=st.sampled_from((1, 2, 3, 5, 65536)))
-    def test_same_tensor_or_same_error(self, csv_path, text, registry, chunk):
+    @given(
+        text=trade_csv(),
+        registry=registries,
+        chunk=st.sampled_from((1, 2, 3, 5, 65536)),
+        block=st.sampled_from((1, 2, 7, 20, 48, 100, 1 << 20)),
+    )
+    def test_same_tensor_or_same_error(self, csv_path, text, registry, chunk, block):
         csv_path.write_text(text, encoding="utf-8")
         expected, expected_log = load_logged(load_money_tensor_reference, csv_path, registry)
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk), \
+                mock.patch.object(ingest, "_BLOCK_CHARS", block):
             actual, actual_log = load_logged(w.load_money_tensor, csv_path, registry)
         if isinstance(expected, Exception):
             assert type(actual) is type(expected)
@@ -258,10 +280,12 @@ class TestAgainstReference:
     @pytest.mark.parametrize("offset", [-1, 0])
     @pytest.mark.parametrize("fault", ["2016,01,AA,BB,-5", "2016,01,AA"])
     def test_fault_at_first_chunk_boundary(self, tmp_path, offset, fault):
+        """The faulty row ends the first text block, or starts the second."""
         good = "2016,01,AA,BB,5\n"
-        n_good = ingest._CHUNK_ROWS + offset
+        n_good = 100 + offset
         path = write(tmp_path, HEADER + good * n_good + fault + "\n" + good * 3)
-        with pytest.raises(ParseError) as err:
+        block = len(HEADER) + 100 * len(good)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), pytest.raises(ParseError) as err:
             w.load_money_tensor(path, 2016)
         assert err.value.line == n_good + 2
         with pytest.raises(ParseError) as ref:
@@ -283,6 +307,46 @@ class TestAgainstReference:
         with pytest.raises(ParseError, match="line 2: value 'nan'"):
             w.load_money_tensor(path, 2016)
 
+    def test_balanced_commas_still_count_columns_per_row(self, tmp_path):
+        # 8 commas on 2 lines, but the first row has 3 columns and the second 7
+        path = write(tmp_path, HEADER + "2016,01,AA\nBB,5,2016,01,AA,BB,5\n")
+        with pytest.raises(ParseError) as err:
+            w.load_money_tensor(path, 2016)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: expected 5 columns, got 3"
+        with pytest.raises(ParseError) as ref:
+            load_money_tensor_reference(path, 2016)
+        assert str(err.value) == str(ref.value)
+
+    # the bad value row starts at byte 745 (row 40) or 30 702 (row 1600)
+    @pytest.mark.parametrize("bad_row, bad_byte", [
+        (40, 8192 * 3 + 100), (1600, 8192 * 3 + 100), (1600, 8192 * 3 + 7000),
+        (1600, 8192 * 5), (10, 20),
+    ])
+    @pytest.mark.parametrize("block", [50, 1 << 20])
+    def test_invalid_utf8_fails_as_a_text_file_does(self, tmp_path, bad_row, bad_byte, block):
+        """The decoding error, and any row fault read before it, match the
+        reference, which reads the file in text mode."""
+        rows = [f"2016,01,{'AÉ' if k % 7 else 'AA'},BB,{k}\n" for k in range(3000)]
+        rows[bad_row] = "2016,01,AA,BB,abc\n"
+        data = (HEADER + "".join(rows)).encode("utf-8")
+        path = tmp_path / "trade.csv"
+        path.write_bytes(data[:bad_byte] + b"\xff" + data[bad_byte:])
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            actual, _ = load_logged(w.load_money_tensor, path, None)
+        expected, _ = load_logged(load_money_tensor_reference, path, None)
+        assert type(actual) is type(expected)
+        assert str(actual) == str(expected)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_field_size_limit_as_in_reference(self, tmp_path, extra):
+        huge = "9" * (csv.field_size_limit() + extra)
+        path = write(tmp_path, HEADER + f"2016,01,AA,BB,5\n2016,01,AA,BB,{huge}\n")
+        actual, _ = load_logged(w.load_money_tensor, path, None)
+        expected, _ = load_logged(load_money_tensor_reference, path, None)
+        assert type(actual) is type(expected)
+        assert str(actual) == str(expected)
+
     def test_padded_codes_are_one_country(self, tmp_path, caplog):
         path = write(tmp_path, HEADER + "2016,01, RU,RU ,5\n2016,01,RU,\" NL\",7\n")
         with caplog.at_level("WARNING", logger="wtnrank.ingest"):
@@ -290,6 +354,67 @@ class TestAgainstReference:
         assert tensor.registry.countries == ("NL", "RU")
         assert tensor.value("01", "NL", "RU") == 7.0
         assert any("dropped 1 self-trade row(s)" in r.message for r in caplog.records)
+
+
+class TestFastPath:
+    """Clean blocks are split with `str.split`; only other rows meet `csv.reader`."""
+
+    @staticmethod
+    def load_recording_fallback(path, year):
+        """The tensor, and the text blocks handed to the `csv.reader` fallback."""
+        blocks = []
+        block_reader = ingest._block_reader
+
+        def recording(block, later_blocks):
+            blocks.append(block)
+            return block_reader(block, later_blocks)
+
+        with mock.patch.object(ingest, "_block_reader", recording):
+            tensor = w.load_money_tensor(path, year)
+        return tensor, blocks
+
+    @pytest.mark.parametrize("block", [4096, ingest._BLOCK_CHARS])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_written_tensor_reaches_csv_reader_only_for_the_header(self, tmp_path, block, eol):
+        tensor = w.synth_tensor(2, 30, 5, 0.5)
+        path = tmp_path / "t.csv"
+        w.serialize_tensor(tensor, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            back, fallback = self.load_recording_fallback(path, tensor.year)
+        assert len(fallback) == 1 and fallback[0].startswith(HEADER.replace("\n", eol))
+        assert back.same_trade(tensor)
+        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
+    @pytest.mark.parametrize("text, fallback", [
+        ("2016,01,AA,BB,5\n2016,02,BB,AA,7", ["2016,02,BB,AA,7"]),
+        ("2016,01,AA,\u00a0BB,5\n2016,02,BB\u00a0,AA,7\n", []),
+    ], ids=["no-final-newline", "non-ascii-padding"])
+    def test_same_tensor_as_reference(self, tmp_path, text, fallback):
+        path = write(tmp_path, HEADER + text)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 8):
+            tensor, blocks = self.load_recording_fallback(path, 2016)
+        assert blocks == [HEADER] + fallback
+        assert_same_tensor(tensor, load_money_tensor_reference(path, 2016))
+
+    @pytest.mark.parametrize("text", [
+        "2016,01,AA,BB,5\r\n2016,02,BB,AA,7\r\n",
+        "2016,01,AA,BB,5\n2016,0\r1,AA,BB,5\n",
+        "2016,01,AA,BB,5\r\r\n2016,02,BB,AA,7\r\n",
+        "2016,01,AA,BB,5\n2016,01,\"A,A\",BB,5\n",
+        "2016,01,AA,BB,5\n#2016,01,AA,BB,x\n2016,02,BB,AA,7\n",
+        "2016,01,AA,BB,5\n\n2016,02,BB,AA,7\n",
+        "2016,01,AA,BB,5\n2016,\"02\",BB\x0c,AA,7\n",
+    ], ids=["crlf", "lone-cr", "cr-crlf", "quoted-comma", "comment", "blank-line", "form-feed"])
+    def test_text_near_the_clean_rule_as_in_reference(self, tmp_path, text):
+        path = write(tmp_path, HEADER + text)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+            actual, _ = load_logged(w.load_money_tensor, path, None)
+        expected, _ = load_logged(load_money_tensor_reference, path, None)
+        if isinstance(expected, Exception):
+            assert (type(actual), str(actual)) == (type(expected), str(expected))
+        else:
+            assert_same_tensor(actual, expected)
 
 
 class TestRoundTrip:
