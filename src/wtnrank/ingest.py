@@ -9,22 +9,21 @@ Input CSV format (UTF-8, comment lines start with '#'):
 stripped of surrounding whitespace. Duplicate (product, importer, exporter)
 rows are summed; self-trade rows are dropped with a warning.
 
-The loader streams the file in text blocks of about `_BLOCK_CHARS`
-characters, each cut after a newline. A clean block holds no quote, `#` or
-NUL, and no carriage return but in a CRLF line end; each of its lines is 4
-commas then a newline, with no field longer than `csv.field_size_limit()`.
-`csv.reader` would read it as plain comma splits, so it is split with
-`str.split` at C speed. Every other block, and the header with the comments
-before it, goes through `csv.reader`, and a quoted record still open at a
-block's end reads on into the next block. Either way the cells of a run of
-rows go into one flat list that is validated and converted column by
-column. Each distinct year or code string is checked once, values are
-converted in bulk, and only integer ids and float values are kept, so the
-memory taken by the text is bounded by the block, not the file. Every row
-of the file is validated, whatever its year; when a run holds a fault, the
-per-row rules run over that run alone and report the first fault in row
-and field order, with its 1-based row number, exactly as a row-by-row
-`csv.reader` loop would.
+The loader reads the file as text and gathers its lines in blocks of about
+`_BLOCK_CHARS` characters. A clean block holds no quote, `#` or NUL, and no
+carriage return but in a CRLF line end; each of its lines is 4 commas then
+a newline, with no field longer than `csv.field_size_limit()`. `csv.reader`
+would read it as plain comma splits, so it is split with `str.split` at C
+speed. Every other block, and the header with the comments before it, goes
+through `csv.reader`, and a quoted record still open at a block's end reads
+on into the next block. Either way the cells of a block's rows go into one
+flat list that is validated and converted column by column. Each distinct
+year or code string is checked once, values are converted in bulk, and only
+integer ids and float values are kept, so the memory taken by the text is
+bounded by the block, not the file. Every row of the file is validated,
+whatever its year; when a block holds a fault, the per-row rules run over
+its rows alone and report the first fault in row and field order, with its
+1-based row number, exactly as a row-by-row `csv.reader` loop would.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -37,9 +36,7 @@ An optional registry file fixes the index order of countries and products:
 """
 from __future__ import annotations
 
-import codecs
 import csv
-import io
 import itertools
 import logging
 import string
@@ -55,11 +52,7 @@ from .ranking import RankIndex, order_indices
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("year", "product", "exporter", "importer", "value_usd")
-_CHUNK_ROWS = 65536  # rows read by csv.reader validated and converted at a time
 _BLOCK_CHARS = 1 << 20  # text tested for the split fast path at a time
-_READ_BYTES = 8192  # the chunk a text-mode file decodes at a time
-# where str.splitlines also ends a line, and a text file does not
-_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -361,66 +354,41 @@ def _check_row(row: list[str], lineno: int) -> None:
 
 
 def _text_blocks(fh):
-    """Decode the binary file `fh` and yield its text in blocks.
+    """Yield the lines of the text file `fh` in lists, each ended by the first
+    line that brings it to `_BLOCK_CHARS` characters or more.
 
-    Each block is the shortest run of whole lines at least `_BLOCK_CHARS`
-    long; the rest of the file comes as two blocks, its whole lines and then
-    a last line without a newline. Bytes are decoded `_READ_BYTES` at a time,
-    as a text-mode file does, so invalid UTF-8 raises the same error after
-    the same lines.
+    When the file cannot be decoded, the lines read before the fault are
+    yielded before the error is raised.
     """
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    pieces: list[str] = []
+    lines: list[str] = []
     size = 0
     try:
-        while data := fh.read(_READ_BYTES):
-            piece = decode(data)
-            pieces.append(piece)
-            size += len(piece)
-            if size >= _BLOCK_CHARS and "\n" in piece:
-                text = "".join(pieces)
-                start = 0
-                while (end := text.find("\n", start + _BLOCK_CHARS - 1) + 1) > 0:
-                    yield text[start:end]
-                    start = end
-                pieces, size = [text[start:]], len(text) - start
-        pieces.append(decode(b"", True))
+        for line in fh:
+            lines.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                yield lines
+                lines, size = [], 0
     except UnicodeDecodeError:
-        # a text-mode file yields every line ended before the bad bytes; a
-        # final "\r" is held back in case "\n" follows
-        text = "".join(pieces)
-        yield text[: max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1]
+        yield lines
         raise
-    text = "".join(pieces)
-    end = text.rfind("\n") + 1
-    yield text[:end]
-    yield text[end:]
+    yield lines
 
 
-def _lines(block: str) -> list[str]:
-    """The lines of a block with their ends, split where a text file read
-    with newline="" splits them: after LF, CRLF and a lone CR."""
-    if any(c in block for c in _OTHER_LINE_BREAKS):
-        return io.StringIO(block, newline="").readlines()
-    return block.splitlines(keepends=True)  # the same lines, faster
-
-
-def _block_reader(block: str, blocks):
-    """A `csv.reader` over the lines of one text block, and the list of them.
+def _block_reader(lines: list[str], blocks):
+    """A `csv.reader` over one block of lines.
 
     A record still open at the end of the block reads on into the next
-    blocks, and their lines join the list; the records that start in the
-    block are read once `reader.line_num` reaches the length of the list.
+    blocks, and their lines join `lines`; the records that start in the
+    block are read once `reader.line_num` reaches the length of `lines`.
     """
-    lines = _lines(block)
 
     def more():
         for later in blocks:
-            added = _lines(later)
-            lines.extend(added)
-            yield from added
+            lines.extend(later)
+            yield from later
 
-    return csv.reader(itertools.chain(lines, more())), lines
+    return csv.reader(itertools.chain(lines, more()))
 
 
 def _clean_rows(block: str) -> int:
@@ -446,12 +414,12 @@ def _clean_rows(block: str) -> int:
     return len(kinds)
 
 
-def _read_header(blocks) -> tuple[int, str]:
+def _read_header(blocks) -> tuple[int, list[str]]:
     """Read the rows up to the header and check it; return its row number and
-    the rest of the text block it ends in."""
+    the lines after it in the block it ends in."""
     lineno = 0
-    for block in blocks:
-        reader, lines = _block_reader(block, blocks)
+    for lines in blocks:
+        reader = _block_reader(lines, blocks)
         while reader.line_num < len(lines):
             row = next(reader)
             lineno += 1
@@ -460,7 +428,7 @@ def _read_header(blocks) -> tuple[int, str]:
                     raise ParseError(
                         f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
                     )
-                return lineno, "".join(lines[reader.line_num :])
+                return lineno, lines[reader.line_num :]
     raise TradeDataError("no records: file is empty")
 
 
@@ -468,19 +436,20 @@ def _data_chunks(fh):
     """Check the header, then yield (cells, lines) for runs of data rows.
 
     `cells` holds the 5 cells of a run of data rows back to back and `lines`
-    their 1-based row numbers. A clean block (see `_clean_rows`) is one run,
-    split with `str.split`. Every other block is read by `csv.reader` in
-    runs of up to `_CHUNK_ROWS` rows, as are the header and the rows before
-    it. Blank and comment rows are skipped. A row with the wrong column
-    count, or a row the reader cannot read, ends the run early: the rows
-    before it are yielded, and so checked, before its own error is raised.
+    their 1-based row numbers. Each text block gives one run: a clean block
+    (see `_clean_rows`) is split with `str.split`, every other block is read
+    by `csv.reader`, as are the header and the rows before it. Blank and
+    comment rows are skipped. A row with the wrong column count, or a row
+    the reader cannot read, ends the run early: the rows before it are
+    yielded, and so checked, before its own error is raised.
     """
     blocks = _text_blocks(fh)
     lineno, rest = _read_header(blocks)
     cells: list[str] = []
     lines: list[int] = []
     try:
-        for block in filter(None, itertools.chain((rest,), blocks)):  # empty text has no rows
+        for block_lines in filter(None, itertools.chain((rest,), blocks)):  # no lines, no rows
+            block = "".join(block_lines)
             n = _clean_rows(block)
             if n:
                 block_cells = block.replace("\r\n", "\n").replace("\n", ",").split(",")
@@ -488,25 +457,21 @@ def _data_chunks(fh):
                 yield block_cells, np.arange(lineno + 1, lineno + n + 1)
                 lineno += n
                 continue
-            reader, block_lines = _block_reader(block, blocks)
+            reader = _block_reader(block_lines, blocks)
             while reader.line_num < len(block_lines):
                 row = next(reader)
                 lineno += 1
                 if len(row) == 5 and not row[0].lstrip().startswith("#"):
                     cells += row
                     lines.append(lineno)
-                    if len(lines) == _CHUNK_ROWS:
-                        yield cells, lines
-                        cells, lines = [], []
                 elif row and not row[0].lstrip().startswith("#"):
                     _check_row(row, lineno)  # raises: the column count is wrong
-            if lines:
-                yield cells, lines
-                cells, lines = [], []
+            yield cells, lines
+            cells, lines = [], []
     except (ParseError, csv.Error, UnicodeDecodeError):
         yield cells, lines  # a fault in an earlier row is reported first
         raise
-    yield cells, lines
+    yield [], []  # so that a file with no data rows still has a run
 
 
 class _Distinct(dict):
@@ -573,7 +538,7 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
     country_ids: dict[str, int] = {}
     products = _Distinct(lambda raw: _code_id(product_ids, raw))
     countries = _Distinct(lambda raw: _code_id(country_ids, raw))
-    with open(path, "rb") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         chunks = [
             _convert_chunk(cells, lines, years, products, countries)
             for cells, lines in _data_chunks(fh)

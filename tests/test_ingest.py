@@ -261,14 +261,12 @@ class TestAgainstReference:
     @given(
         text=trade_csv(),
         registry=registries,
-        chunk=st.sampled_from((1, 2, 3, 5, 65536)),
         block=st.sampled_from((1, 2, 7, 20, 48, 100, 1 << 20)),
     )
-    def test_same_tensor_or_same_error(self, csv_path, text, registry, chunk, block):
+    def test_same_tensor_or_same_error(self, csv_path, text, registry, block):
         csv_path.write_text(text, encoding="utf-8")
         expected, expected_log = load_logged(load_money_tensor_reference, csv_path, registry)
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk), \
-                mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
             actual, actual_log = load_logged(w.load_money_tensor, csv_path, registry)
         if isinstance(expected, Exception):
             assert type(actual) is type(expected)
@@ -280,14 +278,19 @@ class TestAgainstReference:
     @pytest.mark.parametrize("offset", [-1, 0])
     @pytest.mark.parametrize("fault", ["2016,01,AA,BB,-5", "2016,01,AA"])
     def test_fault_at_first_chunk_boundary(self, tmp_path, offset, fault):
-        """The faulty row ends the first text block, or starts the second."""
+        """`_data_chunks` yields one chunk per text block. The first block
+        ends `offset` rows after the faulty row: the fault ends the first
+        chunk (0) or starts the second (-1)."""
         good = "2016,01,AA,BB,5\n"
-        n_good = 100 + offset
-        path = write(tmp_path, HEADER + good * n_good + fault + "\n" + good * 3)
-        block = len(HEADER) + 100 * len(good)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block), pytest.raises(ParseError) as err:
-            w.load_money_tensor(path, 2016)
-        assert err.value.line == n_good + 2
+        text = HEADER + good * 100 + fault + "\n" + good * 3
+        path = write(tmp_path, text)
+        first = "".join(text.splitlines(keepends=True)[: 102 + offset])
+        with mock.patch.object(ingest, "_BLOCK_CHARS", len(first)):
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert "".join(next(ingest._text_blocks(fh))) == first
+            with pytest.raises(ParseError) as err:
+                w.load_money_tensor(path, 2016)
+        assert err.value.line == 102
         with pytest.raises(ParseError) as ref:
             load_money_tensor_reference(path, 2016)
         assert str(err.value) == str(ref.value)
@@ -365,9 +368,9 @@ class TestFastPath:
         blocks = []
         block_reader = ingest._block_reader
 
-        def recording(block, later_blocks):
-            blocks.append(block)
-            return block_reader(block, later_blocks)
+        def recording(lines, later_blocks):
+            blocks.append("".join(lines))
+            return block_reader(lines, later_blocks)
 
         with mock.patch.object(ingest, "_block_reader", recording):
             tensor = w.load_money_tensor(path, year)
