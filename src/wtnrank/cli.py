@@ -22,6 +22,8 @@ log = logging.getLogger("wtnrank")
 
 _GRAPH_SUFFIX = {"dot": "dot", "edge-csv": "csv"}  # network file format -> file suffix
 _GRAPH_FORMATS = (*_GRAPH_SUFFIX, "both")
+# methods that shock one exporter-product node, described by a sensitivity.ShockSpec
+_NODE_SHOCK_METHODS = {sensitivity.METHOD_REDUCED, sensitivity.METHOD_IMPORT_EXPORT}
 _REPORT_FILES = {
     sensitivity.METHOD_REDUCED: "sensitivity_regomax.csv",
     sensitivity.METHOD_IMPORT_EXPORT: "sensitivity_import_export.csv",
@@ -69,8 +71,6 @@ class RunConfig:
             raise ValueError("max_iter must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.delta == 0.0:
-            raise ValueError("delta must be nonzero")
         if self.fmt not in _GRAPH_FORMATS:
             raise ValueError(f"format must be one of {', '.join(_GRAPH_FORMATS)}: {self.fmt!r}")
         if not self.methods:
@@ -78,6 +78,12 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in _REPORT_FILES]
         if unknown:
             raise ValueError(f"unknown sensitivity method(s): {', '.join(map(repr, unknown))}")
+        # a node shock takes delta in (0, 1), as ShockSpec; global-price in (-1, 1)
+        low = 0.0 if _NODE_SHOCK_METHODS & set(self.methods) else -1.0
+        if self.delta == 0.0:
+            raise ValueError("delta must be nonzero")
+        if not low < self.delta < 1.0:
+            raise ValueError(f"delta must be in ({low:g}, 1)")
 
 
 _HELP = {
@@ -92,7 +98,7 @@ _HELP = {
     "source_product": "product of the source node",
     "products": "comma-separated product codes for the selection, or 'all' "
     "(default: the source product if given, else all)",
-    "delta": "price increment",
+    "delta": "price increment in (0, 1); in (-1, 1) if methods is only global-price",
     "k": "partners per country",
     "methods": f"comma list of {', '.join(_REPORT_FILES)}",
     "global_product": "product shocked by global-price (default: the source product)",
@@ -270,15 +276,17 @@ def cmd_reduce(cfg: RunConfig) -> int:
             result.complement_blocks, result.weights,
         )
         components = {
-            "reduced_full": result.reduced,
-            "direct_links": result.direct_part,
-            "projector": result.projector_part,
-            "indirect": result.indirect_part,
-            "indirect_diag": result.indirect_diag,
-            "indirect_offdiag": result.indirect_offdiag,
+            "reduced_full": "reduced",
+            "direct_links": "direct_part",
+            "projector": "projector_part",
+            "indirect": "indirect_part",
+            "indirect_diag": "indirect_diag",
+            "indirect_offdiag": "indirect_offdiag",
         }
-        for name, m in components.items():
-            regomax.write_reduced_csv(cfg.out_dir / f"{tag}_{name}.csv", m, labels)
+        for name, attr in components.items():
+            # read as it is written: each derived component is a new n x n array
+            path = cfg.out_dir / f"{tag}_{name}.csv"
+            regomax.write_reduced_csv(path, getattr(result, attr), labels)
         regomax.write_diagnostics(cfg.out_dir / f"{tag}_diagnostics.txt", result)
     return 0
 
@@ -286,9 +294,8 @@ def cmd_reduce(cfg: RunConfig) -> int:
 def cmd_sensitivity(cfg: RunConfig) -> int:
     tensor = _load_tensor(cfg)
     out = _out_dir(cfg)
-    needs_spec = {sensitivity.METHOD_REDUCED, sensitivity.METHOD_IMPORT_EXPORT} & set(cfg.methods)
     spec = None
-    if needs_spec:
+    if _NODE_SHOCK_METHODS & set(cfg.methods):
         if not cfg.group or cfg.source_country is None or cfg.source_product is None:
             raise TradeDataError(
                 "--group, --source-country and --source-product are required"

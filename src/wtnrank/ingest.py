@@ -47,7 +47,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ParseError, TradeDataError
-from .ranking import RankIndex, order_indices
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +107,6 @@ class Registry:
 
     def node_id(self, country: str, product: str) -> int:
         return self.country_index(country) * self.n_products + self.product_index(product)
-
-    def node_of(self, country_idx: int, product_idx: int) -> int:
-        return country_idx * self.n_products + product_idx
 
     def country_of(self, node: int) -> str:
         return self.countries[node // self.n_products]
@@ -278,7 +274,7 @@ class VolumeTable:
 
 @dataclass(frozen=True)
 class VolumeRankTable:
-    """Probabilities and orderings derived from raw trade volumes.
+    """Probabilities derived from raw trade volumes.
 
     Node-level probabilities normalize the per-(country, product) volumes by
     the grand total, so both vectors sum to one.
@@ -291,12 +287,6 @@ class VolumeRankTable:
     country_export: np.ndarray
     product_import: np.ndarray
     product_export: np.ndarray
-    import_order: RankIndex
-    export_order: RankIndex
-    country_import_order: RankIndex
-    country_export_order: RankIndex
-    product_import_order: RankIndex
-    product_export_order: RankIndex
 
 
 def load_registry(path) -> Registry:
@@ -636,28 +626,16 @@ def volumes(tensor: MoneyTensor) -> VolumeTable:
 
 
 def volume_ranks(vol: VolumeTable) -> VolumeRankTable:
-    """Normalized volume probabilities with all rank orderings populated."""
+    """Normalized volume probabilities per node, per country and per product."""
     total = vol.total
     if total <= 0:
         raise ValueError("total trade volume is zero")
-    import_prob = (vol.import_vol / total).ravel()
-    export_prob = (vol.export_vol / total).ravel()
-    country_import = vol.country_import / total
-    country_export = vol.country_export / total
-    product_import = vol.product_import / total
-    product_export = vol.product_export / total
     return VolumeRankTable(
         registry=vol.registry,
-        import_prob=import_prob,
-        export_prob=export_prob,
-        country_import=country_import,
-        country_export=country_export,
-        product_import=product_import,
-        product_export=product_export,
-        import_order=order_indices(import_prob),
-        export_order=order_indices(export_prob),
-        country_import_order=order_indices(country_import),
-        country_export_order=order_indices(country_export),
-        product_import_order=order_indices(product_import),
-        product_export_order=order_indices(product_export),
+        import_prob=(vol.import_vol / total).ravel(),
+        export_prob=(vol.export_vol / total).ravel(),
+        country_import=vol.country_import / total,
+        country_export=vol.country_export / total,
+        product_import=vol.product_import / total,
+        product_export=vol.product_export / total,
     )

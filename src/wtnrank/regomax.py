@@ -24,7 +24,8 @@ The resolvent is split through the leading eigenpair of G_ss: with
 right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
 eigenvalue lam, the projector P = psi_r psi_l^T gives the rank-one component
 G_rs psi_r psi_l^T G_sr / (1 - lam), and the deflated rest G_rs (1 - P) X the
-indirect-pathway component. All reduced matrices are stored dense.
+indirect-pathway component. Only the reduced matrix and the indirect part
+are stored dense; the other components are built from factors when read.
 """
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 _NEGATIVE_WARN = -1e-12
 _COLUMN_BLOCK = 256  # selected columns solved at a time; bounds the dense work arrays
-# bytes allowed for the six dense n x n float64 matrices of one ReducedSet
-# (2 GiB: n up to about 6 690); larger selections are refused up front
+# bytes allowed for six dense n x n float64 matrices, the reduced matrix and its five
+# components (2 GiB: n up to about 6 690): `reduce` holds the direct, projector and
+# indirect parts and their sum at once. Larger selections are refused up front
 DENSE_CAP_BYTES = 2 * 1024**3
 
 
@@ -109,6 +111,12 @@ class Selection:
 class ReducedSet:
     """Reduced matrix, its components, and solver diagnostics.
 
+    Only `reduced` and `indirect_part` are stored dense. Each read of
+    `direct_part` (from the sparse block `direct_block` = G_rr),
+    `projector_part` (the outer product of `projector_column` = G_rs psi_r and
+    `projector_row` = psi_l^T G_sr, over 1 - lam), `indirect_diag` or
+    `indirect_offdiag` builds a new dense n x n array.
+
     `reduced == direct_part + projector_part + indirect_part` holds by
     construction up to the clamping of tiny negative rounding residue;
     `indirect_part == indirect_diag + indirect_offdiag` is exact.
@@ -119,16 +127,31 @@ class ReducedSet:
 
     selection: Selection
     reduced: np.ndarray
-    direct_part: np.ndarray
-    projector_part: np.ndarray
     indirect_part: np.ndarray
-    indirect_diag: np.ndarray
-    indirect_offdiag: np.ndarray
+    direct_block: GoogleMatrix
+    projector_column: np.ndarray
+    projector_row: np.ndarray
     complement_eigenvalue: float
-    complement_right: np.ndarray
-    complement_left: np.ndarray
     solve_residual: float
     complement_blocks: int
+
+    @property
+    def direct_part(self) -> np.ndarray:
+        return self.direct_block.to_dense()
+
+    @property
+    def projector_part(self) -> np.ndarray:
+        lam = self.complement_eigenvalue
+        # the expression `reduce` sums, so the bytes match
+        return np.outer(self.projector_column, self.projector_row) / (1.0 - lam)
+
+    @property
+    def indirect_diag(self) -> np.ndarray:
+        return split_diagonal(self.indirect_part)[0]
+
+    @property
+    def indirect_offdiag(self) -> np.ndarray:
+        return split_diagonal(self.indirect_part)[1]
 
     @property
     def weights(self) -> dict[str, float]:
@@ -144,7 +167,8 @@ class ReducedSet:
     def projector_column_distance(self) -> float:
         """Max L1 distance between normalized projector columns and the
         reduced matrix's own stationary vector (closeness diagnostic)."""
-        sums = self.projector_part.sum(axis=0)
+        projector = self.projector_part
+        sums = projector.sum(axis=0)
         live = sums > 0
         if not np.any(live):
             return 0.0
@@ -152,7 +176,7 @@ class ReducedSet:
             stationary = pagerank(self.reduced, tol=1e-10, max_iter=50000).probabilities
         except ConvergenceError:
             return float("nan")
-        cols = self.projector_part[:, live] / sums[live]
+        cols = projector[:, live] / sums[live]
         return float(np.abs(cols - stationary[:, None]).sum(axis=0).max())
 
 
@@ -224,18 +248,15 @@ def _leading_pair(block: GoogleMatrix):
 
 def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     order = np.asarray(sel.node_ids)
-    dense = matrix.block(order, order).to_dense()
+    block = matrix.block(order, order)
     return ReducedSet(
         selection=sel,
-        reduced=dense,
-        direct_part=dense.copy(),
-        projector_part=np.zeros_like(dense),
-        indirect_part=np.zeros_like(dense),
-        indirect_diag=np.zeros_like(dense),
-        indirect_offdiag=np.zeros_like(dense),
+        reduced=block.to_dense(),
+        indirect_part=np.zeros(block.shape),
+        direct_block=block,
+        projector_column=np.zeros(sel.n_selected),
+        projector_row=np.zeros(sel.n_selected),
         complement_eigenvalue=0.0,
-        complement_right=np.empty(0),
-        complement_left=np.empty(0),
         solve_residual=0.0,
         complement_blocks=0,
     )
@@ -298,7 +319,8 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         sel: ordered node selection (its order is the reduced index order).
 
     The trivial all-nodes selection returns the dense matrix itself with
-    zero projector/indirect parts. A selection whose six dense n x n results
+    zero projector/indirect parts. A selection whose six dense n x n matrices
+    (`reduced` and its five components; two are stored, see `ReducedSet`)
     would exceed `DENSE_CAP_BYTES` raises ValueError before any allocation.
     """
     if matrix.size != sel.total:
@@ -332,7 +354,6 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     w = np.linalg.solve(capacitance, w_rhs)
     w_res = capacitance @ w - w_rhs
     u = b_ss.u
-    projector_part = np.outer(b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)) / (1.0 - lam)
     indirect_part = np.empty((n, n))
     residual = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
@@ -349,31 +370,28 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         x -= np.outer(psi_r, psi_l @ x)
         indirect_part[:, cols] = b_rs.matvec(x)
 
-    direct_part = matrix.block(r, r).to_dense()
-    reduced = direct_part + projector_part + indirect_part
+    direct_block = matrix.block(r, r)
+    projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
+    projector_part = np.outer(projector_column, projector_row) / (1.0 - lam)
+    reduced = direct_block.to_dense() + projector_part + indirect_part
 
     worst = float(reduced.min())
     if worst < _NEGATIVE_WARN:
         log.warning("reduced matrix has negative entries down to %.3e", worst)
     negative_cols = np.unique(np.nonzero(reduced < 0)[1])
     if negative_cols.size:
-        reduced = reduced.copy()
         np.clip(reduced, 0.0, None, out=reduced)
         reduced[:, negative_cols] /= reduced[:, negative_cols].sum(axis=0)
         log.info("clamped tiny negatives in %d column(s)", negative_cols.size)
 
-    diag, offdiag = split_diagonal(indirect_part)
     return ReducedSet(
         selection=sel,
         reduced=reduced,
-        direct_part=direct_part,
-        projector_part=projector_part,
         indirect_part=indirect_part,
-        indirect_diag=diag,
-        indirect_offdiag=offdiag,
+        direct_block=direct_block,
+        projector_column=projector_column,
+        projector_row=projector_row,
         complement_eigenvalue=lam,
-        complement_right=psi_r,
-        complement_left=psi_l,
         solve_residual=residual,
         complement_blocks=blocks,
     )

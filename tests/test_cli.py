@@ -45,6 +45,14 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_negative_delta_accepted_for_global_price_alone(self, tmp_path):
+        rc = run(
+            "sensitivity", *SHOCK, "--methods", "global-price", "--delta", "-0.5",
+            "--out-dir", tmp_path,
+        )
+        assert rc == 0
+        assert (tmp_path / "sensitivity_global_price.csv").exists()
+
     def test_bad_alpha_rejected(self, tmp_path):
         rc = run("rank", "--input", FIXTURE, "--alpha", "1.5", "--out-dir", tmp_path)
         assert rc == 2
@@ -67,9 +75,18 @@ class TestExitCodes:
         (("network", *SHOCK, "--k", 1), "fmt = xml", "'xml'"),
         (("sensitivity", *SHOCK, "--methods", ""), "", "methods must name at least one"),
         (("sensitivity", *SHOCK), "methods =", "methods must name at least one"),
+        (("sensitivity", *SHOCK, "--delta", "1.5"), "", "delta must be in (0, 1)"),
+        (("sensitivity", *SHOCK), "delta = 1.5", "delta must be in (0, 1)"),
+        (("sensitivity", *SHOCK, "--methods", "regomax", "--delta", "-0.5"), "",
+         "delta must be in (0, 1)"),
+        (("sensitivity", *SHOCK, "--methods", "global-price", "--delta", "-1.5"), "",
+         "delta must be in (-1, 1)"),
+        (("sensitivity", *SHOCK, "--methods", "global-price"), "delta = 1",
+         "delta must be in (-1, 1)"),
     ], ids=[
         "methods-flag", "methods-config", "format-flag", "format-config",
-        "empty-methods-flag", "empty-methods-config",
+        "empty-methods-flag", "empty-methods-config", "delta-flag", "delta-config",
+        "negative-delta-regomax", "delta-global-price-flag", "delta-global-price-config",
     ])
     def test_bad_choice_exits_2_before_any_work(
         self, tmp_path, caplog, monkeypatch, argv, config, bad

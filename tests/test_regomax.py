@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -131,6 +133,22 @@ class TestDecomposition:
         assert np.abs(recomposed - r.reduced).max() < 1e-10
         assert np.abs(r.reduced.sum(axis=0) - 1.0).max() < 1e-10
         assert r.reduced.min() >= -1e-12
+
+    @pytest.mark.parametrize("general", [True, False], ids=["general", "all-nodes"])
+    def test_stores_two_dense_matrices_and_derives_the_rest(self, general):
+        g, _ = pair_for(2, 8, 4, 0.4)
+        sel = spread_selection(g.size, 10 if general else g.size)
+        r = w.reduce(g, sel)
+        n = sel.n_selected
+        stored = [getattr(r, f.name) for f in dataclasses.fields(r)]
+        dense = [v for v in stored if isinstance(v, np.ndarray) and v.shape == (n, n)]
+        assert len(dense) == 2
+        assert dense[0] is r.reduced and dense[1] is r.indirect_part
+        rows = np.asarray(sel.node_ids)
+        np.testing.assert_array_equal(r.direct_part, g.block(rows, rows).to_dense())
+        rank_one = np.outer(r.projector_column, r.projector_row) / (1.0 - r.complement_eigenvalue)
+        np.testing.assert_array_equal(r.projector_part, rank_one)
+        assert general == bool(r.projector_part.any())
 
     def test_split_exact(self):
         g, _ = pair_for(2, 8, 4, 0.4)
