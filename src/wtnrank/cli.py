@@ -288,6 +288,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
             path = cfg.out_dir / f"{tag}_{name}.csv"
             regomax.write_reduced_csv(path, getattr(result, attr), labels)
         regomax.write_diagnostics(cfg.out_dir / f"{tag}_diagnostics.txt", result)
+        del result  # before the next direction's reduction runs
     return 0
 
 
@@ -331,6 +332,7 @@ def cmd_network(cfg: RunConfig) -> int:
     formats = tuple(_GRAPH_SUFFIX) if cfg.fmt == "both" else (cfg.fmt,)
     for tag, labels, result in _reductions(cfg, k=cfg.k):
         edges = netexport.top_links(result.reduced, labels, cfg.k, view=tag)
+        del result  # before the next direction's reduction runs
         for fmt in formats:
             path = cfg.out_dir / f"network_{tag}.{_GRAPH_SUFFIX[fmt]}"
             netexport.serialize_graph(edges, fmt, path)

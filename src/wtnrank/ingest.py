@@ -9,21 +9,26 @@ Input CSV format (UTF-8, comment lines start with '#'):
 stripped of surrounding whitespace. Duplicate (product, importer, exporter)
 rows are summed; self-trade rows are dropped with a warning.
 
-The loader reads the file as text and gathers its lines in blocks of about
-`_BLOCK_CHARS` characters. A clean block holds no quote, `#` or NUL, and no
-carriage return but in a CRLF line end; each of its lines is 4 commas then
-a newline, with no field longer than `csv.field_size_limit()`. `csv.reader`
-would read it as plain comma splits, so it is split with `str.split` at C
-speed. Every other block, and the header with the comments before it, goes
-through `csv.reader`, and a quoted record still open at a block's end reads
-on into the next block. Either way the cells of a block's rows go into one
-flat list that is validated and converted column by column. Each distinct
-year or code string is checked once, values are converted in bulk, and only
-integer ids and float values are kept, so the memory taken by the text is
-bounded by the block, not the file. Every row of the file is validated,
-whatever its year; when a block holds a fault, the per-row rules run over
-its rows alone and report the first fault in row and field order, with its
-1-based row number, exactly as a row-by-row `csv.reader` loop would.
+The loader reads the file as text in blocks of about `_BLOCK_CHARS`
+characters, each read whole and ended at a line end. A clean block holds no
+quote, `#` or NUL, and no carriage return but in a CRLF line end; each of
+its lines is 4 commas then a newline, with no field longer than
+`csv.field_size_limit()`. `csv.reader` would read it as plain comma splits,
+so it is read from its UTF-8 bytes and the separator positions: a year
+column of one repeated cell is looked up once, a code column whose every
+cell is 2 printable ASCII bytes maps through a table of their 16-bit
+values, and only the value column, and any column that fails these tests,
+becomes `str` cells. Every other block, and the header with the comments
+before it, goes through `csv.reader`, and a quoted record still open at a
+block's end reads on into the next block; the cells of its rows go into one
+flat list. Each distinct year or code string is checked once, values are
+converted in bulk, and only integer ids and float values are kept, so the
+memory taken by the text is bounded by the block, not the file. Every row
+of the file is validated, whatever its year; when a block holds a fault,
+the per-row rules run over its rows alone and report the first fault in
+row and field order, with its 1-based row number, exactly as a row-by-row
+`csv.reader` loop would. Invalid UTF-8 fails after the same rows, with the
+same error, as it does in that loop.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -37,6 +42,7 @@ An optional registry file fixes the index order of countries and products:
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import string
@@ -51,7 +57,8 @@ from .errors import ParseError, TradeDataError
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("year", "product", "exporter", "importer", "value_usd")
-_BLOCK_CHARS = 1 << 20  # text tested for the split fast path at a time
+_BLOCK_CHARS = 1 << 20  # text tested for the byte fast path at a time
+_DECODE_AHEAD = 8192  # the bytes a text file decodes at a time when read by lines
 
 
 @dataclass(frozen=True)
@@ -343,73 +350,183 @@ def _check_row(row: list[str], lineno: int) -> None:
         raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
 
 
+def _next_block(fh) -> str:
+    """Read text up to the end of the first line that brings it to
+    `_BLOCK_CHARS` characters or more."""
+    text = fh.read(_BLOCK_CHARS)
+    if len(text) < _BLOCK_CHARS or text.endswith("\n"):
+        return text
+    if text.endswith("\r"):  # the line ends here unless "\n" follows
+        mark = fh.tell()
+        if fh.read(1) == "\n":
+            return text + "\n"
+        fh.seek(mark)
+        return text
+    return text + fh.readline()
+
+
+def _replay(path, done: int):
+    """Read `path` line by line from the start, as a row-by-row `csv.reader`
+    loop over the text file does; yield the lines after the first `done`
+    characters that decode before the fault, then raise its error."""
+    rest: list[str] = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            for line in fh:
+                if done > 0:
+                    done -= len(line)
+                else:
+                    rest.append(line)
+        except UnicodeDecodeError:
+            yield "".join(rest)
+            raise
+
+
 def _text_blocks(fh):
-    """Yield the lines of the text file `fh` in lists, each ended by the first
-    line that brings it to `_BLOCK_CHARS` characters or more.
+    """Yield the text of the file `fh` in blocks, each ended by the first line
+    that brings it to `_BLOCK_CHARS` characters or more.
 
-    When the file cannot be decoded, the lines read before the fault are
-    yielded before the error is raised.
+    Invalid UTF-8 must fail after the same rows as in a loop that reads the
+    file line by line. Such a loop decodes `_DECODE_AHEAD` bytes at a time,
+    so it gets every line that ends before the chunk holding the fault; a
+    block is yielded only once `_DECODE_AHEAD` more characters have decoded
+    after it. A read that meets the fault loses all the text it decoded, so
+    the file is then read again line by line, and the lines that loop gets
+    before the fault, past the blocks yielded, are yielded before the error
+    is raised.
     """
-    lines: list[str] = []
-    size = 0
+    ahead: list[str] = []  # blocks read, not yet yielded
+    ahead_chars = done = 0
     try:
-        for line in fh:
-            lines.append(line)
-            size += len(line)
-            if size >= _BLOCK_CHARS:
-                yield lines
-                lines, size = [], 0
+        while block := _next_block(fh):
+            ahead.append(block)
+            ahead_chars += len(block)
+            while ahead_chars - len(ahead[0]) >= _DECODE_AHEAD:
+                block = ahead.pop(0)
+                ahead_chars -= len(block)
+                done += len(block)
+                yield block
     except UnicodeDecodeError:
-        yield lines
+        yield from _replay(fh.name, done)
         raise
-    yield lines
+    yield from ahead
 
 
-def _block_reader(lines: list[str], blocks):
-    """A `csv.reader` over one block of lines.
+def _lines(block: str) -> list[str]:
+    """The lines of a block, ended as the text file ends them."""
+    return io.StringIO(block, newline="").readlines()
+
+
+def _block_reader(block: str, blocks):
+    """A `csv.reader` over one block, and the list of the block's lines.
 
     A record still open at the end of the block reads on into the next
-    blocks, and their lines join `lines`; the records that start in the
-    block are read once `reader.line_num` reaches the length of `lines`.
+    blocks, and their lines join the list; the records that start in the
+    block are read once `reader.line_num` reaches the length of the list.
     """
+    lines = _lines(block)
 
     def more():
         for later in blocks:
+            later = _lines(later)
             lines.extend(later)
             yield from later
 
-    return csv.reader(itertools.chain(lines, more()))
+    return csv.reader(itertools.chain(lines, more())), lines
 
 
-def _clean_rows(block: str) -> int:
-    """Row count of a block that `str.split` reads as `csv.reader` does, else 0.
+class _CleanBlock:
+    """The data rows of a clean block, read from its UTF-8 bytes `raw`.
+
+    `end[r, c]` is the position of the separator after field c of row r and
+    `start[r, c]` that of its first byte. Only the columns that fail a byte
+    test are decoded to `str` cells.
+    """
+
+    def __init__(self, block: str, raw: np.ndarray, seps: np.ndarray):
+        self.block = block
+        self.raw = raw
+        self.end = seps
+        self.start = np.empty_like(seps)
+        self.start[0, 0] = 0
+        self.start[1:, 0] = seps[:-1, 4] + 1
+        self.start[:, 1:] = seps[:, :4] + 1
+
+    def __len__(self) -> int:
+        return len(self.end)
+
+    def cells(self) -> list[str]:
+        """The 5 cells of every row, back to back; a CRLF leaves "\\r" on the
+        last cell, which the row rules strip."""
+        return self.block.replace("\n", ",").split(",")[:-1]
+
+    def column(self, c: int) -> list[str]:
+        """The cells of column c."""
+        # mark each field of the column and the separator after it
+        edge = np.zeros(self.raw.size + 1, bool)
+        edge[self.start[:, c]] = edge[self.end[:, c] + 1] = True
+        picked = self.raw[np.logical_xor.accumulate(edge[:-1])]
+        picked[picked == ord(",")] = ord("\n")
+        return picked.tobytes().decode().split("\n")[:-1]
+
+    def same_year(self) -> str | None:
+        """The year cell when every row's has the same bytes, else None."""
+        start, end = self.start[:, 0], self.end[:, 0]
+        width = int(end[0] - start[0])
+        if (end - start != width).any():
+            return None
+        fields = self.raw[start[:, None] + np.arange(width)]
+        if (fields != fields[0]).any():
+            return None
+        return fields[0].tobytes().decode()
+
+    def code_keys(self, c: int) -> np.ndarray | None:
+        """The 16-bit value of each cell of column c when every cell is 2
+        printable ASCII bytes, else None. Such a cell is its own stripped
+        code: nothing in 0x21-0x7E is whitespace or part of a wider character."""
+        start = self.start[:, c]
+        if (self.end[:, c] - start != 2).any():
+            return None
+        hi, lo = self.raw[start], self.raw[start + 1]
+        if (hi - 0x21 > 0x7E - 0x21).any() or (lo - 0x21 > 0x7E - 0x21).any():  # uint8 wraps
+            return None
+        return hi.astype(np.intp) << 8 | lo
+
+
+def _clean_block(block: str) -> _CleanBlock | None:
+    """The rows of a block that `csv.reader` would read as plain comma
+    splits, else None.
 
     A clean block has no quote, comment or NUL, and no CR but in a CRLF line
     end; every line is 4 commas then a newline, so no line is blank or has
     another column count; no field is longer than the reader's field size
     limit.
     """
-    if '"' in block or "#" in block or "\0" in block or block.count("\r") != block.count("\r\n"):
-        return 0
+    if '"' in block or "#" in block or "\0" in block:
+        return None
+    if "\r" in block and block.count("\r") != block.count("\r\n"):
+        return None
     raw = np.frombuffer(block.encode(), np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if not seps.size or seps.size % 5 or seps[-1] != raw.size - 1:
-        return 0
-    kinds = raw[seps].reshape(-1, 5)
+        return None
+    seps = seps.reshape(-1, 5)
+    kinds = raw[seps]
     if (kinds[:, :4] != ord(",")).any() or (kinds[:, 4] != ord("\n")).any():
-        return 0
+        return None
+    clean = _CleanBlock(block, raw, seps)
     # UTF-8 bytes bound the characters of a field from above
-    if np.diff(seps, prepend=-1).max() - 1 > csv.field_size_limit():
-        return 0
-    return len(kinds)
+    if (clean.end - clean.start).max() > csv.field_size_limit():
+        return None
+    return clean
 
 
-def _read_header(blocks) -> tuple[int, list[str]]:
+def _read_header(blocks) -> tuple[int, str]:
     """Read the rows up to the header and check it; return its row number and
-    the lines after it in the block it ends in."""
+    the text after it in the block it ends in."""
     lineno = 0
-    for lines in blocks:
-        reader = _block_reader(lines, blocks)
+    for block in blocks:
+        reader, lines = _block_reader(block, blocks)
         while reader.line_num < len(lines):
             row = next(reader)
             lineno += 1
@@ -418,36 +535,33 @@ def _read_header(blocks) -> tuple[int, list[str]]:
                     raise ParseError(
                         f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
                     )
-                return lineno, lines[reader.line_num :]
+                return lineno, "".join(lines[reader.line_num :])
     raise TradeDataError("no records: file is empty")
 
 
 def _data_chunks(fh):
-    """Check the header, then yield (cells, lines) for runs of data rows.
+    """Check the header, then yield (rows, lines) for runs of data rows.
 
-    `cells` holds the 5 cells of a run of data rows back to back and `lines`
-    their 1-based row numbers. Each text block gives one run: a clean block
-    (see `_clean_rows`) is split with `str.split`, every other block is read
-    by `csv.reader`, as are the header and the rows before it. Blank and
-    comment rows are skipped. A row with the wrong column count, or a row
-    the reader cannot read, ends the run early: the rows before it are
-    yielded, and so checked, before its own error is raised.
+    `lines` holds the 1-based row numbers of a run. Each text block gives
+    one run: a clean block (see `_clean_block`) as its `_CleanBlock`; every
+    other block, like the header and the rows before it, is read by
+    `csv.reader`, and `rows` holds the 5 cells of its data rows back to
+    back. Blank and comment rows are skipped. A row with the wrong column
+    count, or a row the reader cannot read, ends the run early: the rows
+    before it are yielded, and so checked, before its own error is raised.
     """
     blocks = _text_blocks(fh)
     lineno, rest = _read_header(blocks)
     cells: list[str] = []
     lines: list[int] = []
     try:
-        for block_lines in filter(None, itertools.chain((rest,), blocks)):  # no lines, no rows
-            block = "".join(block_lines)
-            n = _clean_rows(block)
-            if n:
-                block_cells = block.replace("\r\n", "\n").replace("\n", ",").split(",")
-                block_cells.pop()  # after the final newline
-                yield block_cells, np.arange(lineno + 1, lineno + n + 1)
-                lineno += n
+        for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
+            clean = _clean_block(block)
+            if clean is not None:
+                yield clean, np.arange(lineno + 1, lineno + len(clean) + 1)
+                lineno += len(clean)
                 continue
-            reader = _block_reader(block_lines, blocks)
+            reader, block_lines = _block_reader(block, blocks)
             while reader.line_num < len(block_lines):
                 row = next(reader)
                 lineno += 1
@@ -476,33 +590,77 @@ class _Distinct(dict):
         return value
 
 
-def _code_id(ids: dict[str, int], raw: str) -> int:
-    """Id of the stripped 2-character code in `ids`, added in order of first sight."""
-    code = raw.strip()
-    if len(code) != 2:
-        raise ValueError(f"code {code!r} is not 2 characters")
-    return ids.setdefault(code, len(ids))
+class _Codes(_Distinct):
+    """Raw cell -> id of its stripped 2-character code in `ids`, where codes
+    take ids in order of first sight; `by_key` caches the id of each code
+    cell that is 2 printable ASCII bytes, by their 16-bit value."""
+
+    def __init__(self):
+        super().__init__(self._code_id)
+        self.ids: dict[str, int] = {}
+        self.by_key = np.full(1 << 16, -1, np.int64)
+
+    def _code_id(self, raw: str) -> int:
+        code = raw.strip()
+        if len(code) != 2:
+            raise ValueError(f"code {code!r} is not 2 characters")
+        return self.ids.setdefault(code, len(self.ids))
+
+    def of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Ids of the code cells with the 16-bit values `keys`."""
+        for key in np.unique(keys[self.by_key[keys] < 0]).tolist():
+            self.by_key[key] = self[chr(key >> 8) + chr(key & 0xFF)]
+        return self.by_key[keys]
 
 
-def _convert_chunk(cells, lines, years, products, countries):
+def _values(cells: list[str], m: int) -> np.ndarray:
+    """`float` of each stripped value cell, as the row rules read it.
+
+    `float` skips the whitespace that `str.strip` does, but for "\\x1c"-"\\x1f",
+    so the cells are stripped only when one fails without.
+    """
+    try:
+        return np.fromiter(map(float, cells), np.float64, m)
+    except ValueError:
+        return np.fromiter(map(float, map(str.strip, cells)), np.float64, m)
+
+
+def _convert_chunk(rows, lines, years, products, countries):
     """Validate one chunk column by column and keep the rows of the year.
 
-    Returns the count of self-trade rows dropped and the arrays (line,
-    product, importer, exporter, value) of the rows kept. On a fault the
-    per-row rules run over the chunk, so the error names its first fault.
+    `rows` is a `_CleanBlock` or the rows' cells back to back. In a clean
+    block, a year column of one repeated cell is looked up once and a code
+    column of printable 2-byte cells by key; only the other columns become
+    `str` cells. Returns the count of self-trade rows dropped and the arrays
+    (line, product, importer, exporter, value) of the rows kept. On a fault
+    the per-row rules run over the chunk, so the error names its first fault.
     """
     lines = np.asarray(lines, dtype=np.int64)
     m = lines.size
+    clean = isinstance(rows, _CleanBlock)
+    column = rows.column if clean else lambda c: rows[c::5]
+
+    def code_ids(c, codes):
+        keys = rows.code_keys(c) if clean else None
+        if keys is None:
+            return np.fromiter(map(codes.__getitem__, column(c)), np.int64, m)
+        return codes.of_keys(keys)
+
     try:
-        in_year = np.fromiter(map(years.__getitem__, cells[0::5]), bool, m)
-        p = np.fromiter(map(products.__getitem__, cells[1::5]), np.int64, m)
-        e = np.fromiter(map(countries.__getitem__, cells[2::5]), np.int64, m)
-        i = np.fromiter(map(countries.__getitem__, cells[3::5]), np.int64, m)
-        v = np.fromiter(map(float, cells[4::5]), np.float64, m)
+        year = rows.same_year() if clean else None
+        if year is None:
+            in_year = np.fromiter(map(years.__getitem__, column(0)), bool, m)
+        else:
+            in_year = np.full(m, years[year])
+        p = code_ids(1, products)
+        e = code_ids(2, countries)
+        i = code_ids(3, countries)
+        v = _values(column(4), m)
         valid = bool(np.all(np.isfinite(v) & (v >= 0)))
     except ValueError:
         valid = False
     if not valid:
+        cells = rows.cells() if clean else rows
         for k, lineno in enumerate(lines.tolist()):
             _check_row(cells[5 * k : 5 * k + 5], lineno)
         raise RuntimeError("chunk rejected, but no row in it breaks the row rules")
@@ -524,14 +682,12 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
     unknown codes are rejected.
     """
     years = _Distinct(lambda raw: int(raw.strip()) == year)
-    product_ids: dict[str, int] = {}
-    country_ids: dict[str, int] = {}
-    products = _Distinct(lambda raw: _code_id(product_ids, raw))
-    countries = _Distinct(lambda raw: _code_id(country_ids, raw))
+    products = _Codes()
+    countries = _Codes()
     with open(path, encoding="utf-8", newline="") as fh:
         chunks = [
-            _convert_chunk(cells, lines, years, products, countries)
-            for cells, lines in _data_chunks(fh)
+            _convert_chunk(rows, lines, years, products, countries)
+            for rows, lines in _data_chunks(fh)
         ]
     dropped_self = sum(dropped for dropped, _ in chunks)
     lines, p, i, e, values = map(np.concatenate, zip(*(kept for _, kept in chunks)))
@@ -542,8 +698,8 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
         raise TradeDataError(f"no records for year {year} in {path}")
 
     # p, i, e are ids in order of first sight; remap them to the registry order
-    product_codes = list(product_ids)
-    country_codes = list(country_ids)
+    product_codes = list(products.ids)
+    country_codes = list(countries.ids)
     if registry is None:
         used_p = np.zeros(len(product_codes), dtype=bool)
         used_p[p] = True

@@ -23,7 +23,7 @@ import numpy as np
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, Registry, volumes
 from .ranking import pagerank, trace
-from .regomax import ReducedSet, Selection, reduce
+from .regomax import Selection, reduce
 
 log = logging.getLogger(__name__)
 
@@ -139,7 +139,8 @@ def apply_inverted_shock(
 
 @dataclass(frozen=True)
 class ReducedTradePair:
-    """Baseline reduced direct/inverted matrices for a shock selection.
+    """Baseline reduced direct/inverted matrices for a shock selection, with
+    the complement eigenvalue and component weights of each reduction.
 
     Node order: group countries (in the order given in the shock spec) x all
     products (registry order), then the source node last.
@@ -148,16 +149,12 @@ class ReducedTradePair:
     registry: Registry
     spec: ShockSpec
     selection: Selection
-    direct_set: ReducedSet
-    inverted_set: ReducedSet
-
-    @property
-    def direct(self) -> np.ndarray:
-        return self.direct_set.reduced
-
-    @property
-    def inverted(self) -> np.ndarray:
-        return self.inverted_set.reduced
+    direct: np.ndarray
+    inverted: np.ndarray
+    complement_eigenvalue_direct: float
+    complement_eigenvalue_inverted: float
+    weights_direct: dict[str, float]
+    weights_inverted: dict[str, float]
 
     @property
     def source_pos(self) -> int:
@@ -186,13 +183,27 @@ def reduce_for_shock(
     source_node = reg.node_id(spec.source_country, spec.source_product)
     sel = Selection.for_countries(reg, spec.group, extra_nodes=(source_node,))
     direct, inverted = build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter)
+    # the rest of each ReducedSet is freed before the next reduction runs
+    r_direct, lam_direct, w_direct = _reduced_summary(direct, sel)
+    r_inverted, lam_inverted, w_inverted = _reduced_summary(inverted, sel)
     return ReducedTradePair(
         registry=reg,
         spec=spec,
         selection=sel,
-        direct_set=reduce(direct, sel),
-        inverted_set=reduce(inverted, sel),
+        direct=r_direct,
+        inverted=r_inverted,
+        complement_eigenvalue_direct=lam_direct,
+        complement_eigenvalue_inverted=lam_inverted,
+        weights_direct=w_direct,
+        weights_inverted=w_inverted,
     )
+
+
+def _reduced_summary(matrix, sel: Selection):
+    """The reduced matrix, complement eigenvalue and component weights of one
+    reduction."""
+    result = reduce(matrix, sel)
+    return result.reduced, result.complement_eigenvalue, result.weights
 
 
 def shock_pair(pair: ReducedTradePair, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,10 +262,10 @@ def reduced_balance_sensitivity(
     metadata = {
         "alpha": alpha,
         "pagerank_tol": tol,
-        "complement_eigenvalue_direct": pair.direct_set.complement_eigenvalue,
-        "complement_eigenvalue_inverted": pair.inverted_set.complement_eigenvalue,
-        "weights_direct": pair.direct_set.weights,
-        "weights_inverted": pair.inverted_set.weights,
+        "complement_eigenvalue_direct": pair.complement_eigenvalue_direct,
+        "complement_eigenvalue_inverted": pair.complement_eigenvalue_inverted,
+        "weights_direct": pair.weights_direct,
+        "weights_inverted": pair.weights_inverted,
         **extra,
     }
     return SensitivityReport(

@@ -1,4 +1,5 @@
 import csv
+import gc
 import logging
 
 import numpy as np
@@ -21,6 +22,11 @@ def two_country_tensor():
     reg = w.Registry(countries=("AA", "BB"), products=("01",))
     m = np.array([[0.0, 10.0], [30.0, 0.0]])
     return w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+
+
+def live_reduced_sets() -> int:
+    """Count of `ReducedSet` objects alive in the process."""
+    return sum(isinstance(o, w.ReducedSet) for o in gc.get_objects())
 
 
 def make_toy3(a=200.0, b=300.0, c=300.0, yx=0.0):

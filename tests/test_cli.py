@@ -13,6 +13,8 @@ import pytest
 import wtnrank as w
 from wtnrank.cli import main
 
+from conftest import live_reduced_sets
+
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
 GOLDEN_RANK = DATA / "golden_rank"
@@ -277,6 +279,22 @@ class TestReduce:
             run("reduce", "--help")
         help_text = capsys.readouterr().out
         assert "--max-terms" not in help_text and "--series-tol" not in help_text
+
+
+@pytest.mark.parametrize("command, extra", [("reduce", ()), ("network", ("--k", 2))])
+def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
+    """The import direction's `ReducedSet` is gone before the export
+    direction's reduction starts."""
+    reduce = w.regomax.reduce
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(live_reduced_sets())
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(w.regomax, "reduce", counting)
+    assert run(command, *SHOCK, *extra, "--out-dir", tmp_path) == 0
+    assert seen == [0, 0]
 
 
 class TestSensitivityCommand:

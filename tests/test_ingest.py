@@ -156,17 +156,18 @@ def load_logged(load, path, registry):
 
 COUNTRIES = ("AA", "BB", "CC")
 PRODUCTS = ("01", "02")
-PADS = ("", "", "", " ", "  ", "\t", "\u00a0")
+# "\x1c"-"\x1f" are whitespace to str.strip, but not to int or float
+PADS = ("", "", "", "", " ", "  ", "\t", "\u00a0", "\x1c", "\x1f")
 GOOD = {
-    "year": ("2016",) * 6 + ("2015", "+2016", " 2016"),
+    "year": ("2016",) * 6 + ("2015", "+2016", " 2016", "02016", "2_016", "\u0662\u0660\u0661\u0666"),
     "product": PRODUCTS,
-    "country": COUNTRIES,
-    "value": ("0", "-0", "1", "2.5", "1e3", "1_000", "0.1", "7"),
+    "country": COUNTRIES + ("A\u00c9",),  # 3 UTF-8 bytes
+    "value": ("0", "-0", "1", "2.5", "1e3", "1_000", "0.1", "7", "\u0661\u0662", "5\r"),
 }
 BAD = {
     "year": ("20x6", "", "2016.0"),
-    "product": ("1", "123", ""),
-    "country": ("A", "ABC", "", "A,B", "A\nB"),
+    "product": ("1", "123", "", "\u00c9"),
+    "country": ("A", "ABC", "", "A,B", "A\nB", "\u00c9"),  # "\u00c9": 2 bytes, 1 character
     "value": ("abc", "", "-5", "-1e-3", "nan", "inf", "-inf", "1e999"),
 }
 HEADERS = (
@@ -341,6 +342,29 @@ class TestAgainstReference:
         assert type(actual) is type(expected)
         assert str(actual) == str(expected)
 
+    def test_invalid_utf8_just_past_a_block(self, tmp_path):
+        """A block read decodes more bytes than the block holds, and not in
+        the 8192-byte chunks of a line-by-line read. An invalid byte just past
+        them can stop the line-by-line read inside the block; then the fault
+        in the block's last row is not reported, as in the reference."""
+        block = 16241
+        lines = [HEADER] + [f"2016,01,{'AÉ' if k % 7 else 'AA'},BB,{k}\n" for k in range(1500)]
+        size = last = 0
+        for last, line in enumerate(lines):  # `last`: the last row of the first block
+            size += len(line)
+            if size >= block:
+                break
+        lines[last] = "2016,01,AA,BB,abc\n"
+        data = "".join(lines).encode("utf-8")
+        end = len("".join(lines[: last + 1]).encode("utf-8"))
+        path = tmp_path / "trade.csv"
+        for bad_byte in range(end, end + 2 * 8192, 256):
+            path.write_bytes(data[:bad_byte] + b"\xff" + data[bad_byte:])
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+                actual, _ = load_logged(w.load_money_tensor, path, None)
+            expected, _ = load_logged(load_money_tensor_reference, path, None)
+            assert (type(actual), str(actual)) == (type(expected), str(expected)), bad_byte
+
     @pytest.mark.parametrize("extra", [0, 1])
     def test_field_size_limit_as_in_reference(self, tmp_path, extra):
         huge = "9" * (csv.field_size_limit() + extra)
@@ -360,7 +384,7 @@ class TestAgainstReference:
 
 
 class TestFastPath:
-    """Clean blocks are split with `str.split`; only other rows meet `csv.reader`."""
+    """Clean blocks are read from their bytes; only other rows meet `csv.reader`."""
 
     @staticmethod
     def load_recording_fallback(path, year):
@@ -389,6 +413,25 @@ class TestFastPath:
         assert back.same_trade(tensor)
         assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_written_tensor_decodes_only_the_value_column(self, tmp_path, eol):
+        """Every data block is clean; its year is looked up once and its codes
+        by key, so only its value cells become `str`."""
+        tensor = w.synth_tensor(2, 30, 5, 0.5)
+        path = tmp_path / "t.csv"
+        w.serialize_tensor(tensor, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
+                mock.patch.object(ingest, "_block_reader", wraps=ingest._block_reader) as reader, \
+                mock.patch.object(ingest, "_clean_block", wraps=ingest._clean_block) as clean, \
+                mock.patch.object(ingest._CleanBlock, "column", autospec=True,
+                                  side_effect=ingest._CleanBlock.column) as column:
+            back = w.load_money_tensor(path, tensor.year)
+        assert reader.call_count == 1  # the header's block
+        assert clean.call_count > 10
+        assert [c for (_, c), _ in column.call_args_list] == [4] * clean.call_count
+        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
     @pytest.mark.parametrize("text, fallback", [
         ("2016,01,AA,BB,5\n2016,02,BB,AA,7", ["2016,02,BB,AA,7"]),
         ("2016,01,AA,\u00a0BB,5\n2016,02,BB\u00a0,AA,7\n", []),
@@ -399,6 +442,32 @@ class TestFastPath:
             tensor, blocks = self.load_recording_fallback(path, 2016)
         assert blocks == [HEADER] + fallback
         assert_same_tensor(tensor, load_money_tensor_reference(path, 2016))
+
+    @pytest.mark.parametrize("text", [
+        "2016,01,A\u00c9,BB,5\n2016,02,BB,A\u00c9,7\n2016,02,BB,AA,7\n",
+        "2016,01,AA,BB,5\n2016,02,\u00c9,AA,7\n",
+        "2016,01,AA,BB,5\n2016,\u00c9,BB,AA,7\n",
+        "2016,01,\x1cAA,BB\x1f,5\n2016,\x1d02,BB,AA\x1e,7\x1c\n",
+        "2016,01,AA,BB,5\n2015,02,BB,AA,7\n02016,01,BB,AA,7\n2_016,02,AA,BB,1\n"
+        "\u0662\u0660\u0661\u0666,01,AA,BB,3\n",
+        "2016,01,AA,BB,\u0661\u0662\n2016,02,BB,AA,5\r\n",
+        "2016,01,AA,BB,5\n2016,02,BB,AA,\u0661x\n",
+    ], ids=[
+        "wide-code", "one-char-country", "one-char-product", "x1c-padding", "year-spellings",
+        "unicode-digit-and-cr-value", "bad-unicode-value",
+    ])
+    def test_byte_path_fallbacks_as_in_reference(self, tmp_path, text):
+        """Clean blocks whose columns fail the byte tests are read from
+        `str` cells, with the same result as the reference."""
+        path = write(tmp_path, HEADER + text)
+        with mock.patch.object(ingest, "_block_reader", wraps=ingest._block_reader) as reader:
+            actual, _ = load_logged(w.load_money_tensor, path, None)
+        expected, _ = load_logged(load_money_tensor_reference, path, None)
+        assert reader.call_count == 1  # the header's block; the rows are in a clean block
+        if isinstance(expected, Exception):
+            assert (type(actual), str(actual)) == (type(expected), str(expected))
+        else:
+            assert_same_tensor(actual, expected)
 
     @pytest.mark.parametrize("text", [
         "2016,01,AA,BB,5\r\n2016,02,BB,AA,7\r\n",

@@ -8,7 +8,12 @@ from wtnrank.sensitivity import (
     write_report,
 )
 
-from conftest import brute_force_derivative, build_shock_matrices, make_toy3
+from conftest import (
+    brute_force_derivative,
+    build_shock_matrices,
+    live_reduced_sets,
+    make_toy3,
+)
 
 
 class TestBalance:
@@ -152,6 +157,33 @@ class TestBuildShockMatrices:
 
 
 class TestReducedSensitivity:
+    def test_no_reduced_set_alive_in_the_difference_loop(self, toy3, monkeypatch):
+        """Each reduction's `ReducedSet` is freed before the next reduction
+        runs, and only its reduced matrix, eigenvalue and weights are kept
+        for the shocked PageRank solves."""
+        spec = w.ShockSpec("AA", "00", ("XX",))
+        counts = {"reduce": [], "pagerank": []}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name].append(live_reduced_sets())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(w.sensitivity, name, counting(name, getattr(w.sensitivity, name)))
+        report = w.reduced_balance_sensitivity(toy3, spec)
+        assert counts["reduce"] == [0, 0]
+        assert len(counts["pagerank"]) == 10 and set(counts["pagerank"]) == {0}
+        sel = w.Selection.for_countries(
+            toy3.registry, spec.group, extra_nodes=(toy3.registry.node_id("AA", "00"),)
+        )
+        for tag, matrix in zip(("direct", "inverted"), w.build_trade_pair(toy3)):
+            result = w.reduce(matrix, sel)
+            assert report.metadata[f"complement_eigenvalue_{tag}"] == result.complement_eigenvalue
+            assert report.metadata[f"weights_{tag}"] == result.weights
+
     def test_pure_importer_negative_derivative(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
         report = w.reduced_balance_sensitivity(toy3, spec)
