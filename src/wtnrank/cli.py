@@ -65,12 +65,17 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and positive: {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        for name in ("group", "products", "methods"):
+            values = getattr(self, name) or ()
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {', '.join(map(repr, repeated))}")
         if self.fmt not in _GRAPH_FORMATS:
             raise ValueError(f"format must be one of {', '.join(_GRAPH_FORMATS)}: {self.fmt!r}")
         if not self.methods:
@@ -137,10 +142,6 @@ def _converter(hint):
     return _csv_list if typing.get_origin(hint) is tuple else hint
 
 
-# removed with the series solver; still accepted so old flags and config files keep working
-_DEPRECATED = ("series_tol", "max_terms")
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
@@ -148,11 +149,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not cfg_path.exists():
             raise TradeDataError(f"config file not found: {cfg_path}")
         file_values = _parse_config_file(cfg_path)
-    for name in _DEPRECATED:
-        in_file = file_values.pop(name, None) is not None
-        if in_file or getattr(args, name, None) is not None:
-            flag = "--" + name.replace("_", "-")
-            log.warning("%s is deprecated and has no effect: the reduction is an exact solve", flag)
     hints = typing.get_type_hints(RunConfig)
     unknown = sorted(set(file_values) - set(hints))
     if unknown:
@@ -323,8 +319,8 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
                 delta=cfg.delta, tol=cfg.tol, max_iter=cfg.max_iter,
             )
         sensitivity.write_report(out / _REPORT_FILES[method], report)
-        if "richardson_error" in report.metadata:
-            log.info("%s richardson error %.3e", method, report.metadata["richardson_error"])
+        if "fd_error" in report.metadata:
+            log.info("%s finite-difference error %.3e", method, report.metadata["fd_error"])
     return 0
 
 
@@ -341,8 +337,7 @@ def cmd_network(cfg: RunConfig) -> int:
 
 _READS_INPUT = ("input", "registry", "year", "alpha", "tol", "max_iter", "out_dir")
 _READS_SHOCK = ("group", "source_country", "source_product")
-# command -> (function, help line, its flags: the RunConfig fields it reads and the
-# hidden deprecated ones)
+# command -> (function, help line, its flags: the RunConfig fields it reads)
 _COMMANDS = {
     "synth": (
         cmd_synth, "generate a synthetic trade fixture",
@@ -351,15 +346,15 @@ _COMMANDS = {
     "rank": (cmd_rank, "stationary and volume rankings", _READS_INPUT),
     "reduce": (
         cmd_reduce, "reduced matrices on a selection",
-        _READS_INPUT + _READS_SHOCK + ("products", *_DEPRECATED),
+        _READS_INPUT + _READS_SHOCK + ("products",),
     ),
     "sensitivity": (
         cmd_sensitivity, "trade-balance shock sensitivity",
-        _READS_INPUT + _READS_SHOCK + ("delta", "methods", "global_product", *_DEPRECATED),
+        _READS_INPUT + _READS_SHOCK + ("delta", "methods", "global_product"),
     ),
     "network": (
         cmd_network, "top-k partner graphs from reductions",
-        _READS_INPUT + _READS_SHOCK + ("products", "k", "fmt", *_DEPRECATED),
+        _READS_INPUT + _READS_SHOCK + ("products", "k", "fmt"),
     ),
 }
 
@@ -383,10 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file; flags win")
         for name in names:
             flag = "--format" if name == "fmt" else "--" + name.replace("_", "-")
-            hidden = name in _DEPRECATED
-            p.add_argument(
-                flag, dest=name, help=argparse.SUPPRESS if hidden else _help(name, defaults[name])
-            )
+            p.add_argument(flag, dest=name, help=_help(name, defaults[name]))
         p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
         p.set_defaults(func=func)
     return parser

@@ -84,8 +84,8 @@ def pagerank(
         RankVector whose probabilities x satisfy sum(x) == 1 and
         ||matrix @ x - x||_1 < tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive: {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n, matvec = _as_operator(matrix)

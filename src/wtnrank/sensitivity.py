@@ -11,11 +11,13 @@ on per-country export/import probabilities:
 * global-price: every flow of one product is rescaled and the full matrix
   pair is rebuilt; probabilities are the full-network stationary marginals.
 
-Derivatives are central finite differences at +/- delta.
+Derivatives are central finite differences at +/- delta. The reduced and
+import-export reports put in metadata["fd_error"] their largest distance
+from the exact dB/ddelta at delta = 0: the linear response of both reduced
+stationary vectors, and a closed form in the volumes.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +26,6 @@ from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, Registry, volumes
 from .ranking import pagerank, trace
 from .regomax import Selection, reduce
-
-log = logging.getLogger(__name__)
 
 DEFAULT_DELTA = 1e-3
 
@@ -160,10 +160,6 @@ class ReducedTradePair:
     def source_pos(self) -> int:
         return self.selection.n_selected - 1
 
-    @property
-    def group_positions(self) -> np.ndarray:
-        return np.arange(self.selection.n_selected - 1)
-
     def group_marginals(self, probabilities: np.ndarray) -> np.ndarray:
         """Per-group-country sums of reduced node probabilities."""
         n_p = self.registry.n_products
@@ -208,36 +204,65 @@ def _reduced_summary(matrix, sel: Selection):
 
 def shock_pair(pair: ReducedTradePair, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Apply the price shock to both baseline reduced matrices."""
-    direct = apply_direct_shock(pair.direct, pair.source_pos, pair.group_positions, delta)
-    inverted = apply_inverted_shock(pair.inverted, pair.source_pos, pair.group_positions, delta)
+    s = pair.source_pos
+    group = np.arange(s)  # every node before the source
+    direct = apply_direct_shock(pair.direct, s, group, delta)
+    inverted = apply_inverted_shock(pair.inverted, s, group, delta)
     return direct, inverted
 
 
-def _central_difference(balance_at, delta: float, richardson: bool):
-    """Central difference of `balance_at(dv) -> (balance, imports, exports)`.
-
-    Returns the baseline triple, dB/ddelta from the +/- delta evaluations
-    (zero when delta == 0), and metadata with the half-step Richardson error
-    estimate when `richardson` is set.
-    """
+def _central_difference(balance_at, delta: float):
+    """`balance_at(0.0)` and dB/ddelta from the +/- delta evaluations (zero
+    when delta == 0); the first item `balance_at` returns is the balance."""
     baseline = balance_at(0.0)
-    metadata = {}
     if delta == 0.0:
-        return baseline, np.zeros_like(baseline[0]), metadata
-    derivative = (balance_at(delta)[0] - balance_at(-delta)[0]) / (2.0 * delta)
-    if richardson:
-        half = (balance_at(delta / 2.0)[0] - balance_at(-delta / 2.0)[0]) / delta
-        metadata["richardson_error"] = float(np.abs(derivative - half).max())
-    return baseline, derivative, metadata
+        return baseline, np.zeros_like(baseline[0])
+    return baseline, (balance_at(delta)[0] - balance_at(-delta)[0]) / (2.0 * delta)
+
+
+def _report(method, source, delta, countries, baseline, derivative, metadata, exact=None):
+    """The report of a central difference, with `fd_error`, its largest distance
+    from the exact dB/ddelta at delta = 0 that `exact()` gives, when delta != 0."""
+    if exact is not None and delta != 0.0:
+        try:
+            metadata["fd_error"] = float(np.abs(derivative - exact()).max())
+        except np.linalg.LinAlgError:  # no unique stationary vector to respond
+            metadata["fd_error"] = np.inf
+    b, imp, exp = baseline[:3]
+    return SensitivityReport(method, source, delta, countries, b, derivative, imp, exp, metadata)
+
+
+def _linear_response(matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """dp of the stationary vector p of `matrix` R where R'(0) p = rhs:
+    (I - R + p 1^T) dp = rhs, so sum(dp) == 0 (Meyer, SIAM Rev. 1975)."""
+    system = p[:, None] - matrix
+    system[np.diag_indices_from(system)] += 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def _pair_balance(pair: ReducedTradePair, delta: float, tol: float, max_iter: int):
     direct, inverted = shock_pair(pair, delta)
     p_imp = pagerank(direct, tol=tol, max_iter=max_iter).probabilities
     p_exp = pagerank(inverted, tol=tol, max_iter=max_iter).probabilities
-    imp = pair.group_marginals(p_imp)
-    exp = pair.group_marginals(p_exp)
-    return balance(exp, imp), imp, exp
+    imp, exp = pair.group_marginals(p_imp), pair.group_marginals(p_exp)
+    return balance(exp, imp), imp, exp, p_imp, p_exp
+
+
+def _pair_exact_derivative(pair: ReducedTradePair, baseline) -> np.ndarray:
+    """Exact dB/ddelta at delta = 0 from the baseline stationary vectors.
+
+    Direct shock: only the source column c moves, by c*1_g - S*c with S its
+    group mass. Inverted shock: group column c_j moves by c_j[s] (e_s - c_j).
+    """
+    _, imp, exp, p_imp, p_exp = baseline
+    s = pair.source_pos
+    c = pair.direct[:, s]
+    rhs_imp = p_imp[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
+    moved = p_exp[:s] * pair.inverted[s, :s]
+    rhs_exp = np.append(np.zeros(s), moved.sum()) - pair.inverted[:, :s] @ moved
+    d_imp = pair.group_marginals(_linear_response(pair.direct, p_imp, rhs_imp))
+    d_exp = pair.group_marginals(_linear_response(pair.inverted, p_exp, rhs_exp))
+    return 2.0 * (imp * d_exp - exp * d_imp) / (exp + imp) ** 2
 
 
 def reduced_balance_sensitivity(
@@ -246,18 +271,15 @@ def reduced_balance_sensitivity(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    richardson: bool = True,
 ) -> SensitivityReport:
     """Balance sensitivity through the reduced matrices of the selection.
 
     The reduction runs once; +/- delta shocks are applied to the reduced
-    matrices. When `richardson` is set, the derivative is recomputed at
-    delta/2 and the difference reported in metadata as an error estimate.
+    matrices; `fd_error` is measured against the exact linear response.
     """
     pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
-    delta = spec.delta
-    (b_base, imp0, exp0), derivative, extra = _central_difference(
-        lambda dv: _pair_balance(pair, dv, tol, max_iter), delta, richardson
+    baseline, derivative = _central_difference(
+        lambda dv: _pair_balance(pair, dv, tol, max_iter), spec.delta
     )
     metadata = {
         "alpha": alpha,
@@ -266,28 +288,17 @@ def reduced_balance_sensitivity(
         "complement_eigenvalue_inverted": pair.complement_eigenvalue_inverted,
         "weights_direct": pair.weights_direct,
         "weights_inverted": pair.weights_inverted,
-        **extra,
     }
-    return SensitivityReport(
-        method=METHOD_REDUCED,
-        source=spec.source_label,
-        delta=delta,
-        countries=spec.group,
-        balance=b_base,
-        derivative=derivative,
-        import_probability=imp0,
-        export_probability=exp0,
-        metadata=metadata,
+    return _report(
+        METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,
+        metadata, exact=lambda: _pair_exact_derivative(pair, baseline),
     )
 
 
 def _volume_balance(tensor: MoneyTensor, spec: ShockSpec, delta: float):
-    if delta == 0.0:
-        shocked = tensor
-    else:
-        shocked = tensor.scaled_flows(
-            spec.source_product, spec.source_country, spec.group, 1.0 + delta
-        )
+    shocked = tensor if delta == 0.0 else tensor.scaled_flows(
+        spec.source_product, spec.source_country, spec.group, 1.0 + delta
+    )
     vol = volumes(shocked)
     total = vol.total
     if total <= 0:
@@ -300,34 +311,37 @@ def _volume_balance(tensor: MoneyTensor, spec: ShockSpec, delta: float):
     return balance(exp_vol, imp_vol), imp_vol / total, exp_vol / total
 
 
+def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec, baseline) -> np.ndarray:
+    """dB_g = -2 E_g f_g / (E_g + I_g)^2, with f_g the source's flow of the
+    product into g: the shock adds delta * f_g to I_g and leaves E_g alone."""
+    reg = tensor.registry
+    flows = tensor.flows[reg.product_index(spec.source_product)]
+    into = flows[:, [reg.country_index(spec.source_country)]].toarray()[:, 0]
+    f = into[[reg.country_index(c) for c in spec.group]] / volumes(tensor).total
+    _, imp, exp = baseline
+    return -2.0 * exp * f / (exp + imp) ** 2
+
+
 def import_export_sensitivity(
     tensor: MoneyTensor,
     spec: ShockSpec,
     delta: float | None = None,
-    richardson: bool = True,
 ) -> SensitivityReport:
     """Balance sensitivity from raw bilateral volumes (no network effects).
 
     Only the direct flows from the source into the group are rescaled, so a
-    group country with no such flow has exactly zero derivative.
+    group country with no such flow has exactly zero derivative; `fd_error`
+    is measured against the closed form.
     """
-    if delta is None:
-        delta = spec.delta
+    delta = spec.delta if delta is None else delta
     if not -1.0 < delta < 1.0:
         raise ValueError("delta must be in (-1, 1)")
-    (b_base, imp0, exp0), derivative, metadata = _central_difference(
-        lambda dv: _volume_balance(tensor, spec, dv), delta, richardson
+    baseline, derivative = _central_difference(
+        lambda dv: _volume_balance(tensor, spec, dv), delta
     )
-    return SensitivityReport(
-        method=METHOD_IMPORT_EXPORT,
-        source=spec.source_label,
-        delta=delta,
-        countries=spec.group,
-        balance=b_base,
-        derivative=derivative,
-        import_probability=imp0,
-        export_probability=exp0,
-        metadata=metadata,
+    return _report(
+        METHOD_IMPORT_EXPORT, spec.source_label, delta, spec.group, baseline, derivative, {},
+        exact=lambda: _volume_exact_derivative(tensor, spec, baseline),
     )
 
 
@@ -339,7 +353,6 @@ def global_price_sensitivity(
     delta: float = DEFAULT_DELTA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-    richardson: bool = False,
 ) -> SensitivityReport:
     """Balance sensitivity to a worldwide price change of one product.
 
@@ -351,6 +364,8 @@ def global_price_sensitivity(
         raise ValueError("delta must be in (-1, 1)")
     reg.product_index(product)  # validate early
     countries = tuple(group) if group else reg.countries
+    if len(set(countries)) != len(countries):
+        raise ValueError(f"duplicate country in group {','.join(countries)}")
     idx = [reg.country_index(c) for c in countries]
 
     def balance_at(dv: float):
@@ -362,18 +377,9 @@ def global_price_sensitivity(
         exp = trace(p_star, "country", reg)[idx]
         return balance(exp, imp), imp, exp
 
-    (b_base, imp0, exp0), derivative, extra = _central_difference(balance_at, delta, richardson)
-    metadata = {"alpha": alpha, **extra}
-    return SensitivityReport(
-        method=METHOD_GLOBAL_PRICE,
-        source=product,
-        delta=delta,
-        countries=countries,
-        balance=b_base,
-        derivative=derivative,
-        import_probability=imp0,
-        export_probability=exp0,
-        metadata=metadata,
+    baseline, derivative = _central_difference(balance_at, delta)
+    return _report(
+        METHOD_GLOBAL_PRICE, product, delta, countries, baseline, derivative, {"alpha": alpha}
     )
 
 

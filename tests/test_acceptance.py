@@ -196,13 +196,33 @@ def test_c6_sensitivity_convergence_and_brute_force():
         spec = w.ShockSpec("AA", "00", ("XX",), delta=1e-3)
         rep = w.reduced_balance_sensitivity(toy, spec, alpha=alpha, max_iter=50000)
         derivative = rep.derivative[0]
-        # central differences at delta and delta/2 agree within 1%
-        assert rep.metadata["richardson_error"] / abs(derivative) < 0.01
+        # the central difference is within 1% of the exact derivative
+        assert rep.metadata["fd_error"] / abs(derivative) < 0.01
         # the pure importer suffers from the price increase
         assert derivative < 0
         brute = brute_force_derivative(toy, spec, alpha)[0]
         assert np.sign(brute) == np.sign(derivative)
         assert abs(derivative - brute) / abs(brute) < 0.05
+
+
+# the c3 sizes with a 3-country group, then the benchmark's shock-mid shape:
+# 100 countries x 61 products and a 12-country group, 733 reduced nodes
+FD_BOUND_INSTANCES = [
+    (seed, n_c, n_p, density, 3) for seed, n_c, n_p, density, _ in REDUCE_INSTANCES
+] + [(41, 100, 61, 0.25, 12)]
+
+
+@pytest.mark.parametrize("seed, n_c, n_p, density, n_group", FD_BOUND_INSTANCES)
+def test_c6_fd_error_within_quadratic_bound(seed, n_c, n_p, density, n_group):
+    """|FD - exact| <= delta^2 max(1, max|dB/ddelta|) for both node-shock
+    methods, with the source at the second-to-last country's second product."""
+    tensor = w.synth_tensor(seed, n_c, n_p, density)
+    reg = tensor.registry
+    spec = w.ShockSpec(reg.countries[-2], reg.products[1], reg.countries[:n_group])
+    reports = (w.reduced_balance_sensitivity(tensor, spec), w.import_export_sensitivity(tensor, spec))
+    for rep in reports:
+        bound = spec.delta**2 * max(1.0, np.abs(rep.derivative).max())
+        assert rep.metadata["fd_error"] <= bound, rep.method
 
 
 # ---------------------------------------------------------------- criterion 8
@@ -332,7 +352,7 @@ def test_c9_real_data_reproduction():
 
         # full-scale sensitivity to the RU petroleum node: N_r = 27*61 + 1
         spec = w.ShockSpec("RU", "33", EU27_2008)
-        report_ru = w.reduced_balance_sensitivity(tensor, spec, richardson=False)
+        report_ru = w.reduced_balance_sensitivity(tensor, spec)
         assert report_ru.countries == EU27_2008
         for country in ("NL", "IT", "GR"):
             idx = EU27_2008.index(country)

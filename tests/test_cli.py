@@ -85,10 +85,29 @@ class TestExitCodes:
          "delta must be in (-1, 1)"),
         (("sensitivity", *SHOCK, "--methods", "global-price"), "delta = 1",
          "delta must be in (-1, 1)"),
+        (("rank", "--input", FIXTURE, "--tol", "inf"), "", "tol must be finite and positive"),
+        (("rank", "--input", FIXTURE, "--tol", "nan"), "", "tol must be finite and positive"),
+        (("rank", "--input", FIXTURE), "tol = inf", "tol must be finite and positive"),
+        (("rank", "--input", FIXTURE), "tol = nan", "tol must be finite and positive"),
+        (("sensitivity", *SHOCK, "--methods", "global-price", "--group", "AA,AA"), "",
+         "group repeats 'AA'"),
+        (("sensitivity", *SHOCK[:2], *SHOCK[4:], "--methods", "global-price"),
+         "group = AA,AB,AA", "group repeats 'AA'"),
+        (("sensitivity", *SHOCK, "--methods", "regomax,regomax"), "",
+         "methods repeats 'regomax'"),
+        (("sensitivity", *SHOCK), "methods = regomax,import-export,regomax",
+         "methods repeats 'regomax'"),
+        (("reduce", *SHOCK, "--group", "AA,AA"), "", "group repeats 'AA'"),
+        (("reduce", *SHOCK, "--products", "01,01"), "", "products repeats '01'"),
+        (("network", *SHOCK), "products = 01,02,01", "products repeats '01'"),
     ], ids=[
         "methods-flag", "methods-config", "format-flag", "format-config",
         "empty-methods-flag", "empty-methods-config", "delta-flag", "delta-config",
         "negative-delta-regomax", "delta-global-price-flag", "delta-global-price-config",
+        "tol-inf-flag", "tol-nan-flag", "tol-inf-config", "tol-nan-config",
+        "repeated-group-flag", "repeated-group-config", "repeated-methods-flag",
+        "repeated-methods-config", "repeated-group-reduce", "repeated-products-flag",
+        "repeated-products-config",
     ])
     def test_bad_choice_exits_2_before_any_work(
         self, tmp_path, caplog, monkeypatch, argv, config, bad
@@ -259,26 +278,14 @@ class TestReduce:
         header = (tmp_path / "import_reduced_full.csv").read_text().splitlines()[0]
         assert header == "AA:01,AB:01,AC:01"
 
-    def test_removed_series_flags_warn_and_do_nothing(self, tmp_path, caplog, capsys):
-        args = ("reduce", "--input", FIXTURE, "--group", "AA,AB",
-                "--source-country", "AC", "--source-product", "01")
-        assert run(*args, "--out-dir", tmp_path / "plain") == 0
-        with caplog.at_level(logging.WARNING, logger="wtnrank"):
-            rc = run(*args, "--max-terms", 2, "--out-dir", tmp_path / "old")
-        assert rc == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [
-            "--max-terms is deprecated and has no effect: the reduction is an exact solve"
-        ]
-        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
-        _, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "plain", tmp_path / "old", names, shallow=False
-        )
-        assert not mismatch and not errors
-        with pytest.raises(SystemExit):
-            run("reduce", "--help")
-        help_text = capsys.readouterr().out
-        assert "--max-terms" not in help_text and "--series-tol" not in help_text
+    @pytest.mark.parametrize("command", ["reduce", "sensitivity", "network"])
+    @pytest.mark.parametrize("flag", ["--max-terms", "--series-tol"])
+    def test_removed_series_flags_are_unknown(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, *SHOCK, flag, 2, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, extra", [("reduce", ()), ("network", ("--k", 2))])
@@ -298,16 +305,21 @@ def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
 
 
 class TestSensitivityCommand:
-    def test_reports_match_module(self, tmp_path):
-        rc = run(
-            "sensitivity", "--input", FIXTURE, "--group", "AA,AB",
-            "--source-country", "AC", "--source-product", "01", "--out-dir", tmp_path,
-            "--methods", "regomax,import-export,global-price",
-        )
+    def test_reports_match_module(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="wtnrank"):
+            rc = run(
+                "sensitivity", "--input", FIXTURE, "--group", "AA,AB",
+                "--source-country", "AC", "--source-product", "01", "--out-dir", tmp_path,
+                "--methods", "regomax,import-export,global-price",
+            )
         assert rc == 0
+        logged = [r.getMessage().split(" finite-difference error ") for r in caplog.records]
+        errors = {m[0]: float(m[1]) for m in logged if len(m) == 2}
+        assert sorted(errors) == ["import-export", "regomax"]
         tensor = w.load_money_tensor(FIXTURE, 2016)
         spec = w.ShockSpec("AC", "01", ("AA", "AB"))
         expected = w.reduced_balance_sensitivity(tensor, spec)
+        assert errors["regomax"] == float(f"{expected.metadata['fd_error']:.3e}")
         with open(tmp_path / "sensitivity_regomax.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["country"] for r in rows] == ["AA", "AB"]
@@ -389,15 +401,16 @@ class TestConfigFile:
         assert run("rank", "--config", cfg, "--out-dir", tmp_path / "out") == 2
         assert any("alpah" in r.getMessage() for r in caplog.records)
 
-    def test_removed_series_key_warns(self, tmp_path, caplog):
+    @pytest.mark.parametrize("key", ["max_terms", "series-tol"])
+    def test_removed_series_key_is_unknown(self, tmp_path, caplog, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {FIXTURE}\nmax_terms = 50\n")
-        with caplog.at_level(logging.WARNING, logger="wtnrank"):
-            assert run("rank", "--config", cfg, "--out-dir", tmp_path / "out") == 0
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == [
-            "--max-terms is deprecated and has no effect: the reduction is an exact solve"
-        ]
+        cfg.write_text(f"input = {FIXTURE}\n{key} = 50\n")
+        assert run("rank", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+        assert any(
+            "unknown config key(s)" in r.getMessage() and key.replace("-", "_") in r.getMessage()
+            for r in caplog.records
+        )
 
 
 _INPUT_FLAGS = {"--input", "--registry", "--year", "--alpha", "--tol", "--max-iter", "--out-dir"}

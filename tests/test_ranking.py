@@ -99,8 +99,9 @@ class TestPagerank:
 
     def test_bad_arguments(self):
         g = two_node_google()
-        with pytest.raises(ValueError):
-            w.pagerank(g, tol=0.0)
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                w.pagerank(g, tol=tol)
         with pytest.raises(ValueError):
             w.pagerank(g, max_iter=0)
         with pytest.raises(ValueError):

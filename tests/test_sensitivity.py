@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtnrank as w
+from wtnrank.errors import ConvergenceError, TradeDataError
 from wtnrank.sensitivity import (
+    _volume_exact_derivative,
     apply_direct_shock,
     apply_inverted_shock,
     write_report,
@@ -175,7 +179,7 @@ class TestReducedSensitivity:
             monkeypatch.setattr(w.sensitivity, name, counting(name, getattr(w.sensitivity, name)))
         report = w.reduced_balance_sensitivity(toy3, spec)
         assert counts["reduce"] == [0, 0]
-        assert len(counts["pagerank"]) == 10 and set(counts["pagerank"]) == {0}
+        assert len(counts["pagerank"]) == 6 and set(counts["pagerank"]) == {0}
         sel = w.Selection.for_countries(
             toy3.registry, spec.group, extra_nodes=(toy3.registry.node_id("AA", "00"),)
         )
@@ -206,20 +210,20 @@ class TestReducedSensitivity:
         rel = abs(report.derivative[0] - brute[0]) / abs(brute[0])
         assert rel < 0.05
 
-    def test_richardson_quadratic_decay(self, toy3):
+    def test_fd_error_quadratic_decay(self, toy3):
         errors = []
         for delta in (1e-2, 5e-3, 2.5e-3):
             spec = w.ShockSpec("AA", "00", ("XX",), delta=delta)
             report = w.reduced_balance_sensitivity(toy3, spec, alpha=0.99, max_iter=50000)
-            errors.append(report.metadata["richardson_error"])
-        # halving delta divides the central-difference error by ~4
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
-        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
+            errors.append(report.metadata["fd_error"])
+        # halving delta divides the distance from the exact derivative by 4
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.2)
+        assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.2)
 
-    def test_half_step_within_one_percent(self, toy3):
+    def test_fd_error_within_one_percent(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
         report = w.reduced_balance_sensitivity(toy3, spec, alpha=0.99, max_iter=50000)
-        rel = report.metadata["richardson_error"] / abs(report.derivative[0])
+        rel = report.metadata["fd_error"] / abs(report.derivative[0])
         assert rel < 0.01
 
     def test_richer_toy_against_brute_force(self):
@@ -229,6 +233,18 @@ class TestReducedSensitivity:
         brute = brute_force_derivative(toy, spec, 0.99)
         assert np.sign(report.derivative[0]) == np.sign(brute[0])
         assert abs(report.derivative[0] - brute[0]) / abs(brute[0]) < 0.05
+
+    def test_no_unique_stationary_vector_gives_infinite_fd_error(self):
+        # at alpha = 1, XX<->YY and AA<->ZZ are closed classes: both reduced
+        # matrices are the 2 x 2 identity, so the response system is singular
+        reg = w.Registry(countries=("AA", "XX", "YY", "ZZ"), products=("00",))
+        m = np.zeros((4, 4))
+        m[2, 1] = m[1, 2] = m[3, 0] = m[0, 3] = 1.0
+        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        spec = w.ShockSpec("AA", "00", ("XX",))
+        report = w.reduced_balance_sensitivity(tensor, spec, alpha=1.0)
+        assert np.array_equal(report.derivative, [0.0])
+        assert report.metadata["fd_error"] == np.inf
 
     def test_baseline_reproducible_from_marginals(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
@@ -242,6 +258,7 @@ class TestImportExportSensitivity:
         spec = w.ShockSpec("AA", "00", ("XX",))
         report = w.import_export_sensitivity(toy3, spec, delta=0.0)
         assert np.array_equal(report.derivative, np.zeros(1))
+        assert "fd_error" not in report.metadata
 
     def test_untouched_country_exact_zero(self):
         # ZZ trades only with YY: no direct link to the source at all
@@ -267,6 +284,10 @@ class TestImportExportSensitivity:
         report = w.import_export_sensitivity(toy, spec)
         assert report.derivative[0] == pytest.approx(-4.0 / 9.0, abs=1e-5)
         assert report.balance[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        baseline = (report.balance, report.import_probability, report.export_probability)
+        exact = _volume_exact_derivative(toy, spec, baseline)
+        assert exact[0] == pytest.approx(-4.0 / 9.0, abs=1e-15)
+        assert report.metadata["fd_error"] == abs(report.derivative[0] - exact[0])
 
     def test_method_tag(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
@@ -282,6 +303,14 @@ class TestGlobalPriceSensitivity:
     def test_zero_delta(self, toy3):
         report = w.global_price_sensitivity(toy3, "00", group=("XX",), delta=0.0)
         assert np.array_equal(report.derivative, np.zeros(1))
+
+    def test_no_error_estimate(self, toy3):
+        report = w.global_price_sensitivity(toy3, "00", group=("XX", "YY"))
+        assert report.metadata == {"alpha": w.DEFAULT_ALPHA}
+
+    def test_repeated_group_country_rejected(self, toy3):
+        with pytest.raises(ValueError, match="duplicate country"):
+            w.global_price_sensitivity(toy3, "00", group=("XX", "XX"))
 
     def test_two_product_toy_matches_extrapolated_brute_force(self):
         reg = w.Registry(countries=("AA", "BB", "CC"), products=("10", "20"))
@@ -305,6 +334,44 @@ class TestGlobalPriceSensitivity:
     def test_unknown_product(self, toy3):
         with pytest.raises(w.TradeDataError):
             w.global_price_sensitivity(toy3, "99")
+
+
+@st.composite
+def small_shocks(draw):
+    """A random tensor of 4-8 countries and 1-3 products, with empty products,
+    dangling countries and sources, and a shock on one node of it."""
+    n_c, n_p = draw(st.integers(4, 8)), draw(st.integers(1, 3))
+    reg = w.Registry(
+        countries=tuple(f"C{i}" for i in range(n_c)),
+        products=tuple(f"{p:02d}" for p in range(n_p)),
+    )
+    value = st.sampled_from([0.0, 0.0, 0.0, 1e-6, 1.0, 2.5, 100.0, 1e6])
+    flows = np.array(draw(st.lists(value, min_size=n_p * n_c * n_c, max_size=n_p * n_c * n_c)))
+    flows = flows.reshape(n_p, n_c, n_c) * (1.0 - np.eye(n_c))
+    tensor = w.MoneyTensor.from_product_matrices(reg, 2016, list(flows))
+    source = draw(st.sampled_from(reg.countries))
+    others = [c for c in reg.countries if c != source]
+    group = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    spec = w.ShockSpec(source, draw(st.sampled_from(reg.products)), group)
+    return tensor, spec, draw(st.sampled_from([0.5, 0.85]))
+
+
+class TestRandomTensors:
+    @settings(max_examples=60, deadline=None)
+    @given(small_shocks())
+    def test_balances_bounded_and_fd_error_quadratic(self, case):
+        tensor, spec, alpha = case
+        for method in (
+            lambda: w.reduced_balance_sensitivity(tensor, spec, alpha=alpha),
+            lambda: w.import_export_sensitivity(tensor, spec),
+        ):
+            try:
+                report = method()
+            except (ConvergenceError, TradeDataError, ValueError):
+                continue
+            assert np.all(np.abs(report.balance) <= 1.0)
+            bound = spec.delta**2 * max(1.0, np.abs(report.derivative).max())
+            assert report.metadata["fd_error"] <= bound
 
 
 class TestReport:
