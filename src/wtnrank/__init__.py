@@ -31,7 +31,6 @@ from .ranking import (
     RankVector,
     order_indices,
     pagerank,
-    product_slice,
     trace,
 )
 from .regomax import (
@@ -39,7 +38,6 @@ from .regomax import (
     Selection,
     component_weight,
     reduce,
-    split_diagonal,
 )
 from .sensitivity import (
     SensitivityReport,
@@ -85,13 +83,11 @@ __all__ = [
     "RankVector",
     "order_indices",
     "pagerank",
-    "product_slice",
     "trace",
     "ReducedSet",
     "Selection",
     "component_weight",
     "reduce",
-    "split_diagonal",
     "SensitivityReport",
     "ShockSpec",
     "balance",

@@ -91,9 +91,6 @@ class GoogleMatrix:
     def column(self, j: int) -> np.ndarray:
         return self.to_dense(slice(j, j + 1))[:, 0]
 
-    def column_sums(self) -> np.ndarray:
-        return self.rmatvec(np.ones(self.shape[0]))
-
 
 def _check_personalization(v: np.ndarray, size: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)

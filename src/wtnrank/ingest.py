@@ -193,10 +193,6 @@ class MoneyTensor:
     def nnz(self) -> int:
         return sum(m.nnz for m in self.flows)
 
-    @property
-    def total_value(self) -> float:
-        return float(sum(m.sum() for m in self.flows))
-
     def to_records(self):
         """Yield (product, exporter, importer, value) sorted by code."""
         reg = self.registry
@@ -242,12 +238,6 @@ class MoneyTensor:
             exp[:, p] = np.asarray(m.sum(axis=0)).ravel()
         imp.flags.writeable = exp.flags.writeable = False
         return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
-
-    def same_trade(self, other: "MoneyTensor") -> bool:
-        """Exact equality of registries and stored flow values."""
-        if self.registry != other.registry or self.year != other.year:
-            return False
-        return list(self.to_records()) == list(other.to_records())
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,6 @@ class RankIndex:
     order: np.ndarray
     rank_of: np.ndarray
 
-    def top(self, k: int) -> np.ndarray:
-        return self.order[:k]
-
 
 def order_indices(vector: np.ndarray) -> RankIndex:
     """Stable decreasing sort of a probability (or any finite) vector."""
@@ -118,13 +115,6 @@ def trace(vector, axis: str, registry: "Registry") -> np.ndarray:
     if axis == "product":
         return grid.sum(axis=0)
     raise ValueError(f"axis must be 'country' or 'product', got {axis!r}")
-
-
-def product_slice(vector, registry: "Registry", product: str) -> np.ndarray:
-    """Per-country probabilities of a single product (local product ranking)."""
-    probs = vector.probabilities if isinstance(vector, RankVector) else np.asarray(vector)
-    grid = probs.reshape(registry.n_countries, registry.n_products)
-    return grid[:, registry.product_index(product)].copy()
 
 
 def write_node_ranks(path, probabilities: np.ndarray, registry: "Registry") -> None:

@@ -24,8 +24,14 @@ The resolvent is split through the leading eigenpair of G_ss: with
 right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
 eigenvalue lam, the projector P = psi_r psi_l^T gives the rank-one component
 G_rs psi_r psi_l^T G_sr / (1 - lam), and the deflated rest G_rs (1 - P) X the
-indirect-pathway component. Only the reduced matrix and the indirect part
-are stored dense; the other components are built from factors when read.
+indirect-pathway component. X is never formed: with G_rs = alpha A_rs + U_r V_s^T
+and W = C^(-1) (V_s^T Y + V_r^T), the indirect part is one sparse product plus
+a rank-five update,
+
+    alpha A_rs Y + [U_r, G_rs Z, -G_rs psi_r] [V_s^T Y; W; psi_l^T Y + (psi_l^T Z) W] .
+
+Only the reduced matrix and the indirect part are stored dense; the other
+components are built from factors when read.
 """
 from __future__ import annotations
 
@@ -46,11 +52,14 @@ log = logging.getLogger(__name__)
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 _NEGATIVE_WARN = -1e-12
-_COLUMN_BLOCK = 256  # selected columns solved at a time; bounds the dense work arrays
-# bytes allowed for six dense n x n float64 matrices, the reduced matrix and its five
-# components (2 GiB: n up to about 6 690): `reduce` holds the direct, projector and
-# indirect parts and their sum at once. Larger selections are refused up front
+_COLUMN_BLOCK = 256  # selected columns per residual block; bounds its (complement, block) array
+# bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 8 192).
+# `reduce` holds three: the indirect part, the reduced matrix and the projector part
+# it adds in. A caller holds at most one more: the derived component the `reduce`
+# command writes, or the other direction's reduced matrix in `sensitivity`, whose
+# linear response also needs four. Larger selections are refused up front
 DENSE_CAP_BYTES = 2 * 1024**3
+DENSE_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -119,10 +128,11 @@ class ReducedSet:
 
     `reduced == direct_part + projector_part + indirect_part` holds by
     construction up to the clamping of tiny negative rounding residue;
-    `indirect_part == indirect_diag + indirect_offdiag` is exact.
-    `solve_residual` is the max-norm of (1 - G_ss) X - G_sr for the exact
-    complement solve X; `complement_blocks` counts the sparse LU blocks it
-    used (the batch of link-free complement nodes counts as one).
+    `indirect_part == indirect_diag + indirect_offdiag` is exact. The indirect
+    part is summed from factors of the complement solve X = Y + Z W (see the
+    module docstring), never from a dense X. `solve_residual` is the max-norm
+    of (1 - G_ss) X - G_sr; `complement_blocks` counts the sparse LU blocks
+    the solve used (the batch of link-free complement nodes counts as one).
     """
 
     selection: Selection
@@ -141,17 +151,16 @@ class ReducedSet:
 
     @property
     def projector_part(self) -> np.ndarray:
-        lam = self.complement_eigenvalue
-        # the expression `reduce` sums, so the bytes match
-        return np.outer(self.projector_column, self.projector_row) / (1.0 - lam)
+        # what `reduce` sums, so the bytes match
+        return _rank_one(self.projector_column, self.projector_row, self.complement_eigenvalue)
 
     @property
     def indirect_diag(self) -> np.ndarray:
-        return split_diagonal(self.indirect_part)[0]
+        return np.diag(np.diag(self.indirect_part))
 
     @property
     def indirect_offdiag(self) -> np.ndarray:
-        return split_diagonal(self.indirect_part)[1]
+        return _off_diagonal(self.indirect_part)
 
     @property
     def weights(self) -> dict[str, float]:
@@ -176,8 +185,11 @@ class ReducedSet:
             stationary = pagerank(self.reduced, tol=1e-10, max_iter=50000).probabilities
         except ConvergenceError:
             return float("nan")
-        cols = projector[:, live] / sums[live]
-        return float(np.abs(cols - stationary[:, None]).sum(axis=0).max())
+        # in place: no n x n array beyond the projector part
+        np.divide(projector, sums, out=projector, where=live)
+        projector -= stationary[:, None]
+        np.abs(projector, out=projector)
+        return float(projector.sum(axis=0)[live].max())
 
 
 def component_weight(matrix: np.ndarray) -> float:
@@ -186,15 +198,17 @@ def component_weight(matrix: np.ndarray) -> float:
     return float(matrix.sum() / matrix.shape[0])
 
 
-def split_diagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a square matrix into its diagonal and off-diagonal parts."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    diag = np.zeros_like(matrix)
-    idx = np.arange(matrix.shape[0])
-    diag[idx, idx] = matrix[idx, idx]
-    return diag, matrix - diag
+def _off_diagonal(matrix: np.ndarray) -> np.ndarray:
+    off = matrix.copy()
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
+def _rank_one(column: np.ndarray, row: np.ndarray, lam: float) -> np.ndarray:
+    """The projector part outer(column, row) / (1 - lam), as one n x n array."""
+    part = np.outer(column, row)
+    part /= 1.0 - lam
+    return part
 
 
 def _leading_pair(block: GoogleMatrix):
@@ -319,19 +333,19 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         sel: ordered node selection (its order is the reduced index order).
 
     The trivial all-nodes selection returns the dense matrix itself with
-    zero projector/indirect parts. A selection whose six dense n x n matrices
-    (`reduced` and its five components; two are stored, see `ReducedSet`)
-    would exceed `DENSE_CAP_BYTES` raises ValueError before any allocation.
+    zero projector/indirect parts. A selection whose `DENSE_ARRAYS` dense
+    n x n arrays would exceed `DENSE_CAP_BYTES` raises ValueError before any
+    allocation.
     """
     if matrix.size != sel.total:
         raise ValueError("selection built for a different matrix size")
     n = sel.n_selected
-    needed = 6 * 8 * n * n
+    needed = DENSE_ARRAYS * 8 * n * n
     if needed > DENSE_CAP_BYTES:
         raise ValueError(
-            f"a reduction to {n} nodes needs {needed / 2**20:,.1f} MiB for its six dense "
-            f"{n} x {n} matrices, above the {DENSE_CAP_BYTES / 2**20:,.1f} MiB cap; "
-            "select fewer nodes"
+            f"a reduction to {n} nodes needs {needed / 2**20:,.1f} MiB for its "
+            f"{DENSE_ARRAYS} dense {n} x {n} arrays, above the "
+            f"{DENSE_CAP_BYTES / 2**20:,.1f} MiB cap; select fewer nodes"
         )
     if sel.n_complement == 0:
         return _trivial_reduction(matrix, sel)
@@ -349,31 +363,35 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         )
 
     y, y_res, z, z_res, blocks = _solve_components(b_ss, b_sr)
+    vy = (y.T @ b_ss.v).T  # V_s^T Y
     capacitance = np.eye(2) - b_ss.v.T @ z
-    w_rhs = (y.T @ b_ss.v).T + b_sr.v.T
+    w_rhs = vy + b_sr.v.T
     w = np.linalg.solve(capacitance, w_rhs)
-    w_res = capacitance @ w - w_rhs
-    u = b_ss.u
-    indirect_part = np.empty((n, n))
+    # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + [M Z - U, U] [W; C W - V_s^T Y - V_r^T]
+    left, right = np.hstack((z_res, b_ss.u)), np.vstack((w, capacitance @ w - w_rhs))
     residual = 0.0
     for start in range(0, n, _COLUMN_BLOCK):
         cols = slice(start, start + _COLUMN_BLOCK)
-        # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + (M Z - U) W + U (C W - V_s^T Y - V_r^T)
-        res = z_res @ w[:, cols]
-        res += u @ w_res[:, cols]
+        res = left @ right[:, cols]
         _add_sparse(res, y_res[:, cols])
-        residual = max(residual, float(np.abs(res).max()))
-        del res  # freed before x is built: one (complement, block) array at a time
-        x = z @ w[:, cols]
-        _add_sparse(x, y[:, cols])
-        # deflate before G_rs: a one-node complement then leaves exactly zero
-        x -= np.outer(psi_r, psi_l @ x)
-        indirect_part[:, cols] = b_rs.matvec(x)
+        residual = max(residual, float(res.max()), -float(res.min()))
+        del res  # freed before the next block's: one (complement, block) array at a time
 
     direct_block = matrix.block(r, r)
     projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
-    projector_part = np.outer(projector_column, projector_row) / (1.0 - lam)
-    reduced = direct_block.to_dense() + projector_part + indirect_part
+    if sel.n_complement == 1 and lam > 0.0:
+        # a one-node complement is its own eigenvector: deflation leaves nothing
+        # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
+        indirect_part = np.zeros((n, n))
+    else:
+        # G_rs (1 - psi_r psi_l^T) (Y + Z W), with G_rs = alpha A_rs + U_r V_s^T
+        indirect_part = (b_rs.alpha * b_rs.links @ y).toarray()
+        left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
+        right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
+        indirect_part += left @ right
+    reduced = direct_block.to_dense()
+    reduced += _rank_one(projector_column, projector_row, lam)
+    reduced += indirect_part
 
     worst = float(reduced.min())
     if worst < _NEGATIVE_WARN:

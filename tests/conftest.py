@@ -9,7 +9,7 @@ from scipy import sparse
 import wtnrank as w
 from wtnrank.errors import ParseError, TradeDataError
 from wtnrank.ingest import CSV_HEADER
-from wtnrank.regomax import _leading_pair, split_diagonal
+from wtnrank.regomax import _leading_pair
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -49,7 +49,39 @@ def toy3():
     return make_toy3()
 
 
+def same_trade(a, b) -> bool:
+    """Exact equality of two tensors' registries, years and stored flow values."""
+    if a.registry != b.registry or a.year != b.year:
+        return False
+    return list(a.to_records()) == list(b.to_records())
+
+
+def total_value(tensor) -> float:
+    return float(sum(m.sum() for m in tensor.flows))
+
+
+def column_sums(matrix) -> np.ndarray:
+    """Column sums of a `GoogleMatrix`, without densifying it."""
+    return matrix.rmatvec(np.ones(matrix.shape[0]))
+
+
+def product_slice(probabilities, registry, product: str) -> np.ndarray:
+    """Per-country probabilities of a single product (local product ranking)."""
+    grid = np.asarray(probabilities).reshape(registry.n_countries, registry.n_products)
+    return grid[:, registry.product_index(product)].copy()
+
+
 ORACLE_CAP = 2000
+
+
+def split_diagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a square matrix into its diagonal and off-diagonal parts."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("expected a square matrix")
+    off = matrix.copy()
+    np.fill_diagonal(off, 0.0)
+    return np.diag(np.diag(matrix)), off
 
 
 def reduce_dense_oracle(matrix, sel, cap: int = ORACLE_CAP) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import live_reduced_sets
+from conftest import live_reduced_sets, same_trade
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -154,7 +154,7 @@ class TestSynth:
         assert rc == 0
         tensor = w.load_money_tensor(out, 2016)
         expected = w.synth_tensor(9, 4, 2, 0.8)
-        assert tensor.same_trade(expected)
+        assert same_trade(tensor, expected)
 
     def test_registry_output(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -5,7 +5,7 @@ from scipy import sparse
 import wtnrank as w
 from wtnrank.errors import ConvergenceError
 
-from conftest import dense_pagerank_oracle
+from conftest import dense_pagerank_oracle, product_slice
 
 
 def two_node_google():
@@ -139,7 +139,7 @@ class TestTrace:
     def test_product_slice(self):
         reg = w.Registry(countries=("AA", "BB"), products=("10", "20"))
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(w.product_slice(p, reg, "20"), [0.2, 0.4])
+        np.testing.assert_allclose(product_slice(p, reg, "20"), [0.2, 0.4])
 
 
 class TestExports:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from scipy import sparse
 import wtnrank as w
 from wtnrank.regomax import write_diagnostics, write_reduced_csv
 
-from conftest import ORACLE_CAP, reduce_dense_oracle, reduce_single_lu_reference
+from conftest import (
+    ORACLE_CAP,
+    reduce_dense_oracle,
+    reduce_single_lu_reference,
+    split_diagonal,
+)
 
 
 def pair_for(seed, n_c, n_p, density, alpha=0.5):
@@ -62,11 +68,23 @@ class TestTrivialSelection:
 class TestDenseCap:
     def test_refuses_before_allocating(self, monkeypatch):
         g, _ = pair_for(1, 6, 2, 0.5)
-        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", 6 * 8 * 4**2)
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", w.regomax.DENSE_ARRAYS * 8 * 4**2)
         w.reduce(g, w.Selection(node_ids=(0, 1, 2, 3), total=g.size))  # exactly at the cap
         for ids in ((0, 1, 2, 3, 4), tuple(range(g.size))):
             with pytest.raises(ValueError, match=f"{len(ids)} nodes .* {len(ids)} x {len(ids)}"):
                 w.reduce(g, w.Selection(node_ids=ids, total=g.size))
+
+    def test_paper_size_all_products_refused(self, monkeypatch):
+        # 227 countries x 61 products, every node selected; fail rather than
+        # allocate if the cap lets it through
+        monkeypatch.setattr(w.regomax, "_trivial_reduction", lambda *args: pytest.fail("admitted"))
+        size = 227 * 61
+        empty = w.GoogleMatrix(
+            links=sparse.csr_matrix((size, size)), dangling=np.ones(size, dtype=bool),
+            personalization=np.full(size, 1.0 / size), alpha=0.5, total=size,
+        )
+        with pytest.raises(ValueError, match=f"{size} nodes .* MiB cap"):
+            w.reduce(empty, w.Selection(node_ids=tuple(range(size)), total=size))
 
 
 class TestSingleHiddenNode:
@@ -87,6 +105,24 @@ class TestSingleHiddenNode:
         assert np.abs(reduce_dense_oracle(g, sel) - closed).max() < 1e-12
         # a one-node complement is its own eigenvector: deflation leaves nothing
         assert not result.indirect_part.any()
+
+    def test_undamped_node_without_self_link(self):
+        # at alpha = 1 a non-dangling node without a self-link has G_ss = 0:
+        # lambda_c = 0, nothing is deflated and the whole G_rs G_sr is indirect
+        g, _ = pair_for(4, 4, 1, 1.0, alpha=1.0)
+        n = g.size
+        hidden = 2
+        dense = g.to_dense()
+        assert dense[hidden, hidden] == 0.0
+        kept = tuple(i for i in range(n) if i != hidden)
+        sel = w.Selection(node_ids=kept, total=n)
+        rows = np.asarray(kept)
+        through = dense[rows, hidden][:, None] @ dense[hidden, rows][None, :]
+        result = w.reduce(g, sel)
+        assert result.complement_eigenvalue == 0.0
+        assert np.abs(result.indirect_part - through).max() < 1e-15
+        assert np.abs(result.reduced - (dense[np.ix_(rows, rows)] + through)).max() < 1e-15
+        np.testing.assert_allclose(result.reduced.sum(axis=0), 1.0, atol=1e-14)
 
 
 # (seed, countries, products, density, n_r) instances used across checks
@@ -338,6 +374,53 @@ class TestAgainstSingleLU:
                 assert np.abs(getattr(result, name) - expected).max() <= 1e-13, name
 
 
+class TestPaperScale:
+    def test_quotient_property_and_restricted_pagerank(self):
+        """At the paper shape (13 847 nodes), beyond the dense oracle: reducing
+        onto B and then eliminating B - A densely gives the reduction onto A
+        (Meyer, SIAM Rev. 31, 1989; Crabtree & Haynsworth, Proc. AMS 22,
+        1969), and R_A keeps the restricted stationary vector of G."""
+        tensor = w.synth_tensor(1, 227, 61, 0.25)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel_a = w.Selection.for_countries(reg, reg.countries[:27], extra_nodes=(source,))
+        wider = w.Selection.for_countries(reg, reg.countries[27:30]).node_ids
+        sel_b = w.Selection(node_ids=sel_a.node_ids + wider, total=reg.size)
+        k = sel_a.n_selected
+        assert (k, sel_b.n_selected) == (1648, 1831)
+        for matrix in w.build_trade_pair(tensor):
+            r_a = w.reduce(matrix, sel_a)
+            weights = r_a.weights
+            assert abs(weights["reduced"] - 1.0) < 1e-13
+            assert abs(weights["direct"] + weights["projector"] + weights["indirect"] - 1.0) < 1e-13
+            r_b = w.reduce(matrix, sel_b).reduced
+            inner = np.eye(sel_b.n_selected - k) - r_b[k:, k:]
+            eliminated = r_b[:k, :k] + r_b[:k, k:] @ np.linalg.solve(inner, r_b[k:, :k])
+            assert np.abs(eliminated - r_a.reduced).max() <= 1e-15
+            restricted = w.pagerank(matrix, tol=1e-14).probabilities[list(sel_a.node_ids)]
+            local = w.pagerank(r_a.reduced, tol=1e-14).probabilities
+            assert np.abs(restricted / restricted.sum() - local).sum() < 1e-13
+
+
+class TestMemory:
+    def test_reduce_peak_at_shock_mid_shape(self):
+        """The indirect part is summed from factors: one traced reduction
+        peaks at no more than five n x n float64 arrays."""
+        tensor = w.synth_tensor(1, 100, 61, 0.25)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel = w.Selection.for_countries(reg, reg.countries[:12], extra_nodes=(source,))
+        n = sel.n_selected
+        matrix = w.build_trade_pair(tensor)[0]
+        tracemalloc.start()
+        try:
+            w.reduce(matrix, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 733 and peak <= 5 * 8 * n * n
+
+
 class TestComponentWeight:
     def test_stochastic_matrix_weight_one(self):
         g, _ = pair_for(1, 5, 2, 0.6)
@@ -351,25 +434,25 @@ class TestComponentWeight:
 class TestSplitDiagonal:
     def test_diagonal_only(self):
         m = np.diag([1.0, 2.0, 3.0])
-        diag, off = w.split_diagonal(m)
+        diag, off = split_diagonal(m)
         assert not off.any()
         np.testing.assert_array_equal(diag, m)
 
     def test_hollow(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        diag, off = w.split_diagonal(m)
+        diag, off = split_diagonal(m)
         assert not diag.any()
         np.testing.assert_array_equal(off, m)
 
     def test_exact_restore(self):
         rng = np.random.default_rng(0)
         m = rng.random((6, 6))
-        diag, off = w.split_diagonal(m)
+        diag, off = split_diagonal(m)
         assert np.array_equal(diag + off, m)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            w.split_diagonal(np.zeros((2, 3)))
+            split_diagonal(np.zeros((2, 3)))
 
 
 class TestOracleGuards:
