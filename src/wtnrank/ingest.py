@@ -10,7 +10,8 @@ stripped of surrounding whitespace. Duplicate (product, importer, exporter)
 rows are summed; self-trade rows are dropped with a warning.
 
 The loader reads the file as text in blocks of about `_BLOCK_CHARS`
-characters, each read whole and ended at a line end. A clean block holds no
+characters, each read whole and ended at a line end, so the memory taken
+by the text is bounded by the block, not the file. A clean block holds no
 quote, `#` or NUL, and no carriage return but in a CRLF line end; each of
 its lines is 4 commas then a newline, with no field longer than
 `csv.field_size_limit()`. `csv.reader` would read it as plain comma splits,
@@ -20,15 +21,16 @@ cell is 2 printable ASCII bytes maps through a table of their 16-bit
 values, and only the value column, and any column that fails these tests,
 becomes `str` cells. Every other block, and the header with the comments
 before it, goes through `csv.reader`, and a quoted record still open at a
-block's end reads on into the next block; the cells of its rows go into one
-flat list. Each distinct year or code string is checked once, values are
-converted in bulk, and only integer ids and float values are kept, so the
-memory taken by the text is bounded by the block, not the file. Every row
-of the file is validated, whatever its year; when a block holds a fault,
-the per-row rules run over its rows alone and report the first fault in
-row and field order, with its 1-based row number, exactly as a row-by-row
-`csv.reader` loop would. Invalid UTF-8 fails after the same rows, with the
-same error, as it does in that loop.
+block's end reads on into the next block. Each distinct year or code string
+is checked once, values are converted in bulk, and only integer ids and
+float values are kept.
+
+Every row of the file is validated, whatever its year, but the block
+reader only detects a fault: it stops at the first one it meets, in no set
+order and without row numbers. The file is then read a second time by one
+row-by-row `csv.reader` loop, `_raise_first_fault`, which holds the row
+rules and raises the first fault with its 1-based row number. So a valid
+file is read once, and only a failing one twice.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -48,6 +50,7 @@ import logging
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 from scipy import sparse
@@ -58,7 +61,6 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("year", "product", "exporter", "importer", "value_usd")
 _BLOCK_CHARS = 1 << 20  # text tested for the byte fast path at a time
-_DECODE_AHEAD = 8192  # the bytes a text file decodes at a time when read by lines
 
 
 @dataclass(frozen=True)
@@ -319,87 +321,11 @@ def save_registry(registry: Registry, path) -> None:
             fh.write(p + "\n")
 
 
-def _check_row(row: list[str], lineno: int) -> None:
-    """Raise the ParseError of a data row's first fault, in field order."""
-    if len(row) != 5:
-        raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
-    y_s, product, exporter, importer, value_s = (c.strip() for c in row)
-    try:
-        int(y_s)
-    except ValueError:
-        raise ParseError(f"bad year {y_s!r}", lineno) from None
-    if len(product) != 2:
-        raise ParseError(f"product code {product!r} is not 2 characters", lineno)
-    if len(exporter) != 2 or len(importer) != 2:
-        raise ParseError("country codes must be 2 characters", lineno)
-    try:
-        value = float(value_s)
-    except ValueError:
-        raise ParseError(f"bad value {value_s!r}", lineno) from None
-    if not np.isfinite(value) or value < 0:
-        raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
-
-
-def _next_block(fh) -> str:
-    """Read text up to the end of the first line that brings it to
-    `_BLOCK_CHARS` characters or more."""
-    text = fh.read(_BLOCK_CHARS)
-    if len(text) < _BLOCK_CHARS or text.endswith("\n"):
-        return text
-    if text.endswith("\r"):  # the line ends here unless "\n" follows
-        mark = fh.tell()
-        if fh.read(1) == "\n":
-            return text + "\n"
-        fh.seek(mark)
-        return text
-    return text + fh.readline()
-
-
-def _replay(path, done: int):
-    """Read `path` line by line from the start, as a row-by-row `csv.reader`
-    loop over the text file does; yield the lines after the first `done`
-    characters that decode before the fault, then raise its error."""
-    rest: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            for line in fh:
-                if done > 0:
-                    done -= len(line)
-                else:
-                    rest.append(line)
-        except UnicodeDecodeError:
-            yield "".join(rest)
-            raise
-
-
 def _text_blocks(fh):
-    """Yield the text of the file `fh` in blocks, each ended by the first line
-    that brings it to `_BLOCK_CHARS` characters or more.
-
-    Invalid UTF-8 must fail after the same rows as in a loop that reads the
-    file line by line. Such a loop decodes `_DECODE_AHEAD` bytes at a time,
-    so it gets every line that ends before the chunk holding the fault; a
-    block is yielded only once `_DECODE_AHEAD` more characters have decoded
-    after it. A read that meets the fault loses all the text it decoded, so
-    the file is then read again line by line, and the lines that loop gets
-    before the fault, past the blocks yielded, are yielded before the error
-    is raised.
-    """
-    ahead: list[str] = []  # blocks read, not yet yielded
-    ahead_chars = done = 0
-    try:
-        while block := _next_block(fh):
-            ahead.append(block)
-            ahead_chars += len(block)
-            while ahead_chars - len(ahead[0]) >= _DECODE_AHEAD:
-                block = ahead.pop(0)
-                ahead_chars -= len(block)
-                done += len(block)
-                yield block
-    except UnicodeDecodeError:
-        yield from _replay(fh.name, done)
-        raise
-    yield from ahead
+    """Yield the text of the file `fh` in blocks of `_BLOCK_CHARS`
+    characters, each read on to the end of its last line."""
+    while block := fh.read(_BLOCK_CHARS):
+        yield block if block.endswith("\n") else block + fh.readline()
 
 
 def _lines(block: str) -> list[str]:
@@ -433,8 +359,7 @@ class _CleanBlock:
     test are decoded to `str` cells.
     """
 
-    def __init__(self, block: str, raw: np.ndarray, seps: np.ndarray):
-        self.block = block
+    def __init__(self, raw: np.ndarray, seps: np.ndarray):
         self.raw = raw
         self.end = seps
         self.start = np.empty_like(seps)
@@ -444,11 +369,6 @@ class _CleanBlock:
 
     def __len__(self) -> int:
         return len(self.end)
-
-    def cells(self) -> list[str]:
-        """The 5 cells of every row, back to back; a CRLF leaves "\\r" on the
-        last cell, which the row rules strip."""
-        return self.block.replace("\n", ",").split(",")[:-1]
 
     def column(self, c: int) -> list[str]:
         """The cells of column c."""
@@ -504,68 +424,52 @@ def _clean_block(block: str) -> _CleanBlock | None:
     kinds = raw[seps]
     if (kinds[:, :4] != ord(",")).any() or (kinds[:, 4] != ord("\n")).any():
         return None
-    clean = _CleanBlock(block, raw, seps)
+    clean = _CleanBlock(raw, seps)
     # UTF-8 bytes bound the characters of a field from above
     if (clean.end - clean.start).max() > csv.field_size_limit():
         return None
     return clean
 
 
-def _read_header(blocks) -> tuple[int, str]:
-    """Read the rows up to the header and check it; return its row number and
-    the text after it in the block it ends in."""
-    lineno = 0
+def _read_header(blocks) -> str:
+    """Read the rows up to the header and check it; return the text after it
+    in the block it ends in."""
     for block in blocks:
         reader, lines = _block_reader(block, blocks)
         while reader.line_num < len(lines):
             row = next(reader)
-            lineno += 1
             if row and not row[0].lstrip().startswith("#"):
                 if tuple(c.strip() for c in row) != CSV_HEADER:
-                    raise ParseError(
-                        f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
-                    )
-                return lineno, "".join(lines[reader.line_num :])
-    raise TradeDataError("no records: file is empty")
+                    raise ValueError("bad header")
+                return "".join(lines[reader.line_num :])
+    raise ValueError("no header")
 
 
 def _data_chunks(fh):
-    """Check the header, then yield (rows, lines) for runs of data rows.
+    """Check the header, then yield the data rows of each text block.
 
-    `lines` holds the 1-based row numbers of a run. Each text block gives
-    one run: a clean block (see `_clean_block`) as its `_CleanBlock`; every
-    other block, like the header and the rows before it, is read by
-    `csv.reader`, and `rows` holds the 5 cells of its data rows back to
-    back. Blank and comment rows are skipped. A row with the wrong column
-    count, or a row the reader cannot read, ends the run early: the rows
-    before it are yielded, and so checked, before its own error is raised.
+    A clean block (see `_clean_block`) is yielded as its `_CleanBlock`.
+    Every other block, like the header and the rows before it, is read by
+    `csv.reader`, and its data rows are yielded as their 5 cells back to
+    back; blank and comment rows are skipped, and a row with another column
+    count raises ValueError.
     """
     blocks = _text_blocks(fh)
-    lineno, rest = _read_header(blocks)
-    cells: list[str] = []
-    lines: list[int] = []
-    try:
-        for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
-            clean = _clean_block(block)
-            if clean is not None:
-                yield clean, np.arange(lineno + 1, lineno + len(clean) + 1)
-                lineno += len(clean)
-                continue
-            reader, block_lines = _block_reader(block, blocks)
-            while reader.line_num < len(block_lines):
-                row = next(reader)
-                lineno += 1
-                if len(row) == 5 and not row[0].lstrip().startswith("#"):
-                    cells += row
-                    lines.append(lineno)
-                elif row and not row[0].lstrip().startswith("#"):
-                    _check_row(row, lineno)  # raises: the column count is wrong
-            yield cells, lines
-            cells, lines = [], []
-    except (ParseError, csv.Error, UnicodeDecodeError):
-        yield cells, lines  # a fault in an earlier row is reported first
-        raise
-    yield [], []  # so that a file with no data rows still has a run
+    rest = _read_header(blocks)
+    for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
+        clean = _clean_block(block)
+        if clean is not None:
+            yield clean
+            continue
+        reader, lines = _block_reader(block, blocks)
+        cells: list[str] = []
+        while reader.line_num < len(lines):
+            row = next(reader)
+            if row and not row[0].lstrip().startswith("#"):
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 columns, got {len(row)}")
+                cells += row
+        yield cells
 
 
 class _Distinct(dict):
@@ -615,19 +519,18 @@ def _values(cells: list[str], m: int) -> np.ndarray:
         return np.fromiter(map(float, map(str.strip, cells)), np.float64, m)
 
 
-def _convert_chunk(rows, lines, years, products, countries):
+def _convert_chunk(rows, years, products, countries):
     """Validate one chunk column by column and keep the rows of the year.
 
     `rows` is a `_CleanBlock` or the rows' cells back to back. In a clean
     block, a year column of one repeated cell is looked up once and a code
     column of printable 2-byte cells by key; only the other columns become
     `str` cells. Returns the count of self-trade rows dropped and the arrays
-    (line, product, importer, exporter, value) of the rows kept. On a fault
-    the per-row rules run over the chunk, so the error names its first fault.
+    (product, importer, exporter, value) of the rows kept. A fault raises
+    ValueError, whichever column it is found in first.
     """
-    lines = np.asarray(lines, dtype=np.int64)
-    m = lines.size
     clean = isinstance(rows, _CleanBlock)
+    m = len(rows) if clean else len(rows) // 5
     column = rows.column if clean else lambda c: rows[c::5]
 
     def code_ids(c, codes):
@@ -636,27 +539,20 @@ def _convert_chunk(rows, lines, years, products, countries):
             return np.fromiter(map(codes.__getitem__, column(c)), np.int64, m)
         return codes.of_keys(keys)
 
-    try:
-        year = rows.same_year() if clean else None
-        if year is None:
-            in_year = np.fromiter(map(years.__getitem__, column(0)), bool, m)
-        else:
-            in_year = np.full(m, years[year])
-        p = code_ids(1, products)
-        e = code_ids(2, countries)
-        i = code_ids(3, countries)
-        v = _values(column(4), m)
-        valid = bool(np.all(np.isfinite(v) & (v >= 0)))
-    except ValueError:
-        valid = False
-    if not valid:
-        cells = rows.cells() if clean else rows
-        for k, lineno in enumerate(lines.tolist()):
-            _check_row(cells[5 * k : 5 * k + 5], lineno)
-        raise RuntimeError("chunk rejected, but no row in it breaks the row rules")
+    year = rows.same_year() if clean else None
+    if year is None:
+        in_year = np.fromiter(map(years.__getitem__, column(0)), bool, m)
+    else:
+        in_year = np.full(m, years[year])
+    p = code_ids(1, products)
+    e = code_ids(2, countries)
+    i = code_ids(3, countries)
+    v = _values(column(4), m)
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("a value is negative or not finite")
     self_trade = in_year & (e == i)
     keep = in_year & ~self_trade
-    return int(self_trade.sum()), (lines[keep], p[keep], i[keep], e[keep], v[keep])
+    return int(self_trade.sum()), (p[keep], i[keep], e[keep], v[keep])
 
 
 def _index_map(codes, index: dict[str, int]) -> np.ndarray:
@@ -664,28 +560,87 @@ def _index_map(codes, index: dict[str, int]) -> np.ndarray:
     return np.array([index.get(c, -1) for c in codes], dtype=np.int64)
 
 
+def _raise_first_fault(path, year: int, registry: Registry | None) -> NoReturn:
+    """Read `path` again, row by row, and raise its first fault.
+
+    This loop is the one statement of the row rules; the block reader only
+    detects that one is broken. The faults are raised in this order: a bad
+    header, or no header at all; then the first row, in file order, that
+    breaks a rule, that `csv.reader` cannot read or that is not valid
+    UTF-8; then the first code of a row kept for `year` that `registry`
+    lacks. A file with none of these was rejected in error.
+    """
+    header = False
+    unknown = None
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if not header:
+                if tuple(c.strip() for c in row) != CSV_HEADER:
+                    raise ParseError(
+                        f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", lineno
+                    )
+                header = True
+                continue
+            if len(row) != 5:
+                raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
+            y_s, product, exporter, importer, value_s = (c.strip() for c in row)
+            try:
+                y = int(y_s)
+            except ValueError:
+                raise ParseError(f"bad year {y_s!r}", lineno) from None
+            if len(product) != 2:
+                raise ParseError(f"product code {product!r} is not 2 characters", lineno)
+            if len(exporter) != 2 or len(importer) != 2:
+                raise ParseError("country codes must be 2 characters", lineno)
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise ParseError(f"bad value {value_s!r}", lineno) from None
+            if not np.isfinite(value) or value < 0:
+                raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
+            if registry is not None and unknown is None and y == year and exporter != importer:
+                try:
+                    registry.product_index(product)
+                    registry.country_index(exporter)
+                    registry.country_index(importer)
+                except TradeDataError as exc:
+                    unknown = TradeDataError(f"line {lineno}: {exc}")
+    if not header:
+        raise TradeDataError("no records: file is empty")
+    if unknown is not None:
+        raise unknown
+    raise RuntimeError(f"{path} was rejected, but no row of it breaks the row rules")
+
+
 def load_money_tensor(path, year: int, registry: Registry | None = None) -> MoneyTensor:
     """Load a trade tensor for one year from the CSV format above.
 
     Without an explicit registry the country and product orderings are the
     lexicographically sorted unions of the codes seen. With a registry,
-    unknown codes are rejected.
+    unknown codes are rejected. A file that fails either way is read a
+    second time, by `_raise_first_fault`, to name its first fault.
     """
     years = _Distinct(lambda raw: int(raw.strip()) == year)
     products = _Codes()
     countries = _Codes()
-    with open(path, encoding="utf-8", newline="") as fh:
-        chunks = [
-            _convert_chunk(rows, lines, years, products, countries)
-            for rows, lines in _data_chunks(fh)
-        ]
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            chunks = [
+                _convert_chunk(rows, years, products, countries) for rows in _data_chunks(fh)
+            ]
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        chunks = None
+    if chunks is None:  # raised outside the handler, so the fault shows alone
+        _raise_first_fault(path, year, registry)
     dropped_self = sum(dropped for dropped, _ in chunks)
-    lines, p, i, e, values = map(np.concatenate, zip(*(kept for _, kept in chunks)))
-    del chunks  # here and below: the load sets the peak memory of a `rank` run
     if dropped_self:
         log.warning("%s: dropped %d self-trade row(s)", path, dropped_self)
-    if not values.size:
+    if not any(kept[-1].size for _, kept in chunks):
         raise TradeDataError(f"no records for year {year} in {path}")
+    p, i, e, values = map(np.concatenate, zip(*(kept for _, kept in chunks)))
+    del chunks  # here and below: the load sets the peak memory of a `rank` run
 
     # p, i, e are ids in order of first sight; remap them to the registry order
     product_codes = list(products.ids)
@@ -701,16 +656,8 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
         )
     product_map = _index_map(product_codes, registry._product_index)
     country_map = _index_map(country_codes, registry._country_index)
-    unknown = (product_map[p] < 0) | (country_map[e] < 0) | (country_map[i] < 0)
-    if unknown.any():
-        k = int(np.argmax(unknown))
-        try:
-            registry.product_index(product_codes[p[k]])
-            registry.country_index(country_codes[e[k]])
-            registry.country_index(country_codes[i[k]])
-        except TradeDataError as exc:
-            raise TradeDataError(f"line {lines[k]}: {exc}") from None
-    del lines, unknown
+    if ((product_map[p] < 0) | (country_map[e] < 0) | (country_map[i] < 0)).any():
+        _raise_first_fault(path, year, registry)
     p, i, e = product_map[p], country_map[i], country_map[e]
     return MoneyTensor.from_entries(registry, year, p, i, e, values)
 

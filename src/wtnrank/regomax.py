@@ -162,7 +162,7 @@ class ReducedSet:
     def indirect_offdiag(self) -> np.ndarray:
         return _off_diagonal(self.indirect_part)
 
-    @property
+    @cached_property
     def weights(self) -> dict[str, float]:
         return {
             "reduced": component_weight(self.reduced),

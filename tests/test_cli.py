@@ -304,6 +304,21 @@ def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
     assert seen == [0, 0]
 
 
+def test_reduce_computes_each_weight_once(tmp_path, monkeypatch):
+    """The log line and the diagnostics file share one computation of the
+    5 weights per direction."""
+    component_weight = w.regomax.component_weight
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return component_weight(matrix)
+
+    monkeypatch.setattr(w.regomax, "component_weight", counting)
+    assert run("reduce", *SHOCK, "--out-dir", tmp_path) == 0
+    assert len(calls) == 5 * 2
+
+
 class TestSensitivityCommand:
     def test_reports_match_module(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="wtnrank"):

@@ -279,9 +279,9 @@ class TestAgainstReference:
     @pytest.mark.parametrize("offset", [-1, 0])
     @pytest.mark.parametrize("fault", ["2016,01,AA,BB,-5", "2016,01,AA"])
     def test_fault_at_first_chunk_boundary(self, tmp_path, offset, fault):
-        """`_data_chunks` yields one chunk per text block. The first block
-        ends `offset` rows after the faulty row: the fault ends the first
-        chunk (0) or starts the second (-1)."""
+        """The first text block ends `offset` rows after the faulty row, so
+        the fault ends the first block (0) or starts the second (-1); either
+        way the error is the reference's, on row 102."""
         good = "2016,01,AA,BB,5\n"
         text = HEADER + good * 100 + fault + "\n" + good * 3
         path = write(tmp_path, text)
@@ -343,10 +343,10 @@ class TestAgainstReference:
         assert str(actual) == str(expected)
 
     def test_invalid_utf8_just_past_a_block(self, tmp_path):
-        """A block read decodes more bytes than the block holds, and not in
-        the 8192-byte chunks of a line-by-line read. An invalid byte just past
-        them can stop the line-by-line read inside the block; then the fault
-        in the block's last row is not reported, as in the reference."""
+        """The first block's last row has a bad value, and an invalid byte
+        follows at one of many points just past the block's end. Wherever
+        it is, the error is the reference's: the bad value, or the decoding
+        error when a line-by-line read meets the byte first."""
         block = 16241
         lines = [HEADER] + [f"2016,01,{'AÉ' if k % 7 else 'AA'},BB,{k}\n" for k in range(1500)]
         size = last = 0
@@ -431,6 +431,52 @@ class TestFastPath:
         assert clean.call_count > 10
         assert [c for (_, c), _ in column.call_args_list] == [4] * clean.call_count
         assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
+    @staticmethod
+    def written_tensor(tmp_path, eol="\n"):
+        """A tensor, and the path of its `serialize_tensor` file ended by `eol`."""
+        tensor = w.synth_tensor(2, 30, 5, 0.5)
+        path = tmp_path / "t.csv"
+        w.serialize_tensor(tensor, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+        return tensor, path
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_valid_file_is_read_once(self, tmp_path, eol):
+        tensor, path = self.written_tensor(tmp_path, eol)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
+                mock.patch.object(ingest, "_raise_first_fault",
+                                  wraps=ingest._raise_first_fault) as reread:
+            back = w.load_money_tensor(path, tensor.year)
+        assert reread.call_count == 0
+        assert same_trade(back, tensor)
+
+    @pytest.mark.parametrize("fault", ["last-value", "columns", "utf8", "unknown-code"])
+    def test_failing_file_is_read_again_once(self, tmp_path, fault):
+        """The block reader only detects the fault; one row-by-row re-read
+        raises the reference's error."""
+        tensor, path = self.written_tensor(tmp_path)
+        data = path.read_bytes()
+        middle = data.index(b"\n", len(data) // 2) + 1
+        registry = None
+        if fault == "last-value":
+            data = data[: data.rindex(b",") + 1] + b"-5\n"
+        elif fault == "columns":
+            data = data[:middle] + b"2016,00,AA\n" + data[middle:]
+        elif fault == "utf8":
+            data = data[:middle] + b"\xff" + data[middle:]
+        else:
+            reg = tensor.registry
+            registry = w.Registry(countries=reg.countries[:-1], products=reg.products)
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
+                mock.patch.object(ingest, "_raise_first_fault",
+                                  wraps=ingest._raise_first_fault) as reread:
+            actual, _ = load_logged(w.load_money_tensor, path, registry)
+        expected, _ = load_logged(load_money_tensor_reference, path, registry)
+        assert reread.call_count == 1
+        assert isinstance(expected, ValueError)
+        assert (type(actual), str(actual)) == (type(expected), str(expected))
 
     @pytest.mark.parametrize("text, fallback", [
         ("2016,01,AA,BB,5\n2016,02,BB,AA,7", ["2016,02,BB,AA,7"]),
