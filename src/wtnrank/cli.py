@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 import typing
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(_merge_config(args))
-    except (TradeDataError, OSError, ValueError) as exc:
+    except (TradeDataError, OSError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a huge field
         log.error("%s", exc)
         return 2
     except (ConvergenceError, np.linalg.LinAlgError) as exc:

@@ -14,11 +14,12 @@ and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
     Y = M^(-1) alpha A_sr,   Z = M^(-1) U,   C = 1 - V_s^T Z .
 
 M is block-diagonal over the weakly connected components of A_ss (on trade
-matrices, one block per product, since products mix only through the
-rank-two term). Each component is factored by its own sparse LU (nodes with
-no link inside the complement are gathered into one diagonal block), and a
-column of alpha A_sr is solved only on the components its links reach, so Y
-is kept sparse.
+matrices, one block per product of at most one node per country, since
+products mix only through the rank-two term). Each component is scattered
+into one dense block and solved by one dense LU, with U and only the columns
+of alpha A_sr that reach it as right-hand sides, so Y is kept sparse. Nodes
+alone in their component are divided by their diagonal 1 - alpha A_ii, as
+one more block.
 
 The resolvent is split through the leading eigenpair of G_ss: with
 right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
@@ -57,7 +58,9 @@ _COLUMN_BLOCK = 256  # selected columns per residual block; bounds its (compleme
 # `reduce` holds three: the indirect part, the reduced matrix and the projector part
 # it adds in. A caller holds at most one more: the derived component the `reduce`
 # command writes, or the other direction's reduced matrix in `sensitivity`, whose
-# linear response also needs four. Larger selections are refused up front
+# linear response also needs four. Larger selections are refused up front, and so
+# is a complement component whose one dense block would exceed it (trade links never
+# cross products, so a component there has at most one node per country)
 DENSE_CAP_BYTES = 2 * 1024**3
 DENSE_ARRAYS = 4
 
@@ -131,7 +134,7 @@ class ReducedSet:
     `indirect_part == indirect_diag + indirect_offdiag` is exact. The indirect
     part is summed from factors of the complement solve X = Y + Z W (see the
     module docstring), never from a dense X. `solve_residual` is the max-norm
-    of (1 - G_ss) X - G_sr; `complement_blocks` counts the sparse LU blocks
+    of (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks
     the solve used (the batch of link-free complement nodes counts as one).
     """
 
@@ -282,47 +285,107 @@ def _add_sparse(dense: np.ndarray, matrix) -> None:
     dense[coo.row, coo.col] += coo.data
 
 
+def _components(links) -> np.ndarray:
+    """Weak-component labels of a square sparse matrix: each node is labelled
+    with the smallest node id of its component.
+
+    Min-label hooking with pointer jumping. Every link, taken in both
+    directions, hooks the larger of its two end labels onto the smaller one;
+    then every label jumps to its root. Labels only fall and always name a
+    node of the same component. A link whose ends share a label never joins
+    anything again, so it is dropped; the loop ends with no link left.
+    """
+    coo = links.tocoo()
+    head, tail = coo.row, coo.col
+    label = np.arange(links.shape[0], dtype=head.dtype)
+    while head.size:
+        a, b = label[head], label[tail]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        apart = np.flatnonzero(label[head] != label[tail])
+        head, tail = head[apart], tail[apart]
+    return label
+
+
 def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
     weakly connected component of A_ss at a time (see the module docstring).
 
     Returns Y (CSC) and Z (dense), their residuals M Y - alpha A_sr and
     M Z - U taken with the whole M, so a wrong partition into components
-    shows there, and the number of blocks factored.
+    shows there, and the number of blocks solved. A component whose dense
+    block would exceed `DENSE_CAP_BYTES` raises ValueError before any block
+    is allocated.
     """
-    # imported here: scipy.sparse.linalg and csgraph would slow every CLI start
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import splu
-
     m = b_ss.shape[0]
-    mat = (sparse.identity(m, format="csr") - b_ss.alpha * b_ss.links).tocsr()
-    rhs = (b_sr.alpha * b_sr.links).tocsr()
+    alpha = b_ss.alpha
+    mat = (sparse.identity(m, format="csr") - alpha * b_ss.links).tocsr()
+    rhs = (b_sr.alpha * b_sr.links).tocoo()
     u = b_ss.u
-    n_comp, labels = connected_components(b_ss.links, directed=True, connection="weak")
-    sizes = np.bincount(labels, minlength=n_comp)
-    # nodes with no link inside the complement are gathered into one block
-    labels = np.where(sizes[labels] > 1, labels, n_comp)
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    labels = _components(b_ss.links)
+    sizes = np.bincount(labels)[labels]  # per node: the size of its component
+    widest = int(sizes.max())
+    if 8 * widest * widest > DENSE_CAP_BYTES:
+        raise ValueError(
+            f"a complement component of {widest} nodes needs "
+            f"{8 * widest * widest / 2**20:,.1f} MiB for its dense block, above the "
+            f"{DENSE_CAP_BYTES / 2**20:,.1f} MiB cap"
+        )
+    # nodes alone in their component (a self-link at most) are one last, diagonal group
+    alone = sizes == 1
+    _, group, counts = np.unique(np.where(alone, m, labels), return_inverse=True, return_counts=True)
+    n_blocks = counts.size
+    n_shared = n_blocks - int(alone.any())  # components of two nodes or more
+    nodes = np.argsort(group, kind="stable")  # group by group, ascending within
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.empty(m, dtype=np.intp)  # a node's index inside its group
+    pos[nodes] = np.arange(m) - starts[group[nodes]]
+
+    # one pass over the links of M and of alpha A_sr: each entry keyed by its group
+    coo = b_ss.links.tocoo()
+    inside = (group[coo.row] == group[coo.col]) & ~alone[coo.row]
+    row, col, val = coo.row[inside], coo.col[inside], coo.data[inside]
+    by_group = np.argsort(group[row])
+    row, col, val = row[by_group], col[by_group], val[by_group]
+    link_key = pos[row] * sizes[row] + pos[col]  # flat place in the dense block
+    link_starts = np.searchsorted(group[row], np.arange(n_blocks + 1))
+    by_group = np.argsort(group[rhs.row])
+    rhs_row, rhs_col, rhs_val = rhs.row[by_group], rhs.col[by_group], rhs.data[by_group]
+    rhs_starts = np.searchsorted(group[rhs_row], np.arange(n_blocks + 1))
 
     z = np.empty((m, 2))
     rows, cols, vals = [], [], []
-    for idx in blocks:
-        lu = splu(mat[idx][:, idx].tocsc())
-        z[idx] = lu.solve(u[idx])
-        b_k = rhs[idx]
-        reached = np.unique(b_k.indices)
-        if reached.size:
-            rows.append(np.repeat(idx, reached.size))
-            cols.append(np.tile(reached, idx.size))
-            vals.append(lu.solve(b_k[:, reached].toarray()).ravel())
-    if vals:
-        pattern = (np.concatenate(rows), np.concatenate(cols))
-        y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
-    else:
-        y = sparse.csc_matrix(rhs.shape)
+    for k in range(n_shared):
+        idx = nodes[starts[k]:starts[k + 1]]
+        size = idx.size
+        span = slice(link_starts[k], link_starts[k + 1])
+        block = np.bincount(link_key[span], weights=val[span], minlength=size * size)
+        block = (-alpha * block).reshape(size, size)
+        block.flat[:: size + 1] += 1.0
+        entries = slice(rhs_starts[k], rhs_starts[k + 1])
+        reached, col_pos = np.unique(rhs_col[entries], return_inverse=True)
+        b_k = np.zeros((size, 2 + reached.size))
+        b_k[:, :2] = u[idx]
+        b_k[pos[rhs_row[entries]], 2 + col_pos] = rhs_val[entries]
+        x_k = np.linalg.solve(block, b_k)
+        z[idx] = x_k[:, :2]
+        rows.append(np.repeat(idx, reached.size))
+        cols.append(np.tile(reached, size))
+        vals.append(x_k[:, 2:].ravel())
+    diag = 1.0 - alpha * b_ss.links.diagonal()
+    z[alone] = u[alone] / diag[alone, None]
+    entries = slice(rhs_starts[n_shared], rhs_starts[n_blocks])
+    rows.append(rhs_row[entries])
+    cols.append(rhs_col[entries])
+    vals.append(rhs_val[entries] / diag[rhs_row[entries]])
+    pattern = (np.concatenate(rows), np.concatenate(cols))
+    y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
     y_res = (mat @ y - rhs).tocsc()
-    return y, y_res, z, mat @ z - u, len(blocks)
+    return y, y_res, z, mat @ z - u, n_blocks
 
 
 def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:

@@ -18,6 +18,7 @@ from conftest import live_reduced_sets, same_trade
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
 GOLDEN_RANK = DATA / "golden_rank"
+SOLVER_MODULES = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 SHOCK = ("--input", FIXTURE, "--group", "AA,AB", "--source-country", "AC", "--source-product", "01")
 
 
@@ -54,6 +55,15 @@ class TestExitCodes:
         )
         assert rc == 0
         assert (tmp_path / "sensitivity_global_price.csv").exists()
+
+    def test_field_over_csv_size_limit_is_one_error_line(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("year,product,exporter,importer,value_usd\n2016,01,AA,BB,5\n"
+                        "2016,01,AB,BB," + "9" * 200_000 + "\n")
+        proc = run_python("-m", "wtnrank", "rank", "--input", str(path),
+                          "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert re.fullmatch(r"ERROR wtnrank: field larger than field limit \(\d+\)\n", proc.stderr)
 
     def test_bad_alpha_rejected(self, tmp_path):
         rc = run("rank", "--input", FIXTURE, "--alpha", "1.5", "--out-dir", tmp_path)
@@ -460,6 +470,19 @@ class TestStartup:
 
     def test_cli_import_leaves_csgraph_unloaded(self):
         assert not self.loaded_after_cli_import("scipy.sparse.csgraph")
+
+    @pytest.mark.parametrize("command, extra", [("sensitivity", ()), ("network", ("--k", 2))])
+    def test_reducing_commands_never_load_sparse_solvers(self, tmp_path, command, extra):
+        """The complement solve uses numpy alone, so a whole `sensitivity` or
+        `network` run never pays for importing scipy's solver modules."""
+        argv = [command, *map(str, SHOCK + extra), "--out-dir", str(tmp_path)]
+        code = (
+            "import sys; from wtnrank.cli import main; rc = main(%r); "
+            "print([m for m in %r if m in sys.modules]); sys.exit(rc)"
+        ) % (argv, SOLVER_MODULES)
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

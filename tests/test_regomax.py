@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import wtnrank as w
@@ -73,6 +75,31 @@ class TestDenseCap:
         for ids in ((0, 1, 2, 3, 4), tuple(range(g.size))):
             with pytest.raises(ValueError, match=f"{len(ids)} nodes .* {len(ids)} x {len(ids)}"):
                 w.reduce(g, w.Selection(node_ids=ids, total=g.size))
+
+    def test_component_refused_before_allocating(self, monkeypatch):
+        """A 2-node selection on a 600-node cycle leaves one 598-node component,
+        whose dense block alone passes a cap that the selection is far under."""
+        size = 600
+        cycle = sparse.csr_matrix(
+            (np.ones(size), (np.roll(np.arange(size), -1), np.arange(size))), shape=(size, size)
+        )
+        g = w.GoogleMatrix(
+            links=cycle, dangling=np.zeros(size, dtype=bool),
+            personalization=np.full(size, 1.0 / size), alpha=0.5, total=size,
+        )
+        sel = w.Selection(node_ids=(0, 1), total=size)
+        block = 8 * 598**2
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", block - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="component of 598 nodes .* MiB cap"):
+                w.reduce(g, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", block)  # exactly at the cap
+        assert w.reduce(g, sel).complement_blocks == 1
 
     def test_paper_size_all_products_refused(self, monkeypatch):
         # 227 countries x 61 products, every node selected; fail rather than
@@ -345,14 +372,9 @@ class TestComplementEdgeCases:
         """Splitting one component in two drops the links between the halves
         from the solve; the residual is taken with the whole complement matrix,
         so it must show the fault."""
-        from scipy.sparse import csgraph
-
         flows, ids, _ = mixed_products(np.random.default_rng(0))
         sel = w.Selection(node_ids=ids, total=flows.shape[0])
-        monkeypatch.setattr(
-            csgraph, "connected_components",
-            lambda graph, **kw: (2, np.arange(graph.shape[0]) % 2),
-        )
+        monkeypatch.setattr(w.regomax, "_components", lambda links: np.arange(links.shape[0]) % 2)
         for matrix in flow_pair(flows, 0.85, 0):
             result = w.reduce(matrix, sel)
             assert result.complement_blocks == 2
@@ -383,6 +405,46 @@ class TestComplementEdgeCases:
         except w.ConvergenceError:
             return
         assert np.abs(reduced - reduce_dense_oracle(direct, sel)).max() < 1e-10
+
+
+@st.composite
+def link_patterns(draw):
+    """Square sparse link matrices: random ones, randomly permuted paths and
+    stars with random link directions over some of the nodes (the rest
+    isolated), all with random self-loops; or no link at all."""
+    size = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(["random", "path", "star", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = np.zeros((size, size))
+    if kind == "random":
+        dense[rng.random((size, size)) < draw(st.floats(0.0, 0.1))] = 1.0
+    elif kind in ("path", "star"):
+        members = rng.permutation(size)[: draw(st.integers(1, size))]
+        if kind == "path":
+            ends = zip(members[:-1], members[1:])
+        else:
+            ends = ((members[0], leaf) for leaf in members[1:])
+        for a, b in ends:
+            dense[(a, b) if rng.random() < 0.5 else (b, a)] = 1.0
+    if kind != "none":
+        loops = np.flatnonzero(rng.random(size) < draw(st.floats(0.0, 0.5)))
+        dense[loops, loops] = 1.0
+    return sparse.csr_matrix(dense)
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(link_patterns())
+    def test_matches_csgraph_weak_components(self, links):
+        from scipy.sparse.csgraph import connected_components  # test-only oracle
+
+        labels = w.regomax._components(links)
+        nodes = np.arange(links.shape[0])
+        # each label is the smallest node of its component
+        assert np.array_equal(labels[labels], labels) and (labels <= nodes).all()
+        n_comp, expected = connected_components(links, directed=True, connection="weak")
+        pairs = np.unique(np.column_stack((labels, expected)), axis=0)
+        assert len(pairs) == len(np.unique(labels)) == n_comp
 
 
 class TestAgainstSingleLU:
