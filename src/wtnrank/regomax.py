@@ -31,8 +31,10 @@ a rank-five update,
 
     alpha A_rs Y + [U_r, G_rs Z, -G_rs psi_r] [V_s^T Y; W; psi_l^T Y + (psi_l^T Z) W] .
 
-Only the reduced matrix and the indirect part are stored dense; the other
-components are built from factors when read.
+Only the reduced matrix is stored dense. The indirect part is kept as these
+factors (on trade matrices alpha A_rs Y is block-diagonal by product), the
+direct and projector parts as theirs; each is built when read, and the
+component weights are summed from the factors without building any of them.
 """
 from __future__ import annotations
 
@@ -53,16 +55,16 @@ log = logging.getLogger(__name__)
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 _NEGATIVE_WARN = -1e-12
-_COLUMN_BLOCK = 256  # selected columns per residual block; bounds its (complement, block) array
-# bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 8 192).
-# `reduce` holds three: the indirect part, the reduced matrix and the projector part
-# it adds in. A caller holds at most one more: the derived component the `reduce`
-# command writes, or the other direction's reduced matrix in `sensitivity`, whose
-# linear response also needs four. Larger selections are refused up front, and so
-# is a complement component whose one dense block would exceed it (trade links never
-# cross products, so a component there has at most one node per country)
+# bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 9 459).
+# `reduce` holds two: the reduced matrix and one temporary it adds in. A caller holds at
+# most one more: the other direction's reduced matrix in `sensitivity`, beside which
+# the shocked copy of one is the third, or the component the `reduce` command is
+# writing, of which `indirect_diag` is built from the indirect part, a third. Larger
+# selections are refused up front, and so is a complement component whose one dense
+# block would exceed it (trade links never cross products, so a component there has
+# at most one node per country)
 DENSE_CAP_BYTES = 2 * 1024**3
-DENSE_ARRAYS = 4
+DENSE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,14 @@ class Selection:
 class ReducedSet:
     """Reduced matrix, its components, and solver diagnostics.
 
-    Only `reduced` and `indirect_part` are stored dense. Each read of
-    `direct_part` (from the sparse block `direct_block` = G_rr),
-    `projector_part` (the outer product of `projector_column` = G_rs psi_r and
-    `projector_row` = psi_l^T G_sr, over 1 - lam), `indirect_diag` or
-    `indirect_offdiag` builds a new dense n x n array.
+    Only `reduced` is stored dense. The other components are kept as factors
+    and each read of `direct_part` (from the sparse block `direct_block` =
+    G_rr), `projector_part` (the outer product of `projector_column` =
+    G_rs psi_r and `projector_row` = psi_l^T G_sr, over 1 - lam),
+    `indirect_part` (`indirect_left @ indirect_right`, n x 5 times 5 x n, plus
+    the sparse `indirect_links` = alpha A_rs Y), `indirect_diag` or
+    `indirect_offdiag` builds a new dense n x n array. `weights` is summed
+    from the factors and builds none.
 
     `reduced == direct_part + projector_part + indirect_part` holds by
     construction up to the clamping of tiny negative rounding residue;
@@ -140,10 +145,12 @@ class ReducedSet:
 
     selection: Selection
     reduced: np.ndarray
-    indirect_part: np.ndarray
     direct_block: GoogleMatrix
     projector_column: np.ndarray
     projector_row: np.ndarray
+    indirect_links: sparse.csr_matrix
+    indirect_left: np.ndarray
+    indirect_right: np.ndarray
     complement_eigenvalue: float
     solve_residual: float
     complement_blocks: int
@@ -158,21 +165,35 @@ class ReducedSet:
         return _rank_one(self.projector_column, self.projector_row, self.complement_eigenvalue)
 
     @property
+    def indirect_part(self) -> np.ndarray:
+        # what `reduce` sums, so the bytes match
+        return _factored(self.indirect_links, self.indirect_left, self.indirect_right)
+
+    @property
     def indirect_diag(self) -> np.ndarray:
         return np.diag(np.diag(self.indirect_part))
 
     @property
     def indirect_offdiag(self) -> np.ndarray:
-        return _off_diagonal(self.indirect_part)
+        off = self.indirect_part
+        np.fill_diagonal(off, 0.0)
+        return off
 
     @cached_property
     def weights(self) -> dict[str, float]:
+        n = self.selection.n_selected
+        block = self.direct_block
+        direct = block.alpha * float(block.links.sum()) + _factor_sum(block.u, block.v.T)
+        projector = _factor_sum(self.projector_column[:, None], self.projector_row[None, :])
+        links, left, right = self.indirect_links, self.indirect_left, self.indirect_right
+        indirect = _factor_sum(left, right) + float(links.sum())
+        trace = float(links.diagonal().sum()) + float(np.einsum("ik,ki->", left, right))
         return {
             "reduced": component_weight(self.reduced),
-            "direct": component_weight(self.direct_part),
-            "projector": component_weight(self.projector_part),
-            "indirect": component_weight(self.indirect_part),
-            "indirect_offdiag": component_weight(self.indirect_offdiag),
+            "direct": direct / n,
+            "projector": projector / (1.0 - self.complement_eigenvalue) / n,
+            "indirect": indirect / n,
+            "indirect_offdiag": (indirect - trace) / n,
         }
 
     @cached_property
@@ -201,16 +222,23 @@ def component_weight(matrix: np.ndarray) -> float:
     return float(matrix.sum() / matrix.shape[0])
 
 
-def _off_diagonal(matrix: np.ndarray) -> np.ndarray:
-    off = matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    return off
+def _factor_sum(left: np.ndarray, right: np.ndarray) -> float:
+    """Sum of all elements of left @ right, without forming it."""
+    return float(left.sum(axis=0) @ right.sum(axis=1))
 
 
 def _rank_one(column: np.ndarray, row: np.ndarray, lam: float) -> np.ndarray:
     """The projector part outer(column, row) / (1 - lam), as one n x n array."""
     part = np.outer(column, row)
     part /= 1.0 - lam
+    return part
+
+
+def _factored(links, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """links + left @ right as one n x n array. The product is taken whole:
+    a column-blocked one rounds differently."""
+    part = left @ right
+    _add_sparse(part, links)
     return part
 
 
@@ -266,17 +294,26 @@ def _leading_pair(block: GoogleMatrix):
 def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     order = np.asarray(sel.node_ids)
     block = matrix.block(order, order)
+    n = sel.n_selected
+    links, left, right = _no_indirect(n)
     return ReducedSet(
         selection=sel,
         reduced=block.to_dense(),
-        indirect_part=np.zeros(block.shape),
         direct_block=block,
-        projector_column=np.zeros(sel.n_selected),
-        projector_row=np.zeros(sel.n_selected),
+        projector_column=np.zeros(n),
+        projector_row=np.zeros(n),
+        indirect_links=links,
+        indirect_left=left,
+        indirect_right=right,
         complement_eigenvalue=0.0,
         solve_residual=0.0,
         complement_blocks=0,
     )
+
+
+def _no_indirect(n: int):
+    """Links, left and right factors of an indirect part that is exactly zero."""
+    return sparse.csr_matrix((n, n)), np.zeros((n, 0)), np.zeros((0, n))
 
 
 def _add_sparse(dense: np.ndarray, matrix) -> None:
@@ -433,28 +470,29 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + [M Z - U, U] [W; C W - V_s^T Y - V_r^T]
     left, right = np.hstack((z_res, b_ss.u)), np.vstack((w, capacitance @ w - w_rhs))
     residual = 0.0
-    for start in range(0, n, _COLUMN_BLOCK):
-        cols = slice(start, start + _COLUMN_BLOCK)
+    width = max(1, n * n // sel.n_complement)  # a (complement, width) block is at most n x n
+    for start in range(0, n, width):
+        cols = slice(start, start + width)
         res = left @ right[:, cols]
         _add_sparse(res, y_res[:, cols])
         residual = max(residual, float(res.max()), -float(res.min()))
-        del res  # freed before the next block's: one (complement, block) array at a time
+        del res  # freed before the next block's: one (complement, width) array at a time
 
     direct_block = matrix.block(r, r)
     projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
     if sel.n_complement == 1 and lam > 0.0:
         # a one-node complement is its own eigenvector: deflation leaves nothing
         # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
-        indirect_part = np.zeros((n, n))
+        links, left, right = _no_indirect(n)
     else:
         # G_rs (1 - psi_r psi_l^T) (Y + Z W), with G_rs = alpha A_rs + U_r V_s^T
-        indirect_part = (b_rs.alpha * b_rs.links @ y).toarray()
+        links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
         left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
         right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
-        indirect_part += left @ right
+    # (direct + projector) + indirect, one n x n temporary alive at a time
     reduced = direct_block.to_dense()
     reduced += _rank_one(projector_column, projector_row, lam)
-    reduced += indirect_part
+    reduced += _factored(links, left, right)
 
     worst = float(reduced.min())
     if worst < _NEGATIVE_WARN:
@@ -468,10 +506,12 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     return ReducedSet(
         selection=sel,
         reduced=reduced,
-        indirect_part=indirect_part,
         direct_block=direct_block,
         projector_column=projector_column,
         projector_row=projector_row,
+        indirect_links=links,
+        indirect_left=left,
+        indirect_right=right,
         complement_eigenvalue=lam,
         solve_residual=residual,
         complement_blocks=blocks,

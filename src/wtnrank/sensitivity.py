@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, Registry, volumes
 from .ranking import pagerank, trace
@@ -226,29 +227,58 @@ def _report(method, source, delta, countries, baseline, derivative, metadata, ex
     if exact is not None and delta != 0.0:
         try:
             metadata["fd_error"] = float(np.abs(derivative - exact()).max())
-        except np.linalg.LinAlgError:  # no unique stationary vector to respond
+        except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
             metadata["fd_error"] = np.inf
     b, imp, exp = baseline[:3]
     return SensitivityReport(method, source, delta, countries, b, derivative, imp, exp, metadata)
 
 
-def _linear_response(matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _linear_response(
+    matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray, tol: float, max_iter: int
+) -> np.ndarray:
     """dp of the stationary vector p of `matrix` R where R'(0) p = rhs:
-    (I - R + p 1^T) dp = rhs, so sum(dp) == 0 (Meyer, SIAM Rev. 1975)."""
-    system = p[:, None] - matrix
-    system[np.diag_indices_from(system)] += 1.0
-    return np.linalg.solve(system, rhs)
+    (I - R + p 1^T) dp = rhs, so sum(dp) == 0 (Meyer, SIAM Rev. 1975).
+
+    Iterates x <- R x - p (1^T x) + rhs from x = 0: R - p 1^T has the
+    spectrum of R with the unit eigenvalue of p taken out. The L1 steps
+    shrink by a ratio r each, so the error left after a step is about
+    step * r / (1 - r); the iteration stops once that and the step are both
+    below `tol`. A sum-zero probe e_k - p is iterated beside rhs, so that a
+    second unit eigenvalue of R (p not the unique stationary vector) ends in
+    ConvergenceError even where rhs alone would converge at once (rhs == 0).
+    """
+    probe = -p
+    probe[np.argmin(p)] += 1.0
+    b = (rhs, probe)
+    x = [rhs, probe]  # the first step from x = 0
+    step = np.inf
+    for _ in range(max_iter):
+        previous, step = step, 0.0
+        for k in range(2):
+            # one matvec per column: a two-column product is slower on a dense R
+            new = matrix @ x[k] - p * x[k].sum() + b[k]
+            step = max(step, float(np.abs(new - x[k]).sum()))
+            x[k] = new
+        ratio = step / previous
+        if step < tol and step * ratio < tol * (1.0 - ratio):
+            return x[0]
+    raise ConvergenceError("linear response iteration did not converge", max_iter, step)
 
 
 def _pair_balance(pair: ReducedTradePair, delta: float, tol: float, max_iter: int):
-    direct, inverted = shock_pair(pair, delta)
+    # one shocked copy at a time: each lives only while its PageRank solve runs
+    s = pair.source_pos
+    group = np.arange(s)  # every node before the source
+    direct = apply_direct_shock(pair.direct, s, group, delta)
     p_imp = pagerank(direct, tol=tol, max_iter=max_iter).probabilities
+    del direct
+    inverted = apply_inverted_shock(pair.inverted, s, group, delta)
     p_exp = pagerank(inverted, tol=tol, max_iter=max_iter).probabilities
     imp, exp = pair.group_marginals(p_imp), pair.group_marginals(p_exp)
     return balance(exp, imp), imp, exp, p_imp, p_exp
 
 
-def _pair_exact_derivative(pair: ReducedTradePair, baseline) -> np.ndarray:
+def _pair_exact_derivative(pair: ReducedTradePair, baseline, tol: float, max_iter: int):
     """Exact dB/ddelta at delta = 0 from the baseline stationary vectors.
 
     Direct shock: only the source column c moves, by c*1_g - S*c with S its
@@ -260,8 +290,8 @@ def _pair_exact_derivative(pair: ReducedTradePair, baseline) -> np.ndarray:
     rhs_imp = p_imp[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
     moved = p_exp[:s] * pair.inverted[s, :s]
     rhs_exp = np.append(np.zeros(s), moved.sum()) - pair.inverted[:, :s] @ moved
-    d_imp = pair.group_marginals(_linear_response(pair.direct, p_imp, rhs_imp))
-    d_exp = pair.group_marginals(_linear_response(pair.inverted, p_exp, rhs_exp))
+    d_imp = pair.group_marginals(_linear_response(pair.direct, p_imp, rhs_imp, tol, max_iter))
+    d_exp = pair.group_marginals(_linear_response(pair.inverted, p_exp, rhs_exp, tol, max_iter))
     return 2.0 * (imp * d_exp - exp * d_imp) / (exp + imp) ** 2
 
 
@@ -291,7 +321,7 @@ def reduced_balance_sensitivity(
     }
     return _report(
         METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,
-        metadata, exact=lambda: _pair_exact_derivative(pair, baseline),
+        metadata, exact=lambda: _pair_exact_derivative(pair, baseline, tol, max_iter),
     )
 
 

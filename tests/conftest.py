@@ -163,6 +163,14 @@ def build_shock_matrices(tensor, spec, delta, alpha=w.DEFAULT_ALPHA):
     return w.shock_pair(w.reduce_for_shock(tensor, spec, alpha=alpha), delta)
 
 
+def linear_response_oracle(matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The response dp of the stationary vector p of `matrix` R to R'(0) p =
+    rhs, from one dense LU of (I - R + p 1^T) dp = rhs. Verification only."""
+    system = p[:, None] - matrix
+    system[np.diag_indices_from(system)] += 1.0
+    return np.linalg.solve(system, rhs)
+
+
 def dense_pagerank_oracle(dense: np.ndarray) -> np.ndarray:
     """Unit-eigenvalue eigenvector via the dense eigensolver, L1-normalized."""
     vals, vecs = np.linalg.eig(dense)

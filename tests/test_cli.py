@@ -246,7 +246,8 @@ class TestReduce:
             )
 
     def test_selection_over_dense_cap_exits_2(self, tmp_path, monkeypatch, caplog):
-        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", 1024)
+        # every node of the 3 x 2 fixture: 6 x 6 arrays, one byte over the cap
+        monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", w.regomax.DENSE_ARRAYS * 8 * 6**2 - 1)
         rc = run("reduce", "--input", FIXTURE, "--products", "all", "--out-dir", tmp_path)
         assert rc == 2
         assert any("MiB cap" in r.message for r in caplog.records)
@@ -316,17 +317,22 @@ def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
 
 def test_reduce_computes_each_weight_once(tmp_path, monkeypatch):
     """The log line and the diagnostics file share one computation of the
-    5 weights per direction."""
-    component_weight = w.regomax.component_weight
-    calls = []
+    weights per direction: one sum of the stored reduced matrix, and one sum
+    of factors for each of the direct, projector and indirect parts."""
+    calls = {"component_weight": [], "_factor_sum": []}
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return component_weight(matrix)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name].append(args[0].shape)
+            return fn(*args)
 
-    monkeypatch.setattr(w.regomax, "component_weight", counting)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(w.regomax, name, counting(name, getattr(w.regomax, name)))
     assert run("reduce", *SHOCK, "--out-dir", tmp_path) == 0
-    assert len(calls) == 5 * 2
+    assert len(calls["component_weight"]) == 1 * 2
+    assert len(calls["_factor_sum"]) == 3 * 2
 
 
 class TestSensitivityCommand:

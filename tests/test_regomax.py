@@ -101,6 +101,21 @@ class TestDenseCap:
         monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", block)  # exactly at the cap
         assert w.reduce(g, sel).complement_blocks == 1
 
+    @pytest.mark.parametrize("n, admitted", [(9459, True), (9460, False)])
+    def test_largest_admitted_selection(self, monkeypatch, n, admitted):
+        """Three n x n float64 arrays fit the 2 GiB cap up to 9 459 nodes."""
+        monkeypatch.setattr(w.regomax, "_trivial_reduction", lambda *args: "admitted")
+        empty = w.GoogleMatrix(
+            links=sparse.csr_matrix((n, n)), dangling=np.ones(n, dtype=bool),
+            personalization=np.full(n, 1.0 / n), alpha=0.5, total=n,
+        )
+        sel = w.Selection(node_ids=tuple(range(n)), total=n)
+        if admitted:
+            assert w.reduce(empty, sel) == "admitted"
+        else:
+            with pytest.raises(ValueError, match=f"{n} nodes .* 3 dense {n} x {n} arrays"):
+                w.reduce(empty, sel)
+
     def test_paper_size_all_products_refused(self, monkeypatch):
         # 227 countries x 61 products, every node selected; fail rather than
         # allocate if the cap lets it through
@@ -198,20 +213,29 @@ class TestDecomposition:
         assert r.reduced.min() >= -1e-12
 
     @pytest.mark.parametrize("general", [True, False], ids=["general", "all-nodes"])
-    def test_stores_two_dense_matrices_and_derives_the_rest(self, general):
+    def test_stores_one_dense_matrix_and_derives_the_rest(self, general):
         g, _ = pair_for(2, 8, 4, 0.4)
         sel = spread_selection(g.size, 10 if general else g.size)
         r = w.reduce(g, sel)
         n = sel.n_selected
         stored = [getattr(r, f.name) for f in dataclasses.fields(r)]
         dense = [v for v in stored if isinstance(v, np.ndarray) and v.shape == (n, n)]
-        assert len(dense) == 2
-        assert dense[0] is r.reduced and dense[1] is r.indirect_part
+        assert len(dense) == 1 and dense[0] is r.reduced
+        rank = 5 if general else 0
+        assert sparse.issparse(r.indirect_links) and r.indirect_links.shape == (n, n)
+        assert r.indirect_left.shape == (n, rank) and r.indirect_right.shape == (rank, n)
         rows = np.asarray(sel.node_ids)
         np.testing.assert_array_equal(r.direct_part, g.block(rows, rows).to_dense())
         rank_one = np.outer(r.projector_column, r.projector_row) / (1.0 - r.complement_eigenvalue)
         np.testing.assert_array_equal(r.projector_part, rank_one)
         assert general == bool(r.projector_part.any())
+        # the sparse part densified, then the whole rank-five product added in
+        indirect = r.indirect_links.toarray()
+        indirect += r.indirect_left @ r.indirect_right
+        np.testing.assert_array_equal(r.indirect_part, indirect)
+        assert general == bool(indirect.any())
+        # summed as (direct + projector) + indirect; nothing was clamped here
+        np.testing.assert_array_equal(r.reduced, (r.direct_part + rank_one) + indirect)
 
     def test_split_exact(self):
         g, _ = pair_for(2, 8, 4, 0.4)
@@ -235,6 +259,26 @@ class TestDecomposition:
         assert abs(weights["reduced"] - 1.0) < 1e-10
         total = weights["direct"] + weights["projector"] + weights["indirect"]
         assert abs(total - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("seed,n_c,n_p,density,n_r", INSTANCES[:5])
+    def test_closed_form_weights_match_dense_parts(self, seed, n_c, n_p, density, n_r):
+        """The weights summed from the factors equal `component_weight` on the
+        dense parts, for a spread selection, a one-node complement and the
+        trivial all-nodes selection, in both directions."""
+        for g in pair_for(seed, n_c, n_p, density):
+            everything = tuple(range(g.size))
+            for ids in (spread_selection(g.size, n_r).node_ids, everything[1:], everything):
+                r = w.reduce(g, w.Selection(node_ids=ids, total=g.size))
+                parts = {
+                    "reduced": r.reduced,
+                    "direct": r.direct_part,
+                    "projector": r.projector_part,
+                    "indirect": r.indirect_part,
+                    "indirect_offdiag": r.indirect_offdiag,
+                }
+                assert list(r.weights) == list(parts)
+                for name, part in parts.items():
+                    assert abs(r.weights[name] - w.component_weight(part)) <= 1e-13, name
 
     def test_projector_distance_diagnostic_finite(self):
         g, _ = pair_for(2, 10, 4, 0.3)
@@ -490,23 +534,59 @@ class TestPaperScale:
             assert np.abs(restricted / restricted.sum() - local).sum() < 1e-13
 
 
+def shock_mid():
+    """The shock-mid benchmark's shape: 12 countries x 61 products + source
+    out of 100 x 61 = 6 100 nodes."""
+    tensor = w.synth_tensor(1, 100, 61, 0.25)
+    reg = tensor.registry
+    spec = w.ShockSpec(reg.countries[-2], reg.products[1], reg.countries[:12])
+    source = reg.node_id(spec.source_country, spec.source_product)
+    sel = w.Selection.for_countries(reg, spec.group, extra_nodes=(source,))
+    assert sel.n_selected == 733
+    return tensor, spec, sel
+
+
+def traced_peak(fn):
+    """fn() and the peak of traced allocations while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
+    """Peaks in units of one n x n float64 array, at the shock-mid shape."""
+
     def test_reduce_peak_at_shock_mid_shape(self):
-        """The indirect part is summed from factors: one traced reduction
-        peaks at no more than five n x n float64 arrays."""
-        tensor = w.synth_tensor(1, 100, 61, 0.25)
-        reg = tensor.registry
-        source = reg.node_id(reg.countries[-2], reg.products[1])
-        sel = w.Selection.for_countries(reg, reg.countries[:12], extra_nodes=(source,))
-        n = sel.n_selected
+        """Only the reduced matrix is stored dense and one n x n temporary is
+        alive at a time: one reduction peaks under three and a half arrays."""
+        tensor, _, sel = shock_mid()
+        unit = 8 * sel.n_selected**2
         matrix = w.build_trade_pair(tensor)[0]
-        tracemalloc.start()
-        try:
-            w.reduce(matrix, sel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n == 733 and peak <= 5 * 8 * n * n
+        result, peak = traced_peak(lambda: w.reduce(matrix, sel))
+        assert peak <= 3.5 * unit
+        _, peak = traced_peak(lambda: result.weights)
+        assert peak < 0.1 * unit  # summed from factors: no n x n array
+
+    def test_one_shocked_copy_at_a_time(self):
+        """A shocked evaluation copies one reduced matrix at a time: the
+        direct copy is freed before the inverted one is made. The inverted
+        shock's column sums take one more array (`out[:, group_cols]`), so
+        one copy peaks at two arrays and two copies at three."""
+        tensor, spec, sel = shock_mid()
+        pair = w.reduce_for_shock(tensor, spec)
+        _, peak = traced_peak(lambda: w.sensitivity._pair_balance(pair, spec.delta, 1e-12, 10000))
+        assert peak < 2.5 * 8 * sel.n_selected**2
+
+    def test_sensitivity_peak_at_shock_mid_shape(self):
+        """Both reductions, the shocked copies (one at a time) and the
+        iterative linear response stay under 5.2 arrays."""
+        tensor, spec, sel = shock_mid()
+        report, peak = traced_peak(lambda: w.reduced_balance_sensitivity(tensor, spec))
+        assert np.isfinite(report.metadata["fd_error"])
+        assert peak <= 5.2 * 8 * sel.n_selected**2
 
 
 class TestComponentWeight:

@@ -15,6 +15,7 @@ from wtnrank.sensitivity import (
 from conftest import (
     brute_force_derivative,
     build_shock_matrices,
+    linear_response_oracle,
     live_reduced_sets,
     make_toy3,
 )
@@ -372,6 +373,79 @@ class TestRandomTensors:
             assert np.all(np.abs(report.balance) <= 1.0)
             bound = spec.delta**2 * max(1.0, np.abs(report.derivative).max())
             assert report.metadata["fd_error"] <= bound
+
+
+def slow_response_tensor():
+    """4 countries x 3 products whose reduced matrix at alpha = 0.85 has a
+    slowly decaying response: a stop on the step alone (step < tol) leaves
+    an error of 1.3e-12."""
+    reg = w.Registry(countries=("C0", "C1", "C2", "C3"), products=("00", "01", "02"))
+    flows = [
+        [[0, 100, 0, 0], [2.5, 0, 1e6, 0], [0, 0, 0, 1e6], [2.5, 1, 1, 0]],
+        [[0, 1e-6, 0, 0], [100, 0, 0, 2.5], [2.5, 0, 0, 0], [100, 1e6, 1e6, 0]],
+        [[0, 0, 0, 100], [1e-6, 0, 0, 0], [100, 0, 0, 1e6], [1e-6, 0, 1e-6, 0]],
+    ]
+    return w.MoneyTensor.from_product_matrices(reg, 2016, [np.array(m, float) for m in flows])
+
+
+def response_errors(tensor, spec, alpha, max_iter=10000):
+    """The report of `reduced_balance_sensitivity` and, for each linear
+    response it took, the max distance from the dense solve."""
+    errors = []
+    iterative = w.sensitivity._linear_response
+
+    def both(matrix, p, rhs, tol, max_iter):
+        dp = iterative(matrix, p, rhs, tol, max_iter)
+        errors.append(float(np.abs(dp - linear_response_oracle(matrix, p, rhs)).max()))
+        return dp
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(w.sensitivity, "_linear_response", both)
+        report = w.reduced_balance_sensitivity(tensor, spec, alpha=alpha, max_iter=max_iter)
+    return report, errors
+
+
+class TestLinearResponse:
+    @pytest.mark.parametrize(
+        "tensor, spec, alpha",
+        [
+            (make_toy3(), w.ShockSpec("AA", "00", ("XX",)), 0.5),
+            (make_toy3(), w.ShockSpec("AA", "00", ("XX",)), 0.99),
+            (make_toy3(500.0, 1000.0, 300.0, 100.0), w.ShockSpec("AA", "00", ("XX",)), 0.99),
+            (w.synth_tensor(3, 20, 15, 0.1), w.ShockSpec("AS", "02", ("AA", "AB", "AC")), 0.5),
+            (w.synth_tensor(3, 20, 15, 0.1), w.ShockSpec("AS", "02", ("AA", "AB", "AC")), 0.85),
+            (w.synth_tensor(5, 12, 25, 0.25), w.ShockSpec("AK", "01", ("AA", "AB")), 0.85),
+            (slow_response_tensor(), w.ShockSpec("C3", "00", ("C0", "C1", "C2")), 0.85),
+        ],
+        ids=[
+            "toy3-0.5", "toy3-0.99", "toy3-richer-0.99", "20x15-0.5", "20x15-0.85",
+            "12x25-0.85", "slow-4x3-0.85",
+        ],
+    )
+    def test_iteration_matches_dense_solve(self, tensor, spec, alpha):
+        _, errors = response_errors(tensor, spec, alpha, max_iter=50000)
+        assert len(errors) == 2 and max(errors) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_shocks())
+    def test_iteration_matches_dense_solve_on_random_tensors(self, case):
+        tensor, spec, alpha = case
+        try:
+            _, errors = response_errors(tensor, spec, alpha)
+        except (ConvergenceError, TradeDataError, ValueError):
+            return
+        assert len(errors) in (0, 2) and max(errors, default=0.0) <= 1e-12
+
+    def test_probe_keeps_a_zero_rhs_from_passing(self):
+        """rhs == 0 converges at once; the probe column does not when the
+        stationary vector is not unique, so the iteration refuses."""
+        identity = np.eye(3)
+        p = np.full(3, 1.0 / 3.0)
+        with pytest.raises(ConvergenceError):
+            w.sensitivity._linear_response(identity, p, np.zeros(3), 1e-12, 100)
+        cycle_free = np.full((3, 3), 1.0 / 3.0)
+        dp = w.sensitivity._linear_response(cycle_free, p, np.zeros(3), 1e-12, 100)
+        assert not dp.any()
 
 
 class TestReport:
