@@ -47,7 +47,6 @@ from .sensitivity import (
     import_export_sensitivity,
     reduce_for_shock,
     reduced_balance_sensitivity,
-    shock_pair,
 )
 
 __version__ = "0.1.0"
@@ -95,6 +94,5 @@ __all__ = [
     "import_export_sensitivity",
     "reduce_for_shock",
     "reduced_balance_sensitivity",
-    "shock_pair",
     "__version__",
 ]

@@ -14,6 +14,7 @@ import numpy as np
 
 VIEW_IMPORT = "import"
 VIEW_EXPORT = "export"
+_BLOCKS = 32  # column blocks that the partner selection works through
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,20 @@ def top_links(matrix: np.ndarray, labels, k: int, view: str = VIEW_IMPORT) -> Tr
     if view not in (VIEW_IMPORT, VIEW_EXPORT):
         raise ValueError(f"view must be {VIEW_IMPORT!r} or {VIEW_EXPORT!r}")
     check_k(k, n)
-    # stable sort of each column: weight descending, index ascending on ties
-    order = np.argsort(-matrix, axis=0, kind="stable")
-    keep = (np.take_along_axis(matrix, order, axis=0) > 0.0) & (order != np.arange(n))
-    keep &= np.cumsum(keep, axis=0) <= k
-    cols, ranks = np.nonzero(keep.T)  # column by column, strongest first
-    rows = order[ranks, cols]
+    # stable sort of each column: weight descending, index ascending on ties;
+    # a block of columns at a time, so each temporary is a slice of n x n
+    step = -(-n // _BLOCKS)
+    rows, cols = [], []
+    for start in range(0, n, step):
+        block = matrix[:, start : start + step]
+        order = np.argsort(-block, axis=0, kind="stable")
+        keep = np.take_along_axis(block, order, axis=0) > 0.0
+        keep &= order != np.arange(start, start + block.shape[1])
+        keep &= np.cumsum(keep, axis=0) <= k
+        col, rank = np.nonzero(keep.T)  # column by column, strongest first
+        rows.append(order[rank, col])
+        cols.append(col + start)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     weights = matrix[rows, cols].tolist()
     src, dst = (cols, rows) if view == VIEW_IMPORT else (rows, cols)
     edges = [(labels[a], labels[b], w) for a, b, w in zip(src.tolist(), dst.tolist(), weights)]

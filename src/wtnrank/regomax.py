@@ -55,16 +55,17 @@ log = logging.getLogger(__name__)
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 _NEGATIVE_WARN = -1e-12
-# bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 9 459).
-# `reduce` holds two: the reduced matrix and one temporary it adds in. A caller holds at
-# most one more: the other direction's reduced matrix in `sensitivity`, beside which
-# the shocked copy of one is the third, or the component the `reduce` command is
-# writing, of which `indirect_diag` is built from the indirect part, a third. Larger
-# selections are refused up front, and so is a complement component whose one dense
-# block would exceed it (trade links never cross products, so a component there has
-# at most one node per country)
+# bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 11 585).
+# `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n
+# elements); every other n x n temporary is made and added a 1/`_BLOCKS` slice at a
+# time. A caller holds at most one more: the shocked copy of the one reduced matrix
+# `sensitivity` keeps at a time, or the component the `reduce` command is writing.
+# Larger selections are refused up front, and so is a complement component whose one
+# dense block would exceed it (trade links never cross products, so a component there
+# has at most one node per country)
 DENSE_CAP_BYTES = 2 * 1024**3
-DENSE_ARRAYS = 3
+DENSE_ARRAYS = 2
+_BLOCKS = 16  # slices per n x n temporary that is built a slice at a time
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,8 @@ class ReducedSet:
 
     @property
     def indirect_diag(self) -> np.ndarray:
-        return np.diag(np.diag(self.indirect_part))
+        # the diagonal is copied out, so the indirect part is freed before the new array
+        return np.diag(self.indirect_part.diagonal().copy())
 
     @property
     def indirect_offdiag(self) -> np.ndarray:
@@ -240,6 +242,22 @@ def _factored(links, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     part = left @ right
     _add_sparse(part, links)
     return part
+
+
+def normalize_columns(matrix: np.ndarray, cols) -> None:
+    """Divide the columns `cols` of a square n x n matrix by their sums, in
+    place, copying out n / `_BLOCKS` of them at a time. Raises ValueError at
+    a chunk with a column of no positive mass, the earlier chunks divided."""
+    n = matrix.shape[0]
+    step = -(-n // _BLOCKS)
+    for start in range(0, len(cols), step):
+        chunk = cols[start : start + step]
+        block = matrix[:, chunk]
+        sums = block.sum(axis=0)
+        if np.any(sums <= 0.0):
+            raise ValueError("column has no mass to renormalize")
+        block /= sums
+        matrix[:, chunk] = block
 
 
 def _leading_pair(block: GoogleMatrix):
@@ -348,6 +366,14 @@ def _components(links) -> np.ndarray:
     return label
 
 
+def _row_range(matrix, start: int, stop: int):
+    """Row (counted from `start`), column and value of every stored entry in
+    rows start:stop of a CSR matrix."""
+    lo, hi = matrix.indptr[start], matrix.indptr[stop]
+    at = np.repeat(np.arange(stop - start), np.diff(matrix.indptr[start : stop + 1]))
+    return at, matrix.indices[lo:hi], matrix.data[lo:hi]
+
+
 def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
     weakly connected component of A_ss at a time (see the module docstring).
@@ -360,8 +386,7 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     """
     m = b_ss.shape[0]
     alpha = b_ss.alpha
-    mat = (sparse.identity(m, format="csr") - alpha * b_ss.links).tocsr()
-    rhs = (b_sr.alpha * b_sr.links).tocoo()
+    rhs = (b_sr.alpha * b_sr.links).tocsr()
     u = b_ss.u
     labels = _components(b_ss.links)
     sizes = np.bincount(labels)[labels]  # per node: the size of its component
@@ -382,32 +407,25 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     pos = np.empty(m, dtype=np.intp)  # a node's index inside its group
     pos[nodes] = np.arange(m) - starts[group[nodes]]
 
-    # one pass over the links of M and of alpha A_sr: each entry keyed by its group
-    coo = b_ss.links.tocoo()
-    inside = (group[coo.row] == group[coo.col]) & ~alone[coo.row]
-    row, col, val = coo.row[inside], coo.col[inside], coo.data[inside]
-    by_group = np.argsort(group[row])
-    row, col, val = row[by_group], col[by_group], val[by_group]
-    link_key = pos[row] * sizes[row] + pos[col]  # flat place in the dense block
-    link_starts = np.searchsorted(group[row], np.arange(n_blocks + 1))
-    by_group = np.argsort(group[rhs.row])
-    rhs_row, rhs_col, rhs_val = rhs.row[by_group], rhs.col[by_group], rhs.data[by_group]
-    rhs_starts = np.searchsorted(group[rhs_row], np.arange(n_blocks + 1))
-
+    # one row-permuted CSR each of A_ss and alpha A_sr: group k is rows starts[k]:starts[k + 1]
+    ss_rows = b_ss.links[nodes]
+    rhs_rows = rhs[nodes]
     z = np.empty((m, 2))
     rows, cols, vals = [], [], []
     for k in range(n_shared):
         idx = nodes[starts[k]:starts[k + 1]]
         size = idx.size
-        span = slice(link_starts[k], link_starts[k + 1])
-        block = np.bincount(link_key[span], weights=val[span], minlength=size * size)
-        block = (-alpha * block).reshape(size, size)
+        at, col, val = _row_range(ss_rows, starts[k], starts[k + 1])
+        inside = group[col] == k  # a link to another group is left out, so M Y shows it
+        block = np.zeros((size, size))
+        block[at[inside], pos[col[inside]]] = val[inside]
+        block *= -alpha
         block.flat[:: size + 1] += 1.0
-        entries = slice(rhs_starts[k], rhs_starts[k + 1])
-        reached, col_pos = np.unique(rhs_col[entries], return_inverse=True)
+        at, col, val = _row_range(rhs_rows, starts[k], starts[k + 1])
+        reached, col_pos = np.unique(col, return_inverse=True)
         b_k = np.zeros((size, 2 + reached.size))
         b_k[:, :2] = u[idx]
-        b_k[pos[rhs_row[entries]], 2 + col_pos] = rhs_val[entries]
+        b_k[at, 2 + col_pos] = val
         x_k = np.linalg.solve(block, b_k)
         z[idx] = x_k[:, :2]
         rows.append(np.repeat(idx, reached.size))
@@ -415,12 +433,16 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
         vals.append(x_k[:, 2:].ravel())
     diag = 1.0 - alpha * b_ss.links.diagonal()
     z[alone] = u[alone] / diag[alone, None]
-    entries = slice(rhs_starts[n_shared], rhs_starts[n_blocks])
-    rows.append(rhs_row[entries])
-    cols.append(rhs_col[entries])
-    vals.append(rhs_val[entries] / diag[rhs_row[entries]])
+    at, col, val = _row_range(rhs_rows, starts[n_shared], m)
+    row = nodes[starts[n_shared] + at]
+    rows.append(row)
+    cols.append(col)
+    vals.append(val / diag[row])
+    del ss_rows, rhs_rows
     pattern = (np.concatenate(rows), np.concatenate(cols))
     y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
+    del rows, cols, vals, pattern
+    mat = (sparse.identity(m, format="csr") - alpha * b_ss.links).tocsr()
     y_res = (mat @ y - rhs).tocsc()
     return y, y_res, z, mat @ z - u, n_blocks
 
@@ -463,12 +485,15 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         )
 
     y, y_res, z, z_res, blocks = _solve_components(b_ss, b_sr)
-    vy = (y.T @ b_ss.v).T  # V_s^T Y
-    capacitance = np.eye(2) - b_ss.v.T @ z
+    u_s, v_s = b_ss.u, b_ss.v
+    del b_ss
+    vy = (y.T @ v_s).T  # V_s^T Y
+    capacitance = np.eye(2) - v_s.T @ z
     w_rhs = vy + b_sr.v.T
     w = np.linalg.solve(capacitance, w_rhs)
     # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + [M Z - U, U] [W; C W - V_s^T Y - V_r^T]
-    left, right = np.hstack((z_res, b_ss.u)), np.vstack((w, capacitance @ w - w_rhs))
+    left, right = np.hstack((z_res, u_s)), np.vstack((w, capacitance @ w - w_rhs))
+    del z_res
     residual = 0.0
     width = max(1, n * n // sel.n_complement)  # a (complement, width) block is at most n x n
     for start in range(0, n, width):
@@ -477,6 +502,7 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         _add_sparse(res, y_res[:, cols])
         residual = max(residual, float(res.max()), -float(res.min()))
         del res  # freed before the next block's: one (complement, width) array at a time
+    del y_res
 
     direct_block = matrix.block(r, r)
     projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
@@ -489,10 +515,18 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
         left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
         right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
-    # (direct + projector) + indirect, one n x n temporary alive at a time
-    reduced = direct_block.to_dense()
-    reduced += _rank_one(projector_column, projector_row, lam)
-    reduced += _factored(links, left, right)
+    del y
+    # (direct + projector) + indirect: the indirect part is taken whole (see
+    # `_factored`) and direct + projector added to it a block of rows at a time,
+    # so no second n x n array is made; IEEE addition commutes, so each entry
+    # has the bits of fl(fl(direct + projector) + indirect)
+    reduced = _factored(links, left, right)
+    step = -(-n // _BLOCKS)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        part = direct_block.block(rows, slice(None)).to_dense()
+        part += _rank_one(projector_column[rows], projector_row, lam)
+        reduced[rows] += part
 
     worst = float(reduced.min())
     if worst < _NEGATIVE_WARN:
@@ -500,7 +534,7 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     negative_cols = np.unique(np.nonzero(reduced < 0)[1])
     if negative_cols.size:
         np.clip(reduced, 0.0, None, out=reduced)
-        reduced[:, negative_cols] /= reduced[:, negative_cols].sum(axis=0)
+        normalize_columns(reduced, negative_cols)
         log.info("clamped tiny negatives in %d column(s)", negative_cols.size)
 
     return ReducedSet(

@@ -18,6 +18,7 @@ stationary vectors, and a closed form in the volumes.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, Registry, volumes
 from .ranking import pagerank, trace
-from .regomax import Selection, reduce
+from .regomax import Selection, normalize_columns, reduce
 
 DEFAULT_DELTA = 1e-3
 
@@ -131,17 +132,14 @@ def apply_inverted_shock(
     if delta == 0.0:
         return out
     out[source_row, group_cols] *= 1.0 + delta
-    sums = out[:, group_cols].sum(axis=0)
-    if np.any(sums <= 0.0):
-        raise ValueError("shocked column has no mass to renormalize")
-    out[:, group_cols] /= sums
+    normalize_columns(out, group_cols)
     return out
 
 
 @dataclass(frozen=True)
-class ReducedTradePair:
-    """Baseline reduced direct/inverted matrices for a shock selection, with
-    the complement eigenvalue and component weights of each reduction.
+class ReducedShockMatrix:
+    """One direction's baseline reduced matrix on a shock selection, with the
+    complement eigenvalue and component weights of its reduction.
 
     Node order: group countries (in the order given in the shock spec) x all
     products (registry order), then the source node last.
@@ -149,17 +147,9 @@ class ReducedTradePair:
 
     registry: Registry
     spec: ShockSpec
-    selection: Selection
-    direct: np.ndarray
-    inverted: np.ndarray
-    complement_eigenvalue_direct: float
-    complement_eigenvalue_inverted: float
-    weights_direct: dict[str, float]
-    weights_inverted: dict[str, float]
-
-    @property
-    def source_pos(self) -> int:
-        return self.selection.n_selected - 1
+    matrix: np.ndarray
+    complement_eigenvalue: float
+    weights: dict[str, float]
 
     def group_marginals(self, probabilities: np.ndarray) -> np.ndarray:
         """Per-group-country sums of reduced node probabilities."""
@@ -174,42 +164,27 @@ def reduce_for_shock(
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-) -> ReducedTradePair:
-    """Build the matrix pair and reduce both onto the shock selection."""
+) -> Iterator[ReducedShockMatrix]:
+    """Build the matrix pair and return an iterator that reduces the direct,
+    then the inverted matrix onto the shock selection, each as it is reached.
+    A reduction keeps only its `ReducedShockMatrix`, and each matrix of the
+    pair is dropped once reduced."""
     reg = tensor.registry
     source_node = reg.node_id(spec.source_country, spec.source_product)
     sel = Selection.for_countries(reg, spec.group, extra_nodes=(source_node,))
-    direct, inverted = build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter)
-    # the rest of each ReducedSet is freed before the next reduction runs
-    r_direct, lam_direct, w_direct = _reduced_summary(direct, sel)
-    r_inverted, lam_inverted, w_inverted = _reduced_summary(inverted, sel)
-    return ReducedTradePair(
-        registry=reg,
-        spec=spec,
-        selection=sel,
-        direct=r_direct,
-        inverted=r_inverted,
-        complement_eigenvalue_direct=lam_direct,
-        complement_eigenvalue_inverted=lam_inverted,
-        weights_direct=w_direct,
-        weights_inverted=w_inverted,
-    )
+    pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
 
+    def summary(matrix) -> ReducedShockMatrix:
+        result = reduce(matrix, sel)  # freed on return: only three of its fields are kept
+        return ReducedShockMatrix(
+            reg, spec, result.reduced, result.complement_eigenvalue, result.weights
+        )
 
-def _reduced_summary(matrix, sel: Selection):
-    """The reduced matrix, complement eigenvalue and component weights of one
-    reduction."""
-    result = reduce(matrix, sel)
-    return result.reduced, result.complement_eigenvalue, result.weights
+    def reductions():
+        while pair:  # binds nothing across the yield: what it hands out is the caller's alone
+            yield summary(pair.pop(0))
 
-
-def shock_pair(pair: ReducedTradePair, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the price shock to both baseline reduced matrices."""
-    s = pair.source_pos
-    group = np.arange(s)  # every node before the source
-    direct = apply_direct_shock(pair.direct, s, group, delta)
-    inverted = apply_inverted_shock(pair.inverted, s, group, delta)
-    return direct, inverted
+    return reductions()
 
 
 def _central_difference(balance_at, delta: float):
@@ -265,34 +240,54 @@ def _linear_response(
     raise ConvergenceError("linear response iteration did not converge", max_iter, step)
 
 
-def _pair_balance(pair: ReducedTradePair, delta: float, tol: float, max_iter: int):
-    # one shocked copy at a time: each lives only while its PageRank solve runs
-    s = pair.source_pos
-    group = np.arange(s)  # every node before the source
-    direct = apply_direct_shock(pair.direct, s, group, delta)
-    p_imp = pagerank(direct, tol=tol, max_iter=max_iter).probabilities
-    del direct
-    inverted = apply_inverted_shock(pair.inverted, s, group, delta)
-    p_exp = pagerank(inverted, tol=tol, max_iter=max_iter).probabilities
-    imp, exp = pair.group_marginals(p_imp), pair.group_marginals(p_exp)
-    return balance(exp, imp), imp, exp, p_imp, p_exp
+def _direct_shock_rhs(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R'(0) p of the direct shock: only the source column c moves, by
+    c*1_g - S*c with S its group mass."""
+    s = matrix.shape[0] - 1
+    c = matrix[:, s]
+    return p[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
 
 
-def _pair_exact_derivative(pair: ReducedTradePair, baseline, tol: float, max_iter: int):
-    """Exact dB/ddelta at delta = 0 from the baseline stationary vectors.
+def _inverted_shock_rhs(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R'(0) p of the inverted shock: group column c_j moves by c_j[s] (e_s - c_j)."""
+    s = matrix.shape[0] - 1
+    moved = p[:s] * matrix[s, :s]
+    return np.append(np.zeros(s), moved.sum()) - matrix[:, :s] @ moved
 
-    Direct shock: only the source column c moves, by c*1_g - S*c with S its
-    group mass. Inverted shock: group column c_j moves by c_j[s] (e_s - c_j).
-    """
-    _, imp, exp, p_imp, p_exp = baseline
-    s = pair.source_pos
-    c = pair.direct[:, s]
-    rhs_imp = p_imp[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
-    moved = p_exp[:s] * pair.inverted[s, :s]
-    rhs_exp = np.append(np.zeros(s), moved.sum()) - pair.inverted[:, :s] @ moved
-    d_imp = pair.group_marginals(_linear_response(pair.direct, p_imp, rhs_imp, tol, max_iter))
-    d_exp = pair.group_marginals(_linear_response(pair.inverted, p_exp, rhs_exp, tol, max_iter))
-    return 2.0 * (imp * d_exp - exp * d_imp) / (exp + imp) ** 2
+
+def _shocked_stationary(matrix: np.ndarray, shock, delta: float, tol: float, max_iter: int):
+    """Stationary vector of `matrix` with `shock` applied at `delta` to the
+    source (last node) and the group (every other node); the shocked copy
+    lives only while its PageRank solve runs."""
+    s = matrix.shape[0] - 1
+    return pagerank(shock(matrix, s, np.arange(s), delta), tol=tol, max_iter=max_iter).probabilities
+
+
+@dataclass(frozen=True)
+class _Response:
+    """One direction's group marginals at each shock delta, and their exact
+    derivative at delta = 0 (None when not taken, or when it cannot settle)."""
+
+    marginals: dict[float, np.ndarray]
+    derivative: np.ndarray | None
+    complement_eigenvalue: float
+    weights: dict[str, float]
+
+
+def _respond(reduced: ReducedShockMatrix, shock, rhs, deltas, exact: bool, tol, max_iter):
+    """The `_Response` of one direction's reduced matrix to `shock` at each of
+    `deltas`, the first of which is 0; `rhs(matrix, p)` gives its R'(0) p."""
+    matrix = reduced.matrix
+    p = {dv: _shocked_stationary(matrix, shock, dv, tol, max_iter) for dv in deltas}
+    derivative = None
+    if exact:
+        try:
+            dp = _linear_response(matrix, p[0.0], rhs(matrix, p[0.0]), tol, max_iter)
+            derivative = reduced.group_marginals(dp)
+        except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
+            pass
+    marginals = {dv: reduced.group_marginals(x) for dv, x in p.items()}
+    return _Response(marginals, derivative, reduced.complement_eigenvalue, reduced.weights)
 
 
 def reduced_balance_sensitivity(
@@ -304,24 +299,40 @@ def reduced_balance_sensitivity(
 ) -> SensitivityReport:
     """Balance sensitivity through the reduced matrices of the selection.
 
-    The reduction runs once; +/- delta shocks are applied to the reduced
-    matrices; `fd_error` is measured against the exact linear response.
+    One direction at a time: its reduction runs once, its reduced matrix is
+    shocked at 0 and +/- delta, its linear response is taken, and it is freed
+    before the other direction is reduced. `fd_error` is measured against
+    the exact linear response of both.
     """
-    pair = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
-    baseline, derivative = _central_difference(
-        lambda dv: _pair_balance(pair, dv, tol, max_iter), spec.delta
-    )
+    reductions = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
+    deltas = (0.0, spec.delta, -spec.delta)
+    imp = _respond(next(reductions), apply_direct_shock, _direct_shock_rhs, deltas,
+                   True, tol, max_iter)
+    # the inverted response is only taken when the direct one settled
+    exp = _respond(next(reductions), apply_inverted_shock, _inverted_shock_rhs, deltas,
+                   imp.derivative is not None, tol, max_iter)
+
+    def balance_at(dv):
+        return balance(exp.marginals[dv], imp.marginals[dv]), imp.marginals[dv], exp.marginals[dv]
+
+    def exact():
+        if imp.derivative is None or exp.derivative is None:
+            return np.inf  # the response is undefined: infinitely far
+        i, e = imp.marginals[0.0], exp.marginals[0.0]
+        return 2.0 * (i * exp.derivative - e * imp.derivative) / (e + i) ** 2
+
+    baseline, derivative = _central_difference(balance_at, spec.delta)
     metadata = {
         "alpha": alpha,
         "pagerank_tol": tol,
-        "complement_eigenvalue_direct": pair.complement_eigenvalue_direct,
-        "complement_eigenvalue_inverted": pair.complement_eigenvalue_inverted,
-        "weights_direct": pair.weights_direct,
-        "weights_inverted": pair.weights_inverted,
+        "complement_eigenvalue_direct": imp.complement_eigenvalue,
+        "complement_eigenvalue_inverted": exp.complement_eigenvalue,
+        "weights_direct": imp.weights,
+        "weights_inverted": exp.weights,
     }
     return _report(
         METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,
-        metadata, exact=lambda: _pair_exact_derivative(pair, baseline, tol, max_iter),
+        metadata, exact=exact,
     )
 
 

@@ -7,9 +7,10 @@ import pytest
 from scipy import sparse
 
 import wtnrank as w
-from wtnrank.errors import ParseError, TradeDataError
+from wtnrank.errors import ConvergenceError, ParseError, TradeDataError
 from wtnrank.ingest import CSV_HEADER
 from wtnrank.regomax import _leading_pair
+from wtnrank.sensitivity import _linear_response, apply_direct_shock, apply_inverted_shock
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -158,9 +159,91 @@ def dump_google(matrix, triples_path, sidecar_path) -> None:
             fh.write(f"{float(value)!r}\n")
 
 
+def shock_mid():
+    """The shock-mid benchmark's shape: 12 countries x 61 products + source
+    out of 100 x 61 = 6 100 nodes."""
+    tensor = w.synth_tensor(1, 100, 61, 0.25)
+    reg = tensor.registry
+    spec = w.ShockSpec(reg.countries[-2], reg.products[1], reg.countries[:12])
+    source = reg.node_id(spec.source_country, spec.source_product)
+    sel = w.Selection.for_countries(reg, spec.group, extra_nodes=(source,))
+    assert sel.n_selected == 733
+    return tensor, spec, sel
+
+
+def reduce_pair(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, max_iter=10000):
+    """The (direct, inverted) `ReducedSet`s of a shock's selection, both held
+    at once. Verification only."""
+    reg = tensor.registry
+    source = reg.node_id(spec.source_country, spec.source_product)
+    sel = w.Selection.for_countries(reg, spec.group, extra_nodes=(source,))
+    pair = w.build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter)
+    return tuple(w.reduce(matrix, sel) for matrix in pair)
+
+
+def shock_pair(direct: np.ndarray, inverted: np.ndarray, delta: float):
+    """Apply the price shock to both baseline reduced matrices."""
+    s = direct.shape[0] - 1
+    group = np.arange(s)  # every node before the source
+    return apply_direct_shock(direct, s, group, delta), apply_inverted_shock(inverted, s, group, delta)
+
+
 def build_shock_matrices(tensor, spec, delta, alpha=w.DEFAULT_ALPHA):
     """Reduced (direct, inverted) matrices with the shock applied at delta."""
-    return w.shock_pair(w.reduce_for_shock(tensor, spec, alpha=alpha), delta)
+    direct, inverted = reduce_pair(tensor, spec, alpha=alpha)
+    return shock_pair(direct.reduced, inverted.reduced, delta)
+
+
+def reduced_sensitivity_oracle(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, max_iter=10000):
+    """The `regomax` report from both reduced matrices held at once: each
+    delta shocks both and solves both stationary vectors, then both linear
+    responses are taken. Verification only."""
+    r_direct, r_inverted = reduce_pair(tensor, spec, alpha, tol, max_iter)
+    direct, inverted = r_direct.reduced, r_inverted.reduced
+    n_p, s = tensor.registry.n_products, direct.shape[0] - 1
+
+    def marginals(p):
+        return p[: len(spec.group) * n_p].reshape(-1, n_p).sum(axis=1)
+
+    def balance_at(dv):
+        shocked = shock_pair(direct, inverted, dv)
+        p_imp, p_exp = (w.pagerank(m, tol=tol, max_iter=max_iter).probabilities for m in shocked)
+        imp, exp = marginals(p_imp), marginals(p_exp)
+        return w.balance(exp, imp), imp, exp, p_imp, p_exp
+
+    b, imp, exp, p_imp, p_exp = balance_at(0.0)
+    derivative = (balance_at(spec.delta)[0] - balance_at(-spec.delta)[0]) / (2.0 * spec.delta)
+    c = direct[:, s]
+    rhs_imp = p_imp[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
+    moved = p_exp[:s] * inverted[s, :s]
+    rhs_exp = np.append(np.zeros(s), moved.sum()) - inverted[:, :s] @ moved
+    try:
+        d_imp = marginals(_linear_response(direct, p_imp, rhs_imp, tol, max_iter))
+        d_exp = marginals(_linear_response(inverted, p_exp, rhs_exp, tol, max_iter))
+        exact = 2.0 * (imp * d_exp - exp * d_imp) / (exp + imp) ** 2
+        fd_error = float(np.abs(derivative - exact).max())
+    except ConvergenceError:
+        fd_error = np.inf
+    metadata = {
+        "alpha": alpha,
+        "pagerank_tol": tol,
+        "complement_eigenvalue_direct": r_direct.complement_eigenvalue,
+        "complement_eigenvalue_inverted": r_inverted.complement_eigenvalue,
+        "weights_direct": r_direct.weights,
+        "weights_inverted": r_inverted.weights,
+        "fd_error": fd_error,
+    }
+    return w.SensitivityReport(
+        "regomax", spec.source_label, spec.delta, spec.group, b, derivative, imp, exp, metadata
+    )
+
+
+def same_bits(a, b) -> bool:
+    """Bit-for-bit equality of two sensitivity reports (0.0 differs from -0.0)."""
+    arrays = ("balance", "derivative", "import_probability", "export_probability")
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays) and repr(
+        (a.method, a.source, a.delta, a.countries, a.metadata)
+    ) == repr((b.method, b.source, b.delta, b.countries, b.metadata))
 
 
 def linear_response_oracle(matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:

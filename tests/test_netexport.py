@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,31 @@ class TestTopLinks:
         m[[2, 5], 2] = [0.5, 0.25]  # column 2: its diagonal and one partner only
         labels = tuple(f"N{i}" for i in range(9))
         assert w.top_links(m, labels, k, view=view).edges == _reference_top_links(m, labels, k, view)
+
+    @pytest.mark.parametrize("view", ["import", "export"])
+    def test_column_blocks_match_per_column_sort(self, view):
+        # 70 columns go through blocks of three, the last of one column
+        rng = np.random.default_rng(70)
+        m = rng.integers(0, 3, size=(70, 70)) / 3.0
+        labels = tuple(f"N{i}" for i in range(70))
+        assert w.top_links(m, labels, 4, view=view).edges == _reference_top_links(m, labels, 4, view)
+
+    def test_peak_at_shock_mid_size(self):
+        """Beside the 733 x 733 input, the sort's temporaries (one block of
+        columns at a time) and the edges peak under half an n x n array."""
+        n = 733
+        rng = np.random.default_rng(0)
+        m = rng.random((n, n))
+        m[rng.random((n, n)) < 0.5] = 0.0
+        labels = tuple(f"N{i}" for i in range(n))
+        tracemalloc.start()
+        try:
+            edges = w.top_links(m, labels, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(edges.edges) == 4 * n
+        assert peak < 0.5 * 8 * n * n
 
 
 class TestSerialize:

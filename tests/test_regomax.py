@@ -14,6 +14,7 @@ from conftest import (
     ORACLE_CAP,
     reduce_dense_oracle,
     reduce_single_lu_reference,
+    shock_mid,
     split_diagonal,
 )
 
@@ -101,9 +102,9 @@ class TestDenseCap:
         monkeypatch.setattr(w.regomax, "DENSE_CAP_BYTES", block)  # exactly at the cap
         assert w.reduce(g, sel).complement_blocks == 1
 
-    @pytest.mark.parametrize("n, admitted", [(9459, True), (9460, False)])
+    @pytest.mark.parametrize("n, admitted", [(11585, True), (11586, False)])
     def test_largest_admitted_selection(self, monkeypatch, n, admitted):
-        """Three n x n float64 arrays fit the 2 GiB cap up to 9 459 nodes."""
+        """Two n x n float64 arrays fit the 2 GiB cap up to 11 585 nodes."""
         monkeypatch.setattr(w.regomax, "_trivial_reduction", lambda *args: "admitted")
         empty = w.GoogleMatrix(
             links=sparse.csr_matrix((n, n)), dangling=np.ones(n, dtype=bool),
@@ -113,7 +114,7 @@ class TestDenseCap:
         if admitted:
             assert w.reduce(empty, sel) == "admitted"
         else:
-            with pytest.raises(ValueError, match=f"{n} nodes .* 3 dense {n} x {n} arrays"):
+            with pytest.raises(ValueError, match=f"{n} nodes .* 2 dense {n} x {n} arrays"):
                 w.reduce(empty, sel)
 
     def test_paper_size_all_products_refused(self, monkeypatch):
@@ -534,18 +535,6 @@ class TestPaperScale:
             assert np.abs(restricted / restricted.sum() - local).sum() < 1e-13
 
 
-def shock_mid():
-    """The shock-mid benchmark's shape: 12 countries x 61 products + source
-    out of 100 x 61 = 6 100 nodes."""
-    tensor = w.synth_tensor(1, 100, 61, 0.25)
-    reg = tensor.registry
-    spec = w.ShockSpec(reg.countries[-2], reg.products[1], reg.countries[:12])
-    source = reg.node_id(spec.source_country, spec.source_product)
-    sel = w.Selection.for_countries(reg, spec.group, extra_nodes=(source,))
-    assert sel.n_selected == 733
-    return tensor, spec, sel
-
-
 def traced_peak(fn):
     """fn() and the peak of traced allocations while it ran."""
     tracemalloc.start()
@@ -560,33 +549,45 @@ class TestMemory:
     """Peaks in units of one n x n float64 array, at the shock-mid shape."""
 
     def test_reduce_peak_at_shock_mid_shape(self):
-        """Only the reduced matrix is stored dense and one n x n temporary is
-        alive at a time: one reduction peaks under three and a half arrays."""
+        """Only the reduced matrix is stored dense and no second n x n array
+        is made beside it (before it, one residual block of at most n x n
+        elements): one reduction peaks under 2.2 arrays."""
         tensor, _, sel = shock_mid()
         unit = 8 * sel.n_selected**2
         matrix = w.build_trade_pair(tensor)[0]
         result, peak = traced_peak(lambda: w.reduce(matrix, sel))
-        assert peak <= 3.5 * unit
+        assert peak <= 2.2 * unit
         _, peak = traced_peak(lambda: result.weights)
         assert peak < 0.1 * unit  # summed from factors: no n x n array
 
+    def test_indirect_diag_peak_at_shock_mid_shape(self):
+        """The indirect part is freed before its diagonal matrix is made: one
+        read of `indirect_diag` peaks at about one array."""
+        tensor, _, sel = shock_mid()
+        result = w.reduce(w.build_trade_pair(tensor)[0], sel)
+        _, peak = traced_peak(lambda: result.indirect_diag)
+        assert peak <= 1.1 * 8 * sel.n_selected**2
+
     def test_one_shocked_copy_at_a_time(self):
-        """A shocked evaluation copies one reduced matrix at a time: the
-        direct copy is freed before the inverted one is made. The inverted
-        shock's column sums take one more array (`out[:, group_cols]`), so
-        one copy peaks at two arrays and two copies at three."""
+        """One inverted shocked evaluation holds the shocked copy and one
+        chunk of the group columns it renormalizes: under 1.3 arrays beside
+        the reduced matrix."""
         tensor, spec, sel = shock_mid()
-        pair = w.reduce_for_shock(tensor, spec)
-        _, peak = traced_peak(lambda: w.sensitivity._pair_balance(pair, spec.delta, 1e-12, 10000))
-        assert peak < 2.5 * 8 * sel.n_selected**2
+        matrix = w.reduce(w.build_trade_pair(tensor)[1], sel).reduced
+        shock = w.sensitivity.apply_inverted_shock
+        _, peak = traced_peak(
+            lambda: w.sensitivity._shocked_stationary(matrix, shock, spec.delta, 1e-12, 10000)
+        )
+        assert peak <= 1.3 * 8 * sel.n_selected**2
 
     def test_sensitivity_peak_at_shock_mid_shape(self):
-        """Both reductions, the shocked copies (one at a time) and the
-        iterative linear response stay under 5.2 arrays."""
+        """One direction at a time: its reduction, its shocked copies (one at
+        a time) and its linear response, then it is freed before the other
+        direction is reduced. The whole method stays under 3.4 arrays."""
         tensor, spec, sel = shock_mid()
         report, peak = traced_peak(lambda: w.reduced_balance_sensitivity(tensor, spec))
         assert np.isfinite(report.metadata["fd_error"])
-        assert peak <= 5.2 * 8 * sel.n_selected**2
+        assert peak <= 3.4 * 8 * sel.n_selected**2
 
 
 class TestComponentWeight:

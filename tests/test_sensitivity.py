@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,11 @@ from conftest import (
     linear_response_oracle,
     live_reduced_sets,
     make_toy3,
+    reduce_pair,
+    reduced_sensitivity_oracle,
+    same_bits,
+    shock_mid,
+    shock_pair,
 )
 
 
@@ -141,10 +148,10 @@ class TestApplyShocks:
 class TestBuildShockMatrices:
     def test_zero_delta_bit_exact(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
-        pair = w.reduce_for_shock(toy3, spec)
-        direct, inverted = w.shock_pair(pair, 0.0)
-        assert np.array_equal(direct, pair.direct)
-        assert np.array_equal(inverted, pair.inverted)
+        pair = [r.reduced for r in reduce_pair(toy3, spec)]
+        direct, inverted = shock_pair(*pair, 0.0)
+        assert np.array_equal(direct, pair[0])
+        assert np.array_equal(inverted, pair[1])
 
     def test_shocked_columns_stochastic(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
@@ -153,12 +160,14 @@ class TestBuildShockMatrices:
         assert np.abs(inverted.sum(axis=0) - 1.0).max() < 1e-12
 
     def test_signature_equivalence(self, toy3):
+        """`reduce_for_shock` yields the direct, then the inverted reduced
+        matrix, as the pair helpers build them."""
         spec = w.ShockSpec("AA", "00", ("XX",))
-        pair = w.reduce_for_shock(toy3, spec)
-        via_pair = w.shock_pair(pair, 2e-3)
+        yielded = [r.matrix for r in w.reduce_for_shock(toy3, spec)]
         direct, inverted = build_shock_matrices(toy3, spec, 2e-3)
-        assert np.array_equal(via_pair[0], direct)
-        assert np.array_equal(via_pair[1], inverted)
+        via_package = shock_pair(*yielded, 2e-3)
+        assert np.array_equal(via_package[0], direct)
+        assert np.array_equal(via_package[1], inverted)
 
 
 class TestReducedSensitivity:
@@ -188,6 +197,31 @@ class TestReducedSensitivity:
             result = w.reduce(matrix, sel)
             assert report.metadata[f"complement_eigenvalue_{tag}"] == result.complement_eigenvalue
             assert report.metadata[f"weights_{tag}"] == result.weights
+
+    def test_one_reduced_matrix_alive_at_a_time(self, monkeypatch):
+        """The direct reduced matrix, and the direct Google matrix it came
+        from, are freed before the inverted one is reduced."""
+        spec = w.ShockSpec("AS", "02", ("AA", "AB", "AC"))
+        alive = []
+        seen = []
+        reduce = w.sensitivity.reduce
+
+        def watching(matrix, sel):
+            alive.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(matrix))
+            result = reduce(matrix, sel)
+            seen.append(weakref.ref(result.reduced))
+            return result
+
+        monkeypatch.setattr(w.sensitivity, "reduce", watching)
+        w.reduced_balance_sensitivity(w.synth_tensor(3, 20, 15, 0.1), spec)
+        assert alive == [0, 0]
+
+    def test_matches_the_pair_oracle_at_shock_mid_shape(self):
+        """Bit for bit the report of both reduced matrices held at once."""
+        tensor, spec, _ = shock_mid()
+        report = w.reduced_balance_sensitivity(tensor, spec)
+        assert same_bits(report, reduced_sensitivity_oracle(tensor, spec))
 
     def test_pure_importer_negative_derivative(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
@@ -373,6 +407,24 @@ class TestRandomTensors:
             assert np.all(np.abs(report.balance) <= 1.0)
             bound = spec.delta**2 * max(1.0, np.abs(report.derivative).max())
             assert report.metadata["fd_error"] <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_shocks())
+    def test_reduced_matches_the_pair_oracle(self, case):
+        """One direction at a time gives, bit for bit, the report (or the
+        error) of both reduced matrices held at once."""
+        tensor, spec, alpha = case
+        outcomes = []
+        for method in (w.reduced_balance_sensitivity, reduced_sensitivity_oracle):
+            try:
+                outcomes.append(method(tensor, spec, alpha=alpha))
+            except (ConvergenceError, TradeDataError, ValueError) as exc:
+                outcomes.append(type(exc))
+        first, second = outcomes
+        if isinstance(first, type) or isinstance(second, type):
+            assert first == second
+        else:
+            assert same_bits(first, second)
 
 
 def slow_response_tensor():
