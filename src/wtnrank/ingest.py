@@ -5,32 +5,28 @@ Input CSV format (UTF-8, comment lines start with '#'):
     year,product,exporter,importer,value_usd
 
 `product` is a 2-character commodity code, `exporter`/`importer` are
-2-character country codes, `value_usd` a nonnegative decimal. Cells are
-stripped of surrounding whitespace. Duplicate (product, importer, exporter)
-rows are summed; self-trade rows are dropped with a warning.
+2-character country codes, each code letters or digits, `value_usd` a
+nonnegative decimal. Cells are stripped of surrounding whitespace.
+Duplicate (product, importer, exporter) rows are summed; self-trade rows
+are dropped with a warning.
 
-The loader reads the file as text in blocks of about `_BLOCK_CHARS`
-characters, each read whole and ended at a line end, so the memory taken
-by the text is bounded by the block, not the file. A clean block holds no
-quote, `#` or NUL, and no carriage return but in a CRLF line end; each of
-its lines is 4 commas then a newline, with no field longer than
+The byte path reads the file as text in blocks of about `_BLOCK_CHARS`
+characters, each ended at a line end (a last line without one gets a
+newline), so the text in memory is bounded by the block. `csv.reader`
+reads the header, and any comments before it, from the first block. A
+clean block holds no quote, `#` or NUL, and no CR but in a CRLF line end;
+each line is 4 commas then a newline, with no field longer than
 `csv.field_size_limit()`. `csv.reader` would read it as plain comma splits,
-so it is read from its UTF-8 bytes and the separator positions: a year
-column of one repeated cell is looked up once, a code column whose every
-cell is 2 printable ASCII bytes maps through a table of their 16-bit
-values, and only the value column, and any column that fails these tests,
-becomes `str` cells. Every other block, and the header with the comments
-before it, goes through `csv.reader`, and a quoted record still open at a
-block's end reads on into the next block. Each distinct year or code string
-is checked once, values are converted in bulk, and only integer ids and
-float values are kept.
+so it is read from its UTF-8 bytes: a year column of one repeated cell is
+looked up once, a code column of 2 printable ASCII bytes per cell maps
+through a table of their 16-bit values, and only the value column, and any
+column that fails these tests, becomes `str` cells.
 
-Every row of the file is validated, whatever its year, but the block
-reader only detects a fault: it stops at the first one it meets, in no set
-order and without row numbers. The file is then read a second time by one
-row-by-row `csv.reader` loop, `_raise_first_fault`, which holds the row
-rules and raises the first fault with its 1-based row number. So a valid
-file is read once, and only a failing one twice.
+The byte path stops at the first block that is not clean, or at the first
+fault it meets, in no set order. The file is then read by one row-by-row
+`csv.reader` loop, `_read_rows`, the one statement of the row rules: it
+returns the rows of a valid file and raises the first fault of a faulty one
+with its 1-based row number. Every row is validated, whatever its year.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -47,10 +43,11 @@ import csv
 import io
 import itertools
 import logging
+import math
 import string
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 from scipy import sparse
@@ -305,7 +302,10 @@ def load_registry(path) -> Registry:
                 continue
             if section is None:
                 raise ParseError("code before a [countries]/[products] section", lineno)
-            section.append(line)
+            try:
+                section.append(_checked_code(line))
+            except ValueError as exc:
+                raise ParseError(f"code {line!r} is not {exc}", lineno) from None
     if not countries or not products:
         raise TradeDataError(f"registry file {path} must list countries and products")
     return Registry(countries=tuple(countries), products=tuple(products))
@@ -321,34 +321,40 @@ def save_registry(registry: Registry, path) -> None:
             fh.write(p + "\n")
 
 
+def _checked_code(code: str) -> str:
+    """`code` when it is 2 letters or digits, else ValueError naming the rule
+    it breaks; so no code holds a `,` of a CSV row or the `:` of a node label."""
+    if len(code) != 2:
+        raise ValueError("2 characters")
+    if not code.isalnum():
+        raise ValueError("2 letters or digits")
+    return code
+
+
 def _text_blocks(fh):
     """Yield the text of the file `fh` in blocks of `_BLOCK_CHARS`
-    characters, each read on to the end of its last line."""
+    characters, each read on to the end of its last line. A last line
+    without a line end gets a newline: `csv.reader` reads it the same."""
     while block := fh.read(_BLOCK_CHARS):
-        yield block if block.endswith("\n") else block + fh.readline()
+        if not block.endswith("\n"):
+            block += fh.readline()
+        yield block if block.endswith(("\n", "\r")) else block + "\n"
 
 
-def _lines(block: str) -> list[str]:
-    """The lines of a block, ended as the text file ends them."""
-    return io.StringIO(block, newline="").readlines()
-
-
-def _block_reader(block: str, blocks):
-    """A `csv.reader` over one block, and the list of the block's lines.
-
-    A record still open at the end of the block reads on into the next
-    blocks, and their lines join the list; the records that start in the
-    block are read once `reader.line_num` reaches the length of the list.
-    """
-    lines = _lines(block)
-
-    def more():
-        for later in blocks:
-            later = _lines(later)
-            lines.extend(later)
-            yield from later
-
-    return csv.reader(itertools.chain(lines, more())), lines
+def _header_rest(block: str) -> str | None:
+    """The text after the header in the file's first block `block`, or None
+    when the block does not hold a right header after blank or comment rows."""
+    lines = io.StringIO(block, newline="").readlines()
+    reader = csv.reader(lines, strict=True)  # strict: a record cut off by the block's end raises
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                if tuple(c.strip() for c in row) != CSV_HEADER:
+                    return None
+                return "".join(lines[reader.line_num :])
+    except csv.Error:
+        pass
+    return None
 
 
 class _CleanBlock:
@@ -431,47 +437,6 @@ def _clean_block(block: str) -> _CleanBlock | None:
     return clean
 
 
-def _read_header(blocks) -> str:
-    """Read the rows up to the header and check it; return the text after it
-    in the block it ends in."""
-    for block in blocks:
-        reader, lines = _block_reader(block, blocks)
-        while reader.line_num < len(lines):
-            row = next(reader)
-            if row and not row[0].lstrip().startswith("#"):
-                if tuple(c.strip() for c in row) != CSV_HEADER:
-                    raise ValueError("bad header")
-                return "".join(lines[reader.line_num :])
-    raise ValueError("no header")
-
-
-def _data_chunks(fh):
-    """Check the header, then yield the data rows of each text block.
-
-    A clean block (see `_clean_block`) is yielded as its `_CleanBlock`.
-    Every other block, like the header and the rows before it, is read by
-    `csv.reader`, and its data rows are yielded as their 5 cells back to
-    back; blank and comment rows are skipped, and a row with another column
-    count raises ValueError.
-    """
-    blocks = _text_blocks(fh)
-    rest = _read_header(blocks)
-    for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
-        clean = _clean_block(block)
-        if clean is not None:
-            yield clean
-            continue
-        reader, lines = _block_reader(block, blocks)
-        cells: list[str] = []
-        while reader.line_num < len(lines):
-            row = next(reader)
-            if row and not row[0].lstrip().startswith("#"):
-                if len(row) != 5:
-                    raise ValueError(f"expected 5 columns, got {len(row)}")
-                cells += row
-        yield cells
-
-
 class _Distinct(dict):
     """Raw cell -> `convert(cell)`, converting each distinct cell once."""
 
@@ -485,9 +450,10 @@ class _Distinct(dict):
 
 
 class _Codes(_Distinct):
-    """Raw cell -> id of its stripped 2-character code in `ids`, where codes
-    take ids in order of first sight; `by_key` caches the id of each code
-    cell that is 2 printable ASCII bytes, by their 16-bit value."""
+    """Raw cell -> id of its stripped code in `ids`, where codes take ids in
+    order of first sight; a code that is not 2 letters or digits raises
+    ValueError. `by_key` caches the id of each code cell that is 2 printable
+    ASCII bytes, by their 16-bit value."""
 
     def __init__(self):
         super().__init__(self._code_id)
@@ -495,10 +461,7 @@ class _Codes(_Distinct):
         self.by_key = np.full(1 << 16, -1, np.int64)
 
     def _code_id(self, raw: str) -> int:
-        code = raw.strip()
-        if len(code) != 2:
-            raise ValueError(f"code {code!r} is not 2 characters")
-        return self.ids.setdefault(code, len(self.ids))
+        return self.ids.setdefault(_checked_code(raw.strip()), len(self.ids))
 
     def of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the code cells with the 16-bit values `keys`."""
@@ -519,40 +482,36 @@ def _values(cells: list[str], m: int) -> np.ndarray:
         return np.fromiter(map(float, map(str.strip, cells)), np.float64, m)
 
 
-def _convert_chunk(rows, years, products, countries):
-    """Validate one chunk column by column and keep the rows of the year.
+def _convert_chunk(rows: _CleanBlock, years, products, countries):
+    """Validate one clean block column by column and keep the rows of the year.
 
-    `rows` is a `_CleanBlock` or the rows' cells back to back. In a clean
-    block, a year column of one repeated cell is looked up once and a code
-    column of printable 2-byte cells by key; only the other columns become
-    `str` cells. Returns the count of self-trade rows dropped and the arrays
-    (product, importer, exporter, value) of the rows kept. A fault raises
-    ValueError, whichever column it is found in first.
+    A year column of one repeated cell is looked up once and a code column of
+    printable 2-byte cells by key; only the other columns become `str` cells.
+    Returns the count of self-trade rows dropped and the product, importer,
+    exporter and value arrays of the rows kept. A fault raises ValueError.
     """
-    clean = isinstance(rows, _CleanBlock)
-    m = len(rows) if clean else len(rows) // 5
-    column = rows.column if clean else lambda c: rows[c::5]
+    m = len(rows)
 
     def code_ids(c, codes):
-        keys = rows.code_keys(c) if clean else None
+        keys = rows.code_keys(c)
         if keys is None:
-            return np.fromiter(map(codes.__getitem__, column(c)), np.int64, m)
+            return np.fromiter(map(codes.__getitem__, rows.column(c)), np.int64, m)
         return codes.of_keys(keys)
 
-    year = rows.same_year() if clean else None
+    year = rows.same_year()
     if year is None:
-        in_year = np.fromiter(map(years.__getitem__, column(0)), bool, m)
+        in_year = np.fromiter(map(years.__getitem__, rows.column(0)), bool, m)
     else:
         in_year = np.full(m, years[year])
     p = code_ids(1, products)
     e = code_ids(2, countries)
     i = code_ids(3, countries)
-    v = _values(column(4), m)
+    v = _values(rows.column(4), m)
     if not np.all(np.isfinite(v) & (v >= 0)):
         raise ValueError("a value is negative or not finite")
     self_trade = in_year & (e == i)
     keep = in_year & ~self_trade
-    return int(self_trade.sum()), (p[keep], i[keep], e[keep], v[keep])
+    return int(self_trade.sum()), p[keep], i[keep], e[keep], v[keep]
 
 
 def _index_map(codes, index: dict[str, int]) -> np.ndarray:
@@ -560,18 +519,45 @@ def _index_map(codes, index: dict[str, int]) -> np.ndarray:
     return np.array([index.get(c, -1) for c in codes], dtype=np.int64)
 
 
-def _raise_first_fault(path, year: int, registry: Registry | None) -> NoReturn:
-    """Read `path` again, row by row, and raise its first fault.
+def _read_blocks(path, year: int) -> tuple | None:
+    """The rows of `path`, as `_read_rows` gives them, when the header is in
+    the first text block and every block after it is clean and valid; else None."""
+    years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
+    chunks = []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            blocks = _text_blocks(fh)
+            rest = _header_rest(next(blocks, ""))
+            if rest is None:
+                return None
+            for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
+                clean = _clean_block(block)
+                if clean is None:
+                    return None
+                chunks.append(_convert_chunk(clean, years, products, countries))
+    except ValueError:  # a fault; UnicodeDecodeError is a ValueError
+        return None
+    if not chunks:  # a header alone: nothing to join, and the row loop reads it at once
+        return None
+    dropped, p, i, e, values = zip(*chunks)
+    p, i, e, values = map(np.concatenate, (p, i, e, values))
+    return list(products.ids), list(countries.ids), p, i, e, values, sum(dropped), None
 
-    This loop is the one statement of the row rules; the block reader only
-    detects that one is broken. The faults are raised in this order: a bad
-    header, or no header at all; then the first row, in file order, that
-    breaks a rule, that `csv.reader` cannot read or that is not valid
-    UTF-8; then the first code of a row kept for `year` that `registry`
-    lacks. A file with none of these was rejected in error.
+
+def _read_rows(path, year: int, registry: Registry | None) -> tuple:
+    """Read `path` row by row: raise its first fault, or return its rows.
+
+    This loop is the one statement of the row rules. It raises a bad or no
+    header, else the first row that breaks a rule, that `csv.reader` cannot
+    read or that is not valid UTF-8. It returns the product and the country
+    codes in order of first sight; the product, importer and exporter ids
+    and the values of the rows kept for `year`; the count of self-trade rows
+    dropped; and the error for the first code of a kept row that `registry`
+    lacks, or None.
     """
-    header = False
-    unknown = None
+    years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
+    p, i, e, values = array("q"), array("q"), array("q"), array("d")
+    dropped, unknown, header = 0, None, False
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].lstrip().startswith("#"):
@@ -585,33 +571,49 @@ def _raise_first_fault(path, year: int, registry: Registry | None) -> NoReturn:
                 continue
             if len(row) != 5:
                 raise ParseError(f"expected 5 columns, got {len(row)}", lineno)
-            y_s, product, exporter, importer, value_s = (c.strip() for c in row)
+            y_s, product, exporter, importer, value_s = row
             try:
-                y = int(y_s)
+                in_year = years[y_s]
             except ValueError:
-                raise ParseError(f"bad year {y_s!r}", lineno) from None
-            if len(product) != 2:
-                raise ParseError(f"product code {product!r} is not 2 characters", lineno)
-            if len(exporter) != 2 or len(importer) != 2:
-                raise ParseError("country codes must be 2 characters", lineno)
+                raise ParseError(f"bad year {y_s.strip()!r}", lineno) from None
+            try:
+                pid = products[product]
+            except ValueError as exc:
+                raise ParseError(f"product code {product.strip()!r} is not {exc}", lineno) from None
+            try:
+                eid, iid = countries[exporter], countries[importer]
+            except ValueError as exc:
+                raise ParseError(f"country codes must be {exc}", lineno) from None
             try:
                 value = float(value_s)
             except ValueError:
-                raise ParseError(f"bad value {value_s!r}", lineno) from None
-            if not np.isfinite(value) or value < 0:
-                raise ParseError(f"value {value_s!r} is negative or not finite", lineno)
-            if registry is not None and unknown is None and y == year and exporter != importer:
                 try:
-                    registry.product_index(product)
-                    registry.country_index(exporter)
-                    registry.country_index(importer)
+                    value = float(value_s.strip())
+                except ValueError:
+                    raise ParseError(f"bad value {value_s.strip()!r}", lineno) from None
+            if not (math.isfinite(value) and value >= 0):
+                raise ParseError(f"value {value_s.strip()!r} is negative or not finite", lineno)
+            if not in_year:
+                continue
+            if eid == iid:
+                dropped += 1
+                continue
+            if registry is not None and unknown is None:
+                try:
+                    registry.product_index(product.strip())
+                    registry.country_index(exporter.strip())
+                    registry.country_index(importer.strip())
                 except TradeDataError as exc:
                     unknown = TradeDataError(f"line {lineno}: {exc}")
+            p.append(pid)
+            i.append(iid)
+            e.append(eid)
+            values.append(value)
     if not header:
         raise TradeDataError("no records: file is empty")
-    if unknown is not None:
-        raise unknown
-    raise RuntimeError(f"{path} was rejected, but no row of it breaks the row rules")
+    p, i, e = (np.frombuffer(ids, np.int64) for ids in (p, i, e))
+    values = np.frombuffer(values, np.float64)
+    return list(products.ids), list(countries.ids), p, i, e, values, dropped, unknown
 
 
 def load_money_tensor(path, year: int, registry: Registry | None = None) -> MoneyTensor:
@@ -619,32 +621,18 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
 
     Without an explicit registry the country and product orderings are the
     lexicographically sorted unions of the codes seen. With a registry,
-    unknown codes are rejected. A file that fails either way is read a
-    second time, by `_raise_first_fault`, to name its first fault.
+    unknown codes are rejected. A file the byte path does not read whole, or
+    with an unknown code, is read by the row loop `_read_rows`.
     """
-    years = _Distinct(lambda raw: int(raw.strip()) == year)
-    products = _Codes()
-    countries = _Codes()
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            chunks = [
-                _convert_chunk(rows, years, products, countries) for rows in _data_chunks(fh)
-            ]
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-        chunks = None
-    if chunks is None:  # raised outside the handler, so the fault shows alone
-        _raise_first_fault(path, year, registry)
-    dropped_self = sum(dropped for dropped, _ in chunks)
+    product_codes, country_codes, p, i, e, values, dropped_self, unknown = (
+        _read_blocks(path, year) or _read_rows(path, year, registry)
+    )
     if dropped_self:
         log.warning("%s: dropped %d self-trade row(s)", path, dropped_self)
-    if not any(kept[-1].size for _, kept in chunks):
+    if not values.size:
         raise TradeDataError(f"no records for year {year} in {path}")
-    p, i, e, values = map(np.concatenate, zip(*(kept for _, kept in chunks)))
-    del chunks  # here and below: the load sets the peak memory of a `rank` run
 
     # p, i, e are ids in order of first sight; remap them to the registry order
-    product_codes = list(products.ids)
-    country_codes = list(countries.ids)
     if registry is None:
         used_p = np.zeros(len(product_codes), dtype=bool)
         used_p[p] = True
@@ -657,8 +645,8 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
     product_map = _index_map(product_codes, registry._product_index)
     country_map = _index_map(country_codes, registry._country_index)
     if ((product_map[p] < 0) | (country_map[e] < 0) | (country_map[i] < 0)).any():
-        _raise_first_fault(path, year, registry)
-    p, i, e = product_map[p], country_map[i], country_map[e]
+        raise unknown or _read_rows(path, year, registry)[-1]  # the byte path has no row numbers
+    p, i, e = product_map[p], country_map[i], country_map[e]  # rebound: ingest sets the peak of `rank`
     return MoneyTensor.from_entries(registry, year, p, i, e, values)
 
 

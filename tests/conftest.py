@@ -318,8 +318,13 @@ def _parse_rows_reference(fh, year):
             raise ParseError(f"bad year {y_s!r}", lineno) from None
         if len(product) != 2:
             raise ParseError(f"product code {product!r} is not 2 characters", lineno)
-        if len(exporter) != 2 or len(importer) != 2:
-            raise ParseError("country codes must be 2 characters", lineno)
+        if not product.isalnum():
+            raise ParseError(f"product code {product!r} is not 2 letters or digits", lineno)
+        for code in (exporter, importer):
+            if len(code) != 2:
+                raise ParseError("country codes must be 2 characters", lineno)
+            if not code.isalnum():
+                raise ParseError("country codes must be 2 letters or digits", lineno)
         try:
             value = float(value_s)
         except ValueError:

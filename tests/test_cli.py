@@ -65,6 +65,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert re.fullmatch(r"ERROR wtnrank: field larger than field limit \(\d+\)\n", proc.stderr)
 
+    def test_code_with_a_separator_is_one_error_line(self, tmp_path):
+        """A quoted code such as "A," would shift every field after it in the
+        `rank` files and in `network`'s edge CSV."""
+        path = tmp_path / "comma.csv"
+        path.write_text('year,product,exporter,importer,value_usd\n2016,01,BB,AB,5\n'
+                        '2016,01,"A,",BB,7\n', encoding="utf-8")
+        proc = run_python("-m", "wtnrank", "rank", "--input", str(path),
+                          "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == "ERROR wtnrank: line 3: country codes must be 2 letters or digits\n"
+
     def test_bad_alpha_rejected(self, tmp_path):
         rc = run("rank", "--input", FIXTURE, "--alpha", "1.5", "--out-dir", tmp_path)
         assert rc == 2

@@ -166,8 +166,8 @@ GOOD = {
 }
 BAD = {
     "year": ("20x6", "", "2016.0"),
-    "product": ("1", "123", "", "\u00c9"),
-    "country": ("A", "ABC", "", "A,B", "A\nB", "\u00c9"),  # "\u00c9": 2 bytes, 1 character
+    "product": ("1", "123", "", "\u00c9", "0,", "0:", '0"'),
+    "country": ("A", "ABC", "", "A,B", "A\nB", "\u00c9", "A,", "A:", 'A"'),  # "\u00c9": 2 bytes, 1 character
     "value": ("abc", "", "-5", "-1e-3", "nan", "inf", "-inf", "1e999"),
 }
 HEADERS = (
@@ -184,7 +184,8 @@ def cell(draw, kind, bad=False):
     else:
         text = draw(st.sampled_from(BAD[kind] if bad else GOOD[kind]))
     text = draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
-    return f'"{text}"' if draw(st.integers(0, 4)) == 4 else text  # most rows unquoted
+    quoted = '"' + text.replace('"', '""') + '"'
+    return quoted if draw(st.integers(0, 4)) == 4 else text  # most rows unquoted
 
 
 FAULTS = (None,) * 6 + (
@@ -374,6 +375,31 @@ class TestAgainstReference:
         assert type(actual) is type(expected)
         assert str(actual) == str(expected)
 
+    @pytest.mark.parametrize("code", ['"A,"', '"A:"', '"A"""', "A:", '" A:"', "A\u00b7"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_code_must_be_two_letters_or_digits(self, tmp_path, code, column):
+        """Such a code would break the CSV rows and node labels written from it."""
+        cells = ["2016", "01", "AA", "BB", "5"]
+        cells[column] = code
+        path = write(tmp_path, HEADER + "2016,01,AA,BB,5\n" + ",".join(cells) + "\n")
+        with pytest.raises(ParseError, match="^line 3: .*2 letters or digits$") as err:
+            w.load_money_tensor(path, 2016)
+        with pytest.raises(ParseError) as ref:
+            load_money_tensor_reference(path, 2016)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("block", [1, 20, 1 << 20])
+    def test_header_cell_open_at_a_block_end_as_in_reference(self, tmp_path, block):
+        """The header's last cell opens a quote that no later line closes, so
+        the whole file is one header record; the first block must not read a
+        header out of its part of that record."""
+        path = write(tmp_path, 'year,product,exporter,importer,"value_usd\n' + "2016,01,AA,BB,5\n" * 3)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            actual, _ = load_logged(w.load_money_tensor, path, None)
+        expected, _ = load_logged(load_money_tensor_reference, path, None)
+        assert isinstance(expected, ParseError)
+        assert (type(actual), str(actual)) == (type(expected), str(expected))
+
     def test_padded_codes_are_one_country(self, tmp_path, caplog):
         path = write(tmp_path, HEADER + "2016,01, RU,RU ,5\n2016,01,RU,\" NL\",7\n")
         with caplog.at_level("WARNING", logger="wtnrank.ingest"):
@@ -384,53 +410,8 @@ class TestAgainstReference:
 
 
 class TestFastPath:
-    """Clean blocks are read from their bytes; only other rows meet `csv.reader`."""
-
-    @staticmethod
-    def load_recording_fallback(path, year):
-        """The tensor, and the text blocks handed to the `csv.reader` fallback."""
-        blocks = []
-        block_reader = ingest._block_reader
-
-        def recording(lines, later_blocks):
-            blocks.append("".join(lines))
-            return block_reader(lines, later_blocks)
-
-        with mock.patch.object(ingest, "_block_reader", recording):
-            tensor = w.load_money_tensor(path, year)
-        return tensor, blocks
-
-    @pytest.mark.parametrize("block", [4096, ingest._BLOCK_CHARS])
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-    def test_written_tensor_reaches_csv_reader_only_for_the_header(self, tmp_path, block, eol):
-        tensor = w.synth_tensor(2, 30, 5, 0.5)
-        path = tmp_path / "t.csv"
-        w.serialize_tensor(tensor, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
-        with mock.patch.object(ingest, "_BLOCK_CHARS", block):
-            back, fallback = self.load_recording_fallback(path, tensor.year)
-        assert len(fallback) == 1 and fallback[0].startswith(HEADER.replace("\n", eol))
-        assert same_trade(back, tensor)
-        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
-
-    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-    def test_written_tensor_decodes_only_the_value_column(self, tmp_path, eol):
-        """Every data block is clean; its year is looked up once and its codes
-        by key, so only its value cells become `str`."""
-        tensor = w.synth_tensor(2, 30, 5, 0.5)
-        path = tmp_path / "t.csv"
-        w.serialize_tensor(tensor, path)
-        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
-                mock.patch.object(ingest, "_block_reader", wraps=ingest._block_reader) as reader, \
-                mock.patch.object(ingest, "_clean_block", wraps=ingest._clean_block) as clean, \
-                mock.patch.object(ingest._CleanBlock, "column", autospec=True,
-                                  side_effect=ingest._CleanBlock.column) as column:
-            back = w.load_money_tensor(path, tensor.year)
-        assert reader.call_count == 1  # the header's block
-        assert clean.call_count > 10
-        assert [c for (_, c), _ in column.call_args_list] == [4] * clean.call_count
-        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+    """Clean blocks are read from their bytes; any other file meets the row
+    loop `_read_rows`, once."""
 
     @staticmethod
     def written_tensor(tmp_path, eol="\n"):
@@ -441,20 +422,60 @@ class TestFastPath:
         path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
         return tensor, path
 
+    @staticmethod
+    def load_counting_row_loops(path, year, registry=None):
+        """The tensor or the exception raised, and the count of `_read_rows` calls."""
+        with mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as rows:
+            result, _ = load_logged(w.load_money_tensor, path, registry)
+        return result, rows.call_count
+
+    @pytest.mark.parametrize("block", [4096, ingest._BLOCK_CHARS])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-    def test_valid_file_is_read_once(self, tmp_path, eol):
+    def test_written_tensor_reaches_csv_reader_only_for_the_header(self, tmp_path, block, eol):
+        tensor, path = self.written_tensor(tmp_path, eol)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block), \
+                mock.patch.object(ingest.csv, "reader", wraps=csv.reader) as reader:
+            back, row_loops = self.load_counting_row_loops(path, tensor.year)
+        assert row_loops == 0
+        assert reader.call_count == 1  # over the first block's lines
+        assert "".join(reader.call_args.args[0]).startswith(HEADER.replace("\n", eol))
+        assert same_trade(back, tensor)
+        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_written_tensor_decodes_only_the_value_column(self, tmp_path, eol):
+        """Every data block is clean; its year is looked up once and its codes
+        by key, so only its value cells become `str`."""
         tensor, path = self.written_tensor(tmp_path, eol)
         with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
-                mock.patch.object(ingest, "_raise_first_fault",
-                                  wraps=ingest._raise_first_fault) as reread:
+                mock.patch.object(ingest, "_read_rows", wraps=ingest._read_rows) as rows, \
+                mock.patch.object(ingest, "_clean_block", wraps=ingest._clean_block) as clean, \
+                mock.patch.object(ingest._CleanBlock, "column", autospec=True,
+                                  side_effect=ingest._CleanBlock.column) as column:
             back = w.load_money_tensor(path, tensor.year)
-        assert reread.call_count == 0
-        assert same_trade(back, tensor)
+        assert rows.call_count == 0
+        assert clean.call_count > 10
+        assert [c for (_, c), _ in column.call_args_list] == [4] * clean.call_count
+        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_valid_file_is_read_once(self, tmp_path, eol):
+        """A written file with a comment line before its header, or with no
+        final line end, is still read by the byte path alone."""
+        tensor, path = self.written_tensor(tmp_path, eol)
+        data = path.read_bytes()
+        for text in (b"# written by synth" + eol.encode() + data, data[: -len(eol)]):
+            path.write_bytes(text)
+            for block in (4096, ingest._BLOCK_CHARS):
+                with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+                    back, row_loops = self.load_counting_row_loops(path, tensor.year)
+                assert row_loops == 0
+                assert same_trade(back, tensor)
 
     @pytest.mark.parametrize("fault", ["last-value", "columns", "utf8", "unknown-code"])
     def test_failing_file_is_read_again_once(self, tmp_path, fault):
-        """The block reader only detects the fault; one row-by-row re-read
-        raises the reference's error."""
+        """The byte path only detects the fault; one row-by-row read raises the
+        reference's error."""
         tensor, path = self.written_tensor(tmp_path)
         data = path.read_bytes()
         middle = data.index(b"\n", len(data) // 2) + 1
@@ -469,24 +490,44 @@ class TestFastPath:
             reg = tensor.registry
             registry = w.Registry(countries=reg.countries[:-1], products=reg.products)
         path.write_bytes(data)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096), \
-                mock.patch.object(ingest, "_raise_first_fault",
-                                  wraps=ingest._raise_first_fault) as reread:
-            actual, _ = load_logged(w.load_money_tensor, path, registry)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
+            actual, row_loops = self.load_counting_row_loops(path, tensor.year, registry)
         expected, _ = load_logged(load_money_tensor_reference, path, registry)
-        assert reread.call_count == 1
+        assert row_loops == 1
         assert isinstance(expected, ValueError)
         assert (type(actual), str(actual)) == (type(expected), str(expected))
 
-    @pytest.mark.parametrize("text, fallback", [
-        ("2016,01,AA,BB,5\n2016,02,BB,AA,7", ["2016,02,BB,AA,7"]),
-        ("2016,01,AA,\u00a0BB,5\n2016,02,BB\u00a0,AA,7\n", []),
+    @pytest.mark.parametrize("registry", [False, True], ids=["no-registry", "unknown-code"])
+    @pytest.mark.parametrize("row", [
+        b'"2016","01","AA","AB","5"', b"", b"# 2016,01,AA,AB,5", b"2016,01,AA,AB,-5",
+    ], ids=["quoted", "blank-line", "comment", "faulty"])
+    def test_file_that_is_not_clean_meets_the_row_loop_once(self, tmp_path, row, registry):
+        """A written file with one row changed in its middle: the byte path
+        gives up on that row's block and the row loop reads the whole file."""
+        tensor, path = self.written_tensor(tmp_path)
+        data = path.read_bytes()
+        middle = data.index(b"\n", len(data) // 2) + 1
+        path.write_bytes(data[:middle] + row + b"\n" + data[middle:])
+        reg = tensor.registry
+        registry = w.Registry(countries=reg.countries[:-1], products=reg.products) if registry else None
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 4096):
+            actual, row_loops = self.load_counting_row_loops(path, tensor.year, registry)
+        expected, _ = load_logged(load_money_tensor_reference, path, registry)
+        assert row_loops == 1
+        if isinstance(expected, Exception):
+            assert (type(actual), str(actual)) == (type(expected), str(expected))
+        else:
+            assert_same_tensor(actual, expected)
+
+    @pytest.mark.parametrize("text", [
+        "2016,01,AA,BB,5\n2016,02,BB,AA,7",
+        "2016,01,AA,\u00a0BB,5\n2016,02,BB\u00a0,AA,7\n",
     ], ids=["no-final-newline", "non-ascii-padding"])
-    def test_same_tensor_as_reference(self, tmp_path, text, fallback):
+    def test_same_tensor_as_reference(self, tmp_path, text):
         path = write(tmp_path, HEADER + text)
         with mock.patch.object(ingest, "_BLOCK_CHARS", 8):
-            tensor, blocks = self.load_recording_fallback(path, 2016)
-        assert blocks == [HEADER] + fallback
+            tensor, row_loops = self.load_counting_row_loops(path, 2016)
+        assert row_loops == 0
         assert_same_tensor(tensor, load_money_tensor_reference(path, 2016))
 
     @pytest.mark.parametrize("text", [
@@ -504,12 +545,12 @@ class TestFastPath:
     ])
     def test_byte_path_fallbacks_as_in_reference(self, tmp_path, text):
         """Clean blocks whose columns fail the byte tests are read from
-        `str` cells, with the same result as the reference."""
+        `str` cells, with the same result as the reference; only a faulty
+        one meets the row loop."""
         path = write(tmp_path, HEADER + text)
-        with mock.patch.object(ingest, "_block_reader", wraps=ingest._block_reader) as reader:
-            actual, _ = load_logged(w.load_money_tensor, path, None)
+        actual, row_loops = self.load_counting_row_loops(path, 2016)
         expected, _ = load_logged(load_money_tensor_reference, path, None)
-        assert reader.call_count == 1  # the header's block; the rows are in a clean block
+        assert row_loops == isinstance(expected, Exception)
         if isinstance(expected, Exception):
             assert (type(actual), str(actual)) == (type(expected), str(expected))
         else:
@@ -548,6 +589,13 @@ class TestRoundTrip:
         path = tmp_path / "registry.txt"
         w.save_registry(reg, path)
         assert w.load_registry(path) == reg
+
+    @pytest.mark.parametrize("code, rule", [("ABC", "2 characters"), ("A:", "2 letters or digits")])
+    def test_registry_file_codes_must_be_two_letters_or_digits(self, tmp_path, code, rule):
+        path = tmp_path / "registry.txt"
+        path.write_text(f"[countries]\nAA\n{code}\n[products]\n01\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^line 3: code '{code}' is not {rule}$"):
+            w.load_registry(path)
 
     def test_round_trip_without_registry_when_all_codes_traded(self, tmp_path):
         tensor = w.synth_tensor(3, 4, 2, 1.0)
