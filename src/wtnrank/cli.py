@@ -259,9 +259,9 @@ def _reductions(cfg: RunConfig, k: int | None = None):
     labels = sel.labels(reg)
     if k is not None:
         netexport.check_k(k, len(labels))
-    pair = gmatrix.build_trade_pair(tensor, alpha=cfg.alpha, tol=cfg.tol, max_iter=cfg.max_iter)
-    for tag, matrix in zip((netexport.VIEW_IMPORT, netexport.VIEW_EXPORT), pair):
-        yield tag, labels, regomax.reduce(matrix, sel)
+    results = regomax.reduce_trade_pair(tensor, sel, cfg.alpha, cfg.tol, cfg.max_iter)
+    for tag in (netexport.VIEW_IMPORT, netexport.VIEW_EXPORT):
+        yield tag, labels, next(results)
 
 
 def cmd_reduce(cfg: RunConfig) -> int:

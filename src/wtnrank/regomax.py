@@ -39,6 +39,7 @@ component weights are summed from the factors without building any of them.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +47,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceError
-from .gmatrix import GoogleMatrix
-from .ingest import Registry
+from .gmatrix import DEFAULT_ALPHA, GoogleMatrix, build_trade_pair
+from .ingest import MoneyTensor, Registry
 from .ranking import pagerank
 
 log = logging.getLogger(__name__)
@@ -58,8 +59,9 @@ _NEGATIVE_WARN = -1e-12
 # bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 11 585).
 # `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n
 # elements); every other n x n temporary is made and added a 1/`_BLOCKS` slice at a
-# time. A caller holds at most one more: the shocked copy of the one reduced matrix
-# `sensitivity` keeps at a time, or the component the `reduce` command is writing.
+# time. `reduce_trade_pair` reduces one direction at a time, so its callers hold one
+# reduced matrix, and at most one more n x n array: the shocked copy `sensitivity`
+# solves, or the component the `reduce` command is writing.
 # Larger selections are refused up front, and so is a complement component whose one
 # dense block would exceed it (trade links never cross products, so a component there
 # has at most one node per country)
@@ -260,47 +262,38 @@ def normalize_columns(matrix: np.ndarray, cols) -> None:
         matrix[:, chunk] = block
 
 
-def _leading_pair(block: GoogleMatrix):
-    """Leading eigenvalue of a nonnegative block with right/left vectors.
-
-    Power iteration on the block and its transpose; vectors converge to the
-    Perron pair when the block is irreducible (always true for damped
-    matrices with positive teleportation). Right vector is L1-normalized,
-    left vector scaled so left . right = 1.
-    """
-    n = block.shape[0]
-    lam = 0.0
+def _power(apply, n: int, name: str):
+    """(eigenvalue, L1-normalized vector, iterations) of the power iteration of
+    a nonnegative operator `apply` from the uniform vector: 0.0 with the last
+    iterate when the operator absorbs everything, ConvergenceError naming the
+    `name` vector when the iteration stalls."""
     x = np.full(n, 1.0 / n)
     for it in range(DEFAULT_EIG_MAX_ITER):
-        y = block.matvec(x)
+        y = apply(x)
         lam = float(y.sum())
         if lam <= 0.0:
-            # complement absorbs nothing: resolvent is a finite sum
-            return 0.0, x, np.zeros(n), it
+            return 0.0, x, it
         residual = float(np.abs(y - lam * x).sum())
         x = y / lam
         if residual < DEFAULT_EIG_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            "complement eigenvector iteration stalled", DEFAULT_EIG_MAX_ITER, residual
-        )
+            return lam, x, it
+    raise ConvergenceError(f"complement {name} iteration stalled", DEFAULT_EIG_MAX_ITER, residual)
 
-    z = np.full(n, 1.0 / n)
-    for it_l in range(DEFAULT_EIG_MAX_ITER):
-        w = block.rmatvec(z)
-        norm = float(np.abs(w).sum())
-        if norm <= 0.0:
-            return 0.0, x, np.zeros(n), it + it_l
-        residual_l = float(np.abs(w - norm * z).sum())
-        z = w / norm
-        if residual_l < DEFAULT_EIG_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            "complement left-eigenvector iteration stalled", DEFAULT_EIG_MAX_ITER, residual_l
-        )
 
+def _leading_pair(block: GoogleMatrix):
+    """Leading eigenvalue of a nonnegative block with right/left vectors.
+
+    `_power` on the block and its transpose; vectors converge to the Perron
+    pair when the block is irreducible (always true for damped matrices with
+    positive teleportation). Right vector is L1-normalized, left vector
+    scaled so left . right = 1.
+    """
+    n = block.shape[0]
+    lam, x, it = _power(block.matvec, n, "eigenvector")
+    norm, z, it_l = (0.0, None, 0) if lam == 0.0 else _power(block.rmatvec, n, "left-eigenvector")
+    if norm == 0.0:
+        # complement absorbs nothing: resolvent is a finite sum
+        return 0.0, x, np.zeros(n), it + it_l
     overlap = float(z @ x)
     if overlap <= 1e-300:
         raise ConvergenceError(
@@ -550,6 +543,23 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         solve_residual=residual,
         complement_blocks=blocks,
     )
+
+
+def reduce_trade_pair(
+    tensor: MoneyTensor,
+    sel: Selection,
+    alpha: float = DEFAULT_ALPHA,
+    tol: float = 1e-12,
+    max_iter: int = 10000,
+) -> Iterator[ReducedSet]:
+    """Build the (direct, inverted) pair of `tensor` on first use and yield the
+    reduction of each onto `sel`, the direct one first. Each Google matrix is
+    freed as its reduction ends and nothing yielded is kept, so a caller that
+    drops each `ReducedSet` before the next holds one direction at a time (not
+    under `zip`, whose reused result tuple keeps the last one alive)."""
+    pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
+    while pair:
+        yield reduce(pair.pop(0), sel)
 
 
 def write_reduced_csv(path, matrix: np.ndarray, labels) -> None:

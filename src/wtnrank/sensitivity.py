@@ -5,7 +5,9 @@ on per-country export/import probabilities:
 
 * reduced: shock applied inside the reduced matrices of the selection
   "group countries x all products, plus the source node"; probabilities are
-  the stationary vectors of the shocked reduced pair.
+  the stationary vectors of the shocked reduced pair. The pair is reduced one
+  direction at a time by `regomax.reduce_trade_pair`, and each direction is
+  shocked and solved before the other is reduced.
 * import-export: shock applied to the raw bilateral flows; probabilities are
   the normalized volume marginals.
 * global-price: every flow of one product is rescaled and the full matrix
@@ -25,9 +27,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
-from .ingest import MoneyTensor, Registry, volumes
+from .ingest import MoneyTensor, volumes
 from .ranking import pagerank, trace
-from .regomax import Selection, normalize_columns, reduce
+from .regomax import ReducedSet, Selection, normalize_columns, reduce_trade_pair
 
 DEFAULT_DELTA = 1e-3
 
@@ -136,55 +138,24 @@ def apply_inverted_shock(
     return out
 
 
-@dataclass(frozen=True)
-class ReducedShockMatrix:
-    """One direction's baseline reduced matrix on a shock selection, with the
-    complement eigenvalue and component weights of its reduction.
-
-    Node order: group countries (in the order given in the shock spec) x all
-    products (registry order), then the source node last.
-    """
-
-    registry: Registry
-    spec: ShockSpec
-    matrix: np.ndarray
-    complement_eigenvalue: float
-    weights: dict[str, float]
-
-    def group_marginals(self, probabilities: np.ndarray) -> np.ndarray:
-        """Per-group-country sums of reduced node probabilities."""
-        n_p = self.registry.n_products
-        grid = probabilities[: len(self.spec.group) * n_p].reshape(-1, n_p)
-        return grid.sum(axis=1)
-
-
 def reduce_for_shock(
     tensor: MoneyTensor,
     spec: ShockSpec,
     alpha: float = DEFAULT_ALPHA,
     tol: float = 1e-12,
     max_iter: int = 10000,
-) -> Iterator[ReducedShockMatrix]:
-    """Build the matrix pair and return an iterator that reduces the direct,
-    then the inverted matrix onto the shock selection, each as it is reached.
-    A reduction keeps only its `ReducedShockMatrix`, and each matrix of the
-    pair is dropped once reduced."""
+) -> Iterator[ReducedSet]:
+    """The reductions of the direct, then the inverted matrix onto the shock
+    selection, one at a time as `reduce_trade_pair` yields them. An unknown
+    source node fails here, before the matrix pair is built.
+
+    Node order: group countries (in the order given in the shock spec) x all
+    products (registry order), then the source node last.
+    """
     reg = tensor.registry
     source_node = reg.node_id(spec.source_country, spec.source_product)
     sel = Selection.for_countries(reg, spec.group, extra_nodes=(source_node,))
-    pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
-
-    def summary(matrix) -> ReducedShockMatrix:
-        result = reduce(matrix, sel)  # freed on return: only three of its fields are kept
-        return ReducedShockMatrix(
-            reg, spec, result.reduced, result.complement_eigenvalue, result.weights
-        )
-
-    def reductions():
-        while pair:  # binds nothing across the yield: what it hands out is the caller's alone
-            yield summary(pair.pop(0))
-
-    return reductions()
+    return reduce_trade_pair(tensor, sel, alpha=alpha, tol=tol, max_iter=max_iter)
 
 
 def _central_difference(balance_at, delta: float):
@@ -200,10 +171,7 @@ def _report(method, source, delta, countries, baseline, derivative, metadata, ex
     """The report of a central difference, with `fd_error`, its largest distance
     from the exact dB/ddelta at delta = 0 that `exact()` gives, when delta != 0."""
     if exact is not None and delta != 0.0:
-        try:
-            metadata["fd_error"] = float(np.abs(derivative - exact()).max())
-        except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
-            metadata["fd_error"] = np.inf
+        metadata["fd_error"] = float(np.abs(derivative - exact()).max())
     b, imp, exp = baseline[:3]
     return SensitivityReport(method, source, delta, countries, b, derivative, imp, exp, metadata)
 
@@ -263,33 +231,6 @@ def _shocked_stationary(matrix: np.ndarray, shock, delta: float, tol: float, max
     return pagerank(shock(matrix, s, np.arange(s), delta), tol=tol, max_iter=max_iter).probabilities
 
 
-@dataclass(frozen=True)
-class _Response:
-    """One direction's group marginals at each shock delta, and their exact
-    derivative at delta = 0 (None when not taken, or when it cannot settle)."""
-
-    marginals: dict[float, np.ndarray]
-    derivative: np.ndarray | None
-    complement_eigenvalue: float
-    weights: dict[str, float]
-
-
-def _respond(reduced: ReducedShockMatrix, shock, rhs, deltas, exact: bool, tol, max_iter):
-    """The `_Response` of one direction's reduced matrix to `shock` at each of
-    `deltas`, the first of which is 0; `rhs(matrix, p)` gives its R'(0) p."""
-    matrix = reduced.matrix
-    p = {dv: _shocked_stationary(matrix, shock, dv, tol, max_iter) for dv in deltas}
-    derivative = None
-    if exact:
-        try:
-            dp = _linear_response(matrix, p[0.0], rhs(matrix, p[0.0]), tol, max_iter)
-            derivative = reduced.group_marginals(dp)
-        except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
-            pass
-    marginals = {dv: reduced.group_marginals(x) for dv, x in p.items()}
-    return _Response(marginals, derivative, reduced.complement_eigenvalue, reduced.weights)
-
-
 def reduced_balance_sensitivity(
     tensor: MoneyTensor,
     spec: ShockSpec,
@@ -305,30 +246,46 @@ def reduced_balance_sensitivity(
     the exact linear response of both.
     """
     reductions = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
+    n_products = tensor.registry.n_products
     deltas = (0.0, spec.delta, -spec.delta)
-    imp = _respond(next(reductions), apply_direct_shock, _direct_shock_rhs, deltas,
-                   True, tol, max_iter)
-    # the inverted response is only taken when the direct one settled
-    exp = _respond(next(reductions), apply_inverted_shock, _inverted_shock_rhs, deltas,
-                   imp.derivative is not None, tol, max_iter)
+    responses = []  # per direction: group marginals per delta, exact derivative, lambda_c, weights
+    settled = True  # the inverted response is only taken when the direct one settled
+    for shock, rhs in ((apply_direct_shock, _direct_shock_rhs),
+                       (apply_inverted_shock, _inverted_shock_rhs)):
+        result = next(reductions)
+        matrix, lam, weights = result.reduced, result.complement_eigenvalue, result.weights
+        del result  # only these three fields are kept for the PageRank solves
+        s = matrix.shape[0] - 1
+        p = {dv: _shocked_stationary(matrix, shock, dv, tol, max_iter) for dv in deltas}
+        derivative = None
+        if settled:
+            try:
+                dp = _linear_response(matrix, p[0.0], rhs(matrix, p[0.0]), tol, max_iter)
+                derivative = dp[:s].reshape(-1, n_products).sum(axis=1)
+            except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
+                settled = False
+        del matrix  # before the next direction's reduction runs
+        marginals = {dv: x[:s].reshape(-1, n_products).sum(axis=1) for dv, x in p.items()}
+        responses.append((marginals, derivative, lam, weights))
+    (imp, d_imp, lam_direct, w_direct), (exp, d_exp, lam_inverted, w_inverted) = responses
 
     def balance_at(dv):
-        return balance(exp.marginals[dv], imp.marginals[dv]), imp.marginals[dv], exp.marginals[dv]
+        return balance(exp[dv], imp[dv]), imp[dv], exp[dv]
 
     def exact():
-        if imp.derivative is None or exp.derivative is None:
+        if d_imp is None or d_exp is None:
             return np.inf  # the response is undefined: infinitely far
-        i, e = imp.marginals[0.0], exp.marginals[0.0]
-        return 2.0 * (i * exp.derivative - e * imp.derivative) / (e + i) ** 2
+        i, e = imp[0.0], exp[0.0]
+        return 2.0 * (i * d_exp - e * d_imp) / (e + i) ** 2
 
     baseline, derivative = _central_difference(balance_at, spec.delta)
     metadata = {
         "alpha": alpha,
         "pagerank_tol": tol,
-        "complement_eigenvalue_direct": imp.complement_eigenvalue,
-        "complement_eigenvalue_inverted": exp.complement_eigenvalue,
-        "weights_direct": imp.weights,
-        "weights_inverted": exp.weights,
+        "complement_eigenvalue_direct": lam_direct,
+        "complement_eigenvalue_inverted": lam_inverted,
+        "weights_direct": w_direct,
+        "weights_inverted": w_inverted,
     }
     return _report(
         METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -312,18 +313,23 @@ class TestReduce:
 
 @pytest.mark.parametrize("command, extra", [("reduce", ()), ("network", ("--k", 2))])
 def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
-    """The import direction's `ReducedSet` is gone before the export
-    direction's reduction starts."""
+    """The import direction's `ReducedSet`, and the Google matrix it was
+    reduced from, are gone before the export direction's reduction starts."""
     reduce = w.regomax.reduce
     seen = []
+    alive = []
+    matrices = []
 
-    def counting(*args, **kwargs):
+    def counting(matrix, sel):
         seen.append(live_reduced_sets())
-        return reduce(*args, **kwargs)
+        alive.append(sum(ref() is not None for ref in matrices))
+        matrices.append(weakref.ref(matrix))
+        return reduce(matrix, sel)
 
     monkeypatch.setattr(w.regomax, "reduce", counting)
     assert run(command, *SHOCK, *extra, "--out-dir", tmp_path) == 0
     assert seen == [0, 0]
+    assert alive == [0, 0]
 
 
 def test_reduce_computes_each_weight_once(tmp_path, monkeypatch):

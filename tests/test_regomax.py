@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import wtnrank as w
-from wtnrank.regomax import write_diagnostics, write_reduced_csv
+from wtnrank.regomax import _leading_pair, write_diagnostics, write_reduced_csv
 
 from conftest import (
     ORACLE_CAP,
@@ -450,6 +450,34 @@ class TestComplementEdgeCases:
         except w.ConvergenceError:
             return
         assert np.abs(reduced - reduce_dense_oracle(direct, sel)).max() < 1e-10
+
+
+def links_only(m: np.ndarray) -> w.GoogleMatrix:
+    """The block whose products with a vector are those of the dense `m`:
+    alpha = 1 and no dangling column, so the rank-two term is zero."""
+    n = m.shape[0]
+    return w.GoogleMatrix(sparse.csr_matrix(m), np.zeros(n, dtype=bool), np.zeros(n), 1.0, n)
+
+
+class TestLeadingPair:
+    def test_nilpotent_complement_absorbs_everything(self):
+        chain = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        lam, psi_r, psi_l, iterations = _leading_pair(links_only(chain))
+        assert (lam, iterations) == (0.0, 2)
+        assert np.array_equal(psi_r, [0.0, 0.0, 1.0])
+        assert np.array_equal(psi_l, np.zeros(3))
+
+    @pytest.mark.parametrize("transpose, vector", [(False, "eigenvector"), (True, "left-eigenvector")])
+    def test_period_two_stalls_naming_its_vector(self, monkeypatch, transpose, vector):
+        """On the transpose the right iteration settles at once (the uniform
+        vector is its eigenvector), and the left one meets period 2. Its L1
+        step stays 2/3, so any iteration cap is reached; a small one is set."""
+        monkeypatch.setattr(w.regomax, "DEFAULT_EIG_MAX_ITER", 1000)
+        m = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        with pytest.raises(w.ConvergenceError, match=f"^complement {vector} iteration stalled") as exc:
+            _leading_pair(links_only(m.T if transpose else m))
+        assert exc.value.iterations == 1000
+        assert exc.value.residual == pytest.approx(2.0 / 3.0)
 
 
 @st.composite

@@ -163,7 +163,7 @@ class TestBuildShockMatrices:
         """`reduce_for_shock` yields the direct, then the inverted reduced
         matrix, as the pair helpers build them."""
         spec = w.ShockSpec("AA", "00", ("XX",))
-        yielded = [r.matrix for r in w.reduce_for_shock(toy3, spec)]
+        yielded = [r.reduced for r in w.reduce_for_shock(toy3, spec)]
         direct, inverted = build_shock_matrices(toy3, spec, 2e-3)
         via_package = shock_pair(*yielded, 2e-3)
         assert np.array_equal(via_package[0], direct)
@@ -185,8 +185,8 @@ class TestReducedSensitivity:
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(w.sensitivity, name, counting(name, getattr(w.sensitivity, name)))
+        for module, name in ((w.regomax, "reduce"), (w.sensitivity, "pagerank")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         report = w.reduced_balance_sensitivity(toy3, spec)
         assert counts["reduce"] == [0, 0]
         assert len(counts["pagerank"]) == 6 and set(counts["pagerank"]) == {0}
@@ -204,7 +204,7 @@ class TestReducedSensitivity:
         spec = w.ShockSpec("AS", "02", ("AA", "AB", "AC"))
         alive = []
         seen = []
-        reduce = w.sensitivity.reduce
+        reduce = w.regomax.reduce
 
         def watching(matrix, sel):
             alive.append(sum(ref() is not None for ref in seen))
@@ -213,7 +213,7 @@ class TestReducedSensitivity:
             seen.append(weakref.ref(result.reduced))
             return result
 
-        monkeypatch.setattr(w.sensitivity, "reduce", watching)
+        monkeypatch.setattr(w.regomax, "reduce", watching)
         w.reduced_balance_sensitivity(w.synth_tensor(3, 20, 15, 0.1), spec)
         assert alive == [0, 0]
 
