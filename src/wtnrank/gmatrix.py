@@ -104,51 +104,26 @@ def _check_personalization(v: np.ndarray, size: int) -> np.ndarray:
 
 
 def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> GoogleMatrix:
-    """Normalize per-product flows into a column-stochastic matrix.
+    """Normalize the node flow matrix into a column-stochastic matrix.
 
-    Direct: column (exporter, p) distributes over importers, normalized by
-    the exporter's product export volume. Inverted: flows reversed, columns
-    normalized by import volume. Products never mix except through dangling
-    columns, which are uniform over all nodes. The result is undamped
-    (alpha = 1, uniform personalization).
+    Direct: column (exporter, p) of the flow matrix distributes over
+    importers, normalized by the exporter's product export volume. Inverted:
+    the transposed flows, columns normalized by import volume. Products never
+    mix except through dangling columns, which are uniform over all nodes.
+    The result is undamped (alpha = 1, uniform personalization).
     """
     if direction not in (DIRECT, INVERTED):
         raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
-    reg = tensor.registry
     vol = volumes(tensor)
-    n_p = reg.n_products
-    size = reg.size
-    rows_parts = []
-    cols_parts = []
-    data_parts = []
     if direction == DIRECT:
-        source_vol = vol.export_vol  # column node's own outflow volume
+        links, source_vol = tensor.matrix.copy(), vol.export_vol  # column node's own outflow
     else:
-        source_vol = vol.import_vol
-    for p, m in enumerate(tensor.flows):
-        coo = m.tocoo()  # row = importer, col = exporter
-        if direction == DIRECT:
-            row_c, col_c = coo.row, coo.col
-        else:
-            row_c, col_c = coo.col, coo.row
-        denom = source_vol[col_c, p]
-        rows_parts.append(row_c * n_p + p)
-        cols_parts.append(col_c * n_p + p)
-        data_parts.append(coo.data / denom)
-    links = sparse.coo_matrix(
-        (
-            np.concatenate(data_parts) if data_parts else np.empty(0),
-            (
-                np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64),
-                np.concatenate(cols_parts) if cols_parts else np.empty(0, dtype=np.int64),
-            ),
-        ),
-        shape=(size, size),
-    ).tocsr()
-    dangling = (source_vol == 0).ravel()
+        links, source_vol = tensor.matrix.T.tocsr(), vol.import_vol
+    links.data /= source_vol.ravel()[links.indices]
+    size = tensor.registry.size
     return GoogleMatrix(
         links=links,
-        dangling=dangling,
+        dangling=(source_vol == 0).ravel(),
         personalization=np.full(size, 1.0 / size),
         alpha=1.0,
         total=size,

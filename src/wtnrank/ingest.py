@@ -1,5 +1,8 @@
 """Loading, validation and synthesis of multiproduct bilateral trade tensors.
 
+A `MoneyTensor` holds one node-indexed CSR matrix, importer x exporter;
+only this module knows how the products are laid out in it.
+
 Input CSV format (UTF-8, comment lines start with '#'):
 
     year,product,exporter,importer,value_usd
@@ -126,28 +129,33 @@ class Registry:
 
 @dataclass(frozen=True)
 class MoneyTensor:
-    """Per-product bilateral trade values in USD.
+    """Bilateral trade values in USD, indexed by node.
 
-    `flows[p]` is an (n_countries, n_countries) CSR matrix with rows indexed
-    by importer and columns by exporter. Instances are treated as immutable;
-    the underlying sparse matrices must not be modified after construction.
+    `matrix` is a (size, size) CSR matrix: entry [node_id(importer, p),
+    node_id(exporter, p)] holds the flow of product p from exporter to
+    importer, so products never mix. Instances are treated as immutable;
+    the matrix must not be modified after construction.
     """
 
     year: int
     registry: Registry
-    flows: tuple[sparse.csr_matrix, ...]
+    matrix: sparse.csr_matrix
 
     def __post_init__(self):
-        if len(self.flows) != self.registry.n_products:
-            raise TradeDataError("one flow matrix per product required")
-        n = self.registry.n_countries
-        for p, m in enumerate(self.flows):
-            if m.shape != (n, n):
-                raise TradeDataError(f"flow matrix shape {m.shape} != ({n}, {n})")
-            if m.diagonal().any():
-                raise TradeDataError(f"self-trade entries in product {self.registry.products[p]}")
-            if m.nnz and m.data.min() < 0:
-                raise TradeDataError("negative trade value")
+        reg, m = self.registry, self.matrix
+        n_p = reg.n_products
+        if m.shape != (reg.size, reg.size):
+            raise TradeDataError(f"flow matrix shape {m.shape} != ({reg.size}, {reg.size})")
+        for start in range(0, reg.size, n_p):  # one country's rows at a time: no nnz-long arrays
+            bounds = m.indptr[start : start + n_p + 1]
+            products = m.indices[bounds[0] : bounds[-1]] % n_p
+            if (products != np.repeat(np.arange(n_p), np.diff(bounds))).any():
+                raise TradeDataError("flow between two products")
+        self_trade = np.flatnonzero(m.diagonal()) % n_p
+        if self_trade.size:
+            raise TradeDataError(f"self-trade entries in product {reg.products[self_trade.min()]}")
+        if m.nnz and m.data.min() < 0:
+            raise TradeDataError("negative trade value")
 
     @classmethod
     def from_entries(
@@ -160,81 +168,84 @@ class MoneyTensor:
         values: np.ndarray,
     ) -> "MoneyTensor":
         """Build from parallel index arrays; duplicate triples are summed."""
-        n = registry.n_countries
-        # one CSR with the products stacked by row (product p owns rows p*n to
-        # p*n + n - 1): each row sees its entries in the same order as a
-        # per-product build, so duplicates are summed in the same order
-        stacked = sparse.coo_matrix(
-            (values, (np.asarray(product_idx) * n + importer_idx, exporter_idx)),
-            shape=(registry.n_products * n, n),
+        n_p = registry.n_products
+        # within a node row the column exporter * n_p + p grows with the
+        # exporter, so duplicates are summed in the order of a per-product build
+        matrix = sparse.coo_matrix(
+            (values, (np.asarray(importer_idx) * n_p + product_idx,
+                      np.asarray(exporter_idx) * n_p + product_idx)),
+            shape=(registry.size, registry.size),
         ).tocsr()
-        stacked.sum_duplicates()
-        stacked.eliminate_zeros()
-        flows = tuple(stacked[p * n : (p + 1) * n] for p in range(registry.n_products))
-        return cls(year=year, registry=registry, flows=flows)
+        matrix.eliminate_zeros()
+        return cls(year=year, registry=registry, matrix=matrix)
 
     @classmethod
     def from_product_matrices(cls, registry: Registry, year: int, matrices) -> "MoneyTensor":
-        flows = []
-        for m in matrices:
-            m = sparse.csr_matrix(m)
-            m.eliminate_zeros()
-            flows.append(m)
-        return cls(year=year, registry=registry, flows=tuple(flows))
+        """Build from one (importer, exporter) matrix per product, scattered into
+        the node matrix: row i of product p is node row i * n_p + p."""
+        n, n_p = registry.n_countries, registry.n_products
+        mats = [sparse.csr_matrix(m) for m in matrices]
+        if len(mats) != n_p or any(m.shape != (n, n) for m in mats):
+            raise TradeDataError(f"one ({n}, {n}) flow matrix per product required")
+        counts = np.column_stack([np.diff(m.indptr) for m in mats])  # [i, p]: row i * n_p + p
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        for p, m in enumerate(mats):
+            dest = np.repeat(indptr[p:-1:n_p] - m.indptr[:-1], counts[:, p]) + np.arange(m.nnz)
+            indices[dest], data[dest] = m.indices * n_p + p, m.data
+        matrix = sparse.csr_matrix((data, indices, indptr), shape=(registry.size, registry.size))
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        return cls(year=year, registry=registry, matrix=matrix)
 
     def value(self, product: str, importer: str, exporter: str) -> float:
-        p = self.registry.product_index(product)
-        i = self.registry.country_index(importer)
-        j = self.registry.country_index(exporter)
-        return float(self.flows[p][i, j])
+        reg = self.registry
+        return float(self.matrix[reg.node_id(importer, product), reg.node_id(exporter, product)])
 
     @property
     def nnz(self) -> int:
-        return sum(m.nnz for m in self.flows)
+        return self.matrix.nnz
 
     def to_records(self):
         """Yield (product, exporter, importer, value) sorted by code."""
         reg = self.registry
-        for p in range(reg.n_products):
-            coo = self.flows[p].tocoo()
+        n_p = reg.n_products
+        for p in range(n_p):
+            coo = self.matrix[p::n_p].tocoo()  # rows: importers of product p
             rows = sorted(
-                zip(coo.col, coo.row, coo.data), key=lambda t: (t[0], t[1])
+                zip((coo.col // n_p).tolist(), coo.row.tolist(), coo.data.tolist())
             )
             for exp_i, imp_i, v in rows:
-                yield reg.products[p], reg.countries[exp_i], reg.countries[imp_i], float(v)
+                yield reg.products[p], reg.countries[exp_i], reg.countries[imp_i], v
+
+    def _scaled(self, factor: float, entries) -> "MoneyTensor":
+        """New tensor with the stored flows at `entries` multiplied by `factor`."""
+        m = self.matrix.copy()
+        m.data[entries] *= factor
+        return MoneyTensor(year=self.year, registry=self.registry, matrix=m)
 
     def scaled_product(self, product: str, factor: float) -> "MoneyTensor":
         """New tensor with every flow of one product multiplied by `factor`."""
         p = self.registry.product_index(product)
-        flows = list(self.flows)
-        flows[p] = flows[p] * factor
-        return MoneyTensor(year=self.year, registry=self.registry, flows=tuple(flows))
+        return self._scaled(factor, self.matrix.indices % self.registry.n_products == p)
 
     def scaled_flows(
         self, product: str, exporter: str, importers, factor: float
     ) -> "MoneyTensor":
         """New tensor with flows of `product` from `exporter` into the given
         importer countries multiplied by `factor`."""
-        reg = self.registry
-        p = reg.product_index(product)
-        j = reg.country_index(exporter)
-        rows = [reg.country_index(c) for c in importers]
-        m = self.flows[p].tolil(copy=True)
-        for i in rows:
-            if m[i, j] != 0:
-                m[i, j] = m[i, j] * factor
-        flows = list(self.flows)
-        flows[p] = m.tocsr()
-        return MoneyTensor(year=self.year, registry=self.registry, flows=tuple(flows))
+        reg, m = self.registry, self.matrix
+        col = reg.node_id(exporter, product)
+        rows = [reg.node_id(c, product) for c in importers]
+        entries = [k for r in rows for k in range(*m.indptr[r : r + 2]) if m.indices[k] == col]
+        return self._scaled(factor, entries)
 
     @cached_property
     def _volumes(self) -> "VolumeTable":
         reg = self.registry
-        imp = np.zeros((reg.n_countries, reg.n_products))
-        exp = np.zeros((reg.n_countries, reg.n_products))
-        for p, m in enumerate(self.flows):
-            imp[:, p] = np.asarray(m.sum(axis=1)).ravel()
-            exp[:, p] = np.asarray(m.sum(axis=0)).ravel()
+        shape = (reg.n_countries, reg.n_products)
+        imp = np.asarray(self.matrix.sum(axis=1)).reshape(shape)
+        exp = np.asarray(self.matrix.sum(axis=0)).reshape(shape)
         imp.flags.writeable = exp.flags.writeable = False
         return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
 
@@ -698,7 +709,7 @@ def synth_tensor(
 
 
 def volumes(tensor: MoneyTensor) -> VolumeTable:
-    """Row/column sums of the per-product flow matrices, computed once per tensor.
+    """Row/column sums of the node flow matrix, computed once per tensor.
 
     import_vol[c, p] adds flows into country c; export_vol[c, p] flows out.
     The arrays are shared by every caller and read-only.

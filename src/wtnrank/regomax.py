@@ -566,8 +566,8 @@ def write_reduced_csv(path, matrix: np.ndarray, labels) -> None:
     """Dense CSV: header of node labels, then one row per node."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(labels) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in matrix:  # one row of Python floats at a time, not all n^2
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_diagnostics(path, reduced: ReducedSet) -> None:

@@ -114,12 +114,8 @@ def apply_direct_shock(
     out = matrix.copy()
     if delta == 0.0:
         return out
-    col = out[:, source_col]
-    col[group_rows] *= 1.0 + delta
-    total = col.sum()
-    if total <= 0.0:
-        raise ValueError("shocked column has no mass to renormalize")
-    col /= total
+    out[group_rows, source_col] *= 1.0 + delta
+    normalize_columns(out, [source_col])
     return out
 
 
@@ -313,9 +309,9 @@ def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec, baseline) -> 
     """dB_g = -2 E_g f_g / (E_g + I_g)^2, with f_g the source's flow of the
     product into g: the shock adds delta * f_g to I_g and leaves E_g alone."""
     reg = tensor.registry
-    flows = tensor.flows[reg.product_index(spec.source_product)]
-    into = flows[:, [reg.country_index(spec.source_country)]].toarray()[:, 0]
-    f = into[[reg.country_index(c) for c in spec.group]] / volumes(tensor).total
+    source = reg.node_id(spec.source_country, spec.source_product)
+    into = tensor.matrix[:, [source]].toarray()[:, 0]
+    f = into[[reg.node_id(c, spec.source_product) for c in spec.group]] / volumes(tensor).total
     _, imp, exp = baseline
     return -2.0 * exp * f / (exp + imp) ** 2
 

@@ -58,7 +58,7 @@ def same_trade(a, b) -> bool:
 
 
 def total_value(tensor) -> float:
-    return float(sum(m.sum() for m in tensor.flows))
+    return float(tensor.matrix.sum())
 
 
 def column_sums(matrix) -> np.ndarray:
@@ -340,7 +340,8 @@ def _parse_rows_reference(fh, year):
 
 def load_money_tensor_reference(path, year, registry=None):
     """Row-by-row loader: every row is checked and indexed on its own, and
-    each product's matrix is built in its own pass. Verification only."""
+    each product's matrix is built in its own pass, then mapped to node ids.
+    Verification only."""
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(_parse_rows_reference(fh, year))
     dropped_self = 0
@@ -374,14 +375,21 @@ def load_money_tensor_reference(path, year, registry=None):
         except TradeDataError as exc:
             raise TradeDataError(f"line {lineno}: {exc}") from None
         values[k] = value
-    n = registry.n_countries
-    flows = []
-    for p in range(registry.n_products):
+    n, n_p = registry.n_countries, registry.n_products
+    rows, cols, data = [], [], []
+    for p in range(n_p):
         mask = p_idx == p
         m = sparse.coo_matrix(
             (values[mask], (imp_idx[mask], exp_idx[mask])), shape=(n, n)
         ).tocsr()
         m.sum_duplicates()
         m.eliminate_zeros()
-        flows.append(m)
-    return w.MoneyTensor(year=year, registry=registry, flows=tuple(flows))
+        m = m.tocoo()  # importer i, exporter e of product p -> nodes i * n_p + p, e * n_p + p
+        rows.append(m.row.astype(np.int64) * n_p + p)
+        cols.append(m.col.astype(np.int64) * n_p + p)
+        data.append(m.data)
+    matrix = sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(registry.size, registry.size),
+    ).tocsr()
+    return w.MoneyTensor(year=year, registry=registry, matrix=matrix)

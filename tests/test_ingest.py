@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 from unittest import mock
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import wtnrank as w
 from wtnrank import ingest
@@ -126,13 +128,12 @@ class TestLoad:
 def assert_same_tensor(actual, expected):
     assert actual.year == expected.year
     assert actual.registry == expected.registry
-    assert len(actual.flows) == len(expected.flows)
-    for a, b in zip(actual.flows, expected.flows):
-        assert a.shape == b.shape
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype, name
-            assert x.tobytes() == y.tobytes(), name
+    a, b = actual.matrix, expected.matrix
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
 
 
 def load_logged(load, path, registry):
@@ -621,6 +622,14 @@ class TestSynth:
         assert np.all(vol.import_vol >= 0) and np.all(vol.export_vol >= 0)
         assert np.any(vol.export_vol == 0)
 
+    def test_benchmark_input_bytes(self, tmp_path):
+        """The shock-mid benchmark input of seed 1, byte for byte: pins
+        `synth_tensor` and the record order of `serialize_tensor`."""
+        path = tmp_path / "trade.csv"
+        w.serialize_tensor(w.synth_tensor(1, 100, 61, 0.25), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "af4855dcea1df7992881614b1d930a1eccb59262a36e8012afe8df663a63f4db"
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             w.synth_tensor(1, 1, 1, 0.5)
@@ -630,6 +639,32 @@ class TestSynth:
             w.synth_tensor(1, 3, 1, 0.0)
         with pytest.raises(ValueError):
             w.synth_tensor(1, 3, 1, 1.5)
+
+
+class TestValidation:
+    REG = w.Registry(countries=("AA", "BB"), products=("10", "20"))  # node = 2 * country + product
+
+    @pytest.mark.parametrize(
+        "shape, entry, match",
+        [
+            ((3, 3), (0, 2, 1.0), r"shape \(3, 3\) != \(4, 4\)"),
+            ((4, 4), (0, 3, 1.0), "between two products"),  # AA:10 importing BB:20
+            ((4, 4), (1, 1, 1.0), "self-trade entries in product 20"),
+            ((4, 4), (0, 2, -1.0), "negative"),
+        ],
+        ids=["shape", "cross-product", "self-trade", "negative"],
+    )
+    def test_rejects(self, shape, entry, match):
+        row, col, value = entry
+        matrix = sparse.csr_matrix(([value], ([row], [col])), shape=shape)
+        with pytest.raises(TradeDataError, match=match):
+            w.MoneyTensor(2016, self.REG, matrix)
+
+    def test_accepts_in_product_flows(self):
+        matrix = sparse.csr_matrix(([1.0, 2.0], ([0, 3], [2, 1])), shape=(4, 4))
+        tensor = w.MoneyTensor(2016, self.REG, matrix)
+        assert tensor.value("10", "AA", "BB") == 1.0
+        assert tensor.value("20", "BB", "AA") == 2.0
 
 
 class TestVolumes:
@@ -669,9 +704,7 @@ class TestVolumes:
     def test_linearity(self):
         t1 = w.synth_tensor(3, 4, 2, 0.8)
         t2 = w.synth_tensor(4, 4, 2, 0.8)
-        combo = w.MoneyTensor.from_product_matrices(
-            t1.registry, 2016, [2.0 * a + b for a, b in zip(t1.flows, t2.flows)]
-        )
+        combo = w.MoneyTensor(2016, t1.registry, 2.0 * t1.matrix + t2.matrix)
         v1, v2, vc = w.volumes(t1), w.volumes(t2), w.volumes(combo)
         np.testing.assert_allclose(
             vc.import_vol, 2.0 * v1.import_vol + v2.import_vol, rtol=1e-12

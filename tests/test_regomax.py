@@ -403,10 +403,10 @@ class TestComplementEdgeCases:
     def test_dangling_source(self, seed):
         tensor = w.synth_tensor(seed, 10, 4, 0.4)
         reg = tensor.registry
-        mats = [m.toarray() for m in tensor.flows]
-        mats[1][:, reg.country_index("AH")] = 0.0  # AH exports nothing of product 01
-        tensor = w.MoneyTensor.from_product_matrices(reg, tensor.year, mats)
         source = reg.node_id("AH", reg.products[1])
+        flows = tensor.matrix.toarray()
+        flows[:, source] = 0.0  # AH exports nothing of product 01
+        tensor = w.MoneyTensor(tensor.year, reg, sparse.csr_matrix(flows))
         sel = w.Selection.for_countries(reg, ("AA", "AB", "AC"), extra_nodes=(source,))
         direct, inverted = w.build_trade_pair(tensor)
         assert direct.dangling[source]
@@ -450,6 +450,29 @@ class TestComplementEdgeCases:
         except w.ConvergenceError:
             return
         assert np.abs(reduced - reduce_dense_oracle(direct, sel)).max() < 1e-10
+
+
+class TestClamp:
+    def test_clamped_columns_nonnegative_and_stochastic(self, monkeypatch):
+        """At alpha = 1 this reduction has tiny negative entries: `reduce`
+        clips them and renormalizes the columns that had them."""
+        tensor = w.synth_tensor(1, 10, 4, 0.4)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel = w.Selection.for_countries(reg, reg.countries[:2], extra_nodes=(source,))
+        clamped = []
+        normalize = w.regomax.normalize_columns
+
+        def spy(matrix, cols):
+            clamped.append(np.array(cols))
+            normalize(matrix, cols)
+
+        monkeypatch.setattr(w.regomax, "normalize_columns", spy)
+        for k, result in enumerate(w.regomax.reduce_trade_pair(tensor, sel, alpha=1.0)):
+            assert len(clamped) == k + 1 and clamped[k].size
+            assert (result.reduced >= 0).all()
+            sums = result.reduced[:, clamped[k]].sum(axis=0)
+            assert np.abs(sums - 1.0).max() <= 1e-15
 
 
 def links_only(m: np.ndarray) -> w.GoogleMatrix:

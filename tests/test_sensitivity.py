@@ -138,6 +138,16 @@ class TestApplyShocks:
         shocked = apply_inverted_shock(m, 0, np.array([1, 2]), 0.4)
         assert np.array_equal(shocked, m)
 
+    @pytest.mark.parametrize(
+        "shock, source, group",
+        [(apply_direct_shock, 0, [1, 2]), (apply_inverted_shock, 2, [0, 1])],
+        ids=["direct", "inverted"],
+    )
+    def test_shocked_column_without_mass_raises(self, shock, source, group):
+        m = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])  # columns 0, 1 empty
+        with pytest.raises(ValueError, match="no mass"):
+            shock(m, source, np.array(group), 0.1)
+
     def test_rejects_delta_at_or_below_minus_one(self):
         with pytest.raises(ValueError):
             apply_direct_shock(self.MATRIX, 2, np.array([0, 1]), -1.0)
