@@ -25,7 +25,7 @@ from .ingest import (
     volume_ranks,
     volumes,
 )
-from .netexport import TradeEdgeList, parse_edge_csv, serialize_graph, top_links
+from .netexport import TradeEdgeList, serialize_graph, top_links
 from .ranking import (
     RankIndex,
     RankVector,
@@ -75,7 +75,6 @@ __all__ = [
     "volume_ranks",
     "volumes",
     "TradeEdgeList",
-    "parse_edge_csv",
     "serialize_graph",
     "top_links",
     "RankIndex",

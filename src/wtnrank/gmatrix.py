@@ -88,9 +88,6 @@ class GoogleMatrix:
         dense += (1.0 - self.alpha) * self.personalization[:, None]
         return dense
 
-    def column(self, j: int) -> np.ndarray:
-        return self.to_dense(slice(j, j + 1))[:, 0]
-
 
 def _check_personalization(v: np.ndarray, size: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)

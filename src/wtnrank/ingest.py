@@ -16,20 +16,23 @@ are dropped with a warning.
 The byte path reads the file as text in blocks of about `_BLOCK_CHARS`
 characters, each ended at a line end (a last line without one gets a
 newline), so the text in memory is bounded by the block. `csv.reader`
-reads the header, and any comments before it, from the first block. A
-clean block holds no quote, `#` or NUL, and no CR but in a CRLF line end;
-each line is 4 commas then a newline, with no field longer than
-`csv.field_size_limit()`. `csv.reader` would read it as plain comma splits,
-so it is read from its UTF-8 bytes: a year column of one repeated cell is
-looked up once, a code column of 2 printable ASCII bytes per cell maps
-through a table of their 16-bit values, and only the value column, and any
-column that fails these tests, becomes `str` cells.
+reads the header, and any comments before it, from the first block. The
+rest of that block, and each block after it, is read by numpy's CSV
+reader, `np.loadtxt`, into a table of year and code cells as bytes and
+values as floats; a block of line ends alone holds only blank rows and is
+skipped. A year column of one repeated cell is looked up once, and code
+cells map to ids through a table of their 16-bit values.
 
-The byte path stops at the first block that is not clean, or at the first
-fault it meets, in no set order. The file is then read by one row-by-row
-`csv.reader` loop, `_read_rows`, the one statement of the row rules: it
-returns the rows of a valid file and raises the first fault of a faulty one
-with its 1-based row number. Every row is validated, whatever its year.
+`np.loadtxt` reads some text more laxly than `csv.reader` and the row
+rules do, so the byte path refuses a block with a quote, `#` or NUL, a CR
+outside a CRLF line end, a line longer than `csv.field_size_limit()`, a
+code cell that is not 2 ASCII bytes or a year cell longer than 4 bytes.
+It stops at the first block that it or `np.loadtxt` refuses, or at the
+first fault it meets, in no set order. The file is then read by one
+row-by-row `csv.reader` loop, `_read_rows`, the one statement of the row
+rules: it returns the rows of a valid file and raises the first fault of
+a faulty one with its 1-based row number. Every row is validated,
+whatever its year.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -198,10 +201,6 @@ class MoneyTensor:
         matrix.eliminate_zeros()
         return cls(year=year, registry=registry, matrix=matrix)
 
-    def value(self, product: str, importer: str, exporter: str) -> float:
-        reg = self.registry
-        return float(self.matrix[reg.node_id(importer, product), reg.node_id(exporter, product)])
-
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
@@ -368,86 +367,6 @@ def _header_rest(block: str) -> str | None:
     return None
 
 
-class _CleanBlock:
-    """The data rows of a clean block, read from its UTF-8 bytes `raw`.
-
-    `end[r, c]` is the position of the separator after field c of row r and
-    `start[r, c]` that of its first byte. Only the columns that fail a byte
-    test are decoded to `str` cells.
-    """
-
-    def __init__(self, raw: np.ndarray, seps: np.ndarray):
-        self.raw = raw
-        self.end = seps
-        self.start = np.empty_like(seps)
-        self.start[0, 0] = 0
-        self.start[1:, 0] = seps[:-1, 4] + 1
-        self.start[:, 1:] = seps[:, :4] + 1
-
-    def __len__(self) -> int:
-        return len(self.end)
-
-    def column(self, c: int) -> list[str]:
-        """The cells of column c."""
-        # mark each field of the column and the separator after it
-        edge = np.zeros(self.raw.size + 1, bool)
-        edge[self.start[:, c]] = edge[self.end[:, c] + 1] = True
-        picked = self.raw[np.logical_xor.accumulate(edge[:-1])]
-        picked[picked == ord(",")] = ord("\n")
-        return picked.tobytes().decode().split("\n")[:-1]
-
-    def same_year(self) -> str | None:
-        """The year cell when every row's has the same bytes, else None."""
-        start, end = self.start[:, 0], self.end[:, 0]
-        width = int(end[0] - start[0])
-        if (end - start != width).any():
-            return None
-        fields = self.raw[start[:, None] + np.arange(width)]
-        if (fields != fields[0]).any():
-            return None
-        return fields[0].tobytes().decode()
-
-    def code_keys(self, c: int) -> np.ndarray | None:
-        """The 16-bit value of each cell of column c when every cell is 2
-        printable ASCII bytes, else None. Such a cell is its own stripped
-        code: nothing in 0x21-0x7E is whitespace or part of a wider character."""
-        start = self.start[:, c]
-        if (self.end[:, c] - start != 2).any():
-            return None
-        hi, lo = self.raw[start], self.raw[start + 1]
-        if (hi - 0x21 > 0x7E - 0x21).any() or (lo - 0x21 > 0x7E - 0x21).any():  # uint8 wraps
-            return None
-        return hi.astype(np.intp) << 8 | lo
-
-
-def _clean_block(block: str) -> _CleanBlock | None:
-    """The rows of a block that `csv.reader` would read as plain comma
-    splits, else None.
-
-    A clean block has no quote, comment or NUL, and no CR but in a CRLF line
-    end; every line is 4 commas then a newline, so no line is blank or has
-    another column count; no field is longer than the reader's field size
-    limit.
-    """
-    if '"' in block or "#" in block or "\0" in block:
-        return None
-    if "\r" in block and block.count("\r") != block.count("\r\n"):
-        return None
-    raw = np.frombuffer(block.encode(), np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    if not seps.size or seps.size % 5 or seps[-1] != raw.size - 1:
-        return None
-    seps = seps.reshape(-1, 5)
-    kinds = raw[seps]
-    if (kinds[:, :4] != ord(",")).any() or (kinds[:, 4] != ord("\n")).any():
-        return None
-    clean = _CleanBlock(raw, seps)
-    # UTF-8 bytes bound the characters of a field from above
-    if (clean.end - clean.start).max() > csv.field_size_limit():
-        return None
-    return clean
-
-
 class _Distinct(dict):
     """Raw cell -> `convert(cell)`, converting each distinct cell once."""
 
@@ -463,8 +382,8 @@ class _Distinct(dict):
 class _Codes(_Distinct):
     """Raw cell -> id of its stripped code in `ids`, where codes take ids in
     order of first sight; a code that is not 2 letters or digits raises
-    ValueError. `by_key` caches the id of each code cell that is 2 printable
-    ASCII bytes, by their 16-bit value."""
+    ValueError. `by_key` caches the id of each code cell that is 2 ASCII
+    bytes, by their 16-bit value."""
 
     def __init__(self):
         super().__init__(self._code_id)
@@ -481,48 +400,63 @@ class _Codes(_Distinct):
         return self.by_key[keys]
 
 
-def _values(cells: list[str], m: int) -> np.ndarray:
-    """`float` of each stripped value cell, as the row rules read it.
+# one row of a block as numpy's CSV reader keeps it: a longer year or code
+# cell is cut to the width, so a cell of the full width is known to be too long
+_ROW = np.dtype([("year", "S5"), ("product", "S3"), ("exporter", "S3"), ("importer", "S3"), ("value", "f8")])
 
-    `float` skips the whitespace that `str.strip` does, but for "\\x1c"-"\\x1f",
-    so the cells are stripped only when one fails without.
+
+def _convert_chunk(block: str, years, products, countries):
+    """Read one block with numpy's CSV reader, validate it and keep the rows
+    of the year.
+
+    The block is refused where that reader is laxer than `csv.reader` and the
+    row rules: a quote, `#` or NUL, a CR outside a CRLF line end, a line
+    longer than the field size limit, a code cell that is not 2 ASCII bytes
+    or a year cell longer than 4 bytes. A year column of one repeated cell is
+    looked up once; code cells map by their 16-bit value. Returns the count of
+    self-trade rows dropped and the product, importer, exporter and value
+    arrays of the rows kept. A refusal or a fault raises ValueError.
     """
-    try:
-        return np.fromiter(map(float, cells), np.float64, m)
-    except ValueError:
-        return np.fromiter(map(float, map(str.strip, cells)), np.float64, m)
-
-
-def _convert_chunk(rows: _CleanBlock, years, products, countries):
-    """Validate one clean block column by column and keep the rows of the year.
-
-    A year column of one repeated cell is looked up once and a code column of
-    printable 2-byte cells by key; only the other columns become `str` cells.
-    Returns the count of self-trade rows dropped and the product, importer,
-    exporter and value arrays of the rows kept. A fault raises ValueError.
-    """
+    if '"' in block or "#" in block or "\0" in block:
+        raise ValueError("a quote, comment or NUL")
+    if "\r" in block and block.count("\r") != block.count("\r\n"):
+        raise ValueError("a CR outside a CRLF line end")
+    limit = csv.field_size_limit()
+    # a line longer than `limit` covers one of these spans whole, so the lines
+    # are measured only when a span holds no line end
+    span = limit // 2 + 1
+    if any(block.find("\n", k, k + span) < 0 for k in range(0, len(block), span)):
+        if max(map(len, block.split("\n"))) > limit:
+            raise ValueError("a line longer than the field size limit")
+    rows = np.loadtxt(io.StringIO(block), _ROW, delimiter=",", comments=None, ndmin=1)
     m = len(rows)
 
-    def code_ids(c, codes):
-        keys = rows.code_keys(c)
-        if keys is None:
-            return np.fromiter(map(codes.__getitem__, rows.column(c)), np.int64, m)
-        return codes.of_keys(keys)
+    def code_ids(column, codes):
+        cells = np.frombuffer(rows[column].tobytes(), np.uint8).reshape(m, 3)
+        # a shorter cell is padded with NUL, which `_Codes` refuses in a code
+        if cells[:, 2].any() or (cells >= 0x80).any():
+            raise ValueError("a code cell is not 2 ASCII bytes")
+        return codes.of_keys(cells[:, 0].astype(np.intp) << 8 | cells[:, 1])
 
-    year = rows.same_year()
-    if year is None:
-        in_year = np.fromiter(map(years.__getitem__, rows.column(0)), bool, m)
+    def in_year(cell: bytes) -> bool:
+        if len(cell) > 4:
+            raise ValueError("a year cell is longer than 4 bytes")
+        return years[cell.decode("ascii")]
+
+    cells = rows["year"]
+    if (cells == cells[0]).all():
+        kept = np.full(m, in_year(cells[0]))
     else:
-        in_year = np.full(m, years[year])
-    p = code_ids(1, products)
-    e = code_ids(2, countries)
-    i = code_ids(3, countries)
-    v = _values(rows.column(4), m)
+        kept = np.fromiter(map(in_year, cells.tolist()), bool, m)
+    p = code_ids("product", products)
+    e = code_ids("exporter", countries)
+    i = code_ids("importer", countries)
+    v = rows["value"]
     if not np.all(np.isfinite(v) & (v >= 0)):
         raise ValueError("a value is negative or not finite")
-    self_trade = in_year & (e == i)
-    keep = in_year & ~self_trade
-    return int(self_trade.sum()), p[keep], i[keep], e[keep], v[keep]
+    self_trade = kept & (e == i)
+    kept &= ~self_trade
+    return int(self_trade.sum()), p[kept], i[kept], e[kept], v[kept]
 
 
 def _index_map(codes, index: dict[str, int]) -> np.ndarray:
@@ -532,7 +466,7 @@ def _index_map(codes, index: dict[str, int]) -> np.ndarray:
 
 def _read_blocks(path, year: int) -> tuple | None:
     """The rows of `path`, as `_read_rows` gives them, when the header is in
-    the first text block and every block after it is clean and valid; else None."""
+    the first text block and `_convert_chunk` reads every block after it; else None."""
     years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
     chunks = []
     try:
@@ -541,12 +475,10 @@ def _read_blocks(path, year: int) -> tuple | None:
             rest = _header_rest(next(blocks, ""))
             if rest is None:
                 return None
-            for block in filter(None, itertools.chain((rest,), blocks)):  # no text, no rows
-                clean = _clean_block(block)
-                if clean is None:
-                    return None
-                chunks.append(_convert_chunk(clean, years, products, countries))
-    except ValueError:  # a fault; UnicodeDecodeError is a ValueError
+            for block in itertools.chain((rest,), blocks):
+                if block.strip("\r\n"):  # line ends alone are blank rows, on which loadtxt warns
+                    chunks.append(_convert_chunk(block, years, products, countries))
+    except ValueError:  # a refusal or a fault; UnicodeDecodeError is a ValueError
         return None
     if not chunks:  # a header alone: nothing to join, and the row loop reads it at once
         return None

@@ -86,25 +86,3 @@ def serialize_graph(edge_list: TradeEdgeList, fmt: str, path) -> None:
                 fh.write(f"{src},{dst},{w!r}\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_edge_csv(path) -> TradeEdgeList:
-    """Read back an edge-csv file written by serialize_graph."""
-    view = ""
-    k = 0
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta = dict(part.split("=", 1) for part in line[1:].strip().split(","))
-                view = meta.get("view", "")
-                k = int(meta.get("k", 0))
-                continue
-            if line == "from,to,weight":
-                continue
-            src, dst, w = line.split(",")
-            edges.append((src, dst, float(w)))
-    return TradeEdgeList(edges=tuple(edges), view=view, k=k)

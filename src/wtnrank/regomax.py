@@ -263,20 +263,20 @@ def normalize_columns(matrix: np.ndarray, cols) -> None:
 
 
 def _power(apply, n: int, name: str):
-    """(eigenvalue, L1-normalized vector, iterations) of the power iteration of
-    a nonnegative operator `apply` from the uniform vector: 0.0 with the last
-    iterate when the operator absorbs everything, ConvergenceError naming the
-    `name` vector when the iteration stalls."""
+    """(eigenvalue, L1-normalized vector, calls of `apply`) of the power
+    iteration of a nonnegative operator `apply` from the uniform vector: 0.0
+    with the last iterate when the operator absorbs everything,
+    ConvergenceError naming the `name` vector when the iteration stalls."""
     x = np.full(n, 1.0 / n)
     for it in range(DEFAULT_EIG_MAX_ITER):
         y = apply(x)
         lam = float(y.sum())
         if lam <= 0.0:
-            return 0.0, x, it
+            return 0.0, x, it + 1
         residual = float(np.abs(y - lam * x).sum())
         x = y / lam
         if residual < DEFAULT_EIG_TOL:
-            return lam, x, it
+            return lam, x, it + 1
     raise ConvergenceError(f"complement {name} iteration stalled", DEFAULT_EIG_MAX_ITER, residual)
 
 

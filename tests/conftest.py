@@ -61,6 +61,39 @@ def total_value(tensor) -> float:
     return float(tensor.matrix.sum())
 
 
+def flow_value(tensor, product: str, importer: str, exporter: str) -> float:
+    """The flow of `product` from `exporter` to `importer`."""
+    reg = tensor.registry
+    return float(tensor.matrix[reg.node_id(importer, product), reg.node_id(exporter, product)])
+
+
+def column(matrix, j: int) -> np.ndarray:
+    """Column j of a `GoogleMatrix`, dense."""
+    return matrix.to_dense(slice(j, j + 1))[:, 0]
+
+
+def parse_edge_csv(path) -> w.TradeEdgeList:
+    """Read back an edge-csv file written by serialize_graph."""
+    view = ""
+    k = 0
+    edges = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                meta = dict(part.split("=", 1) for part in line[1:].strip().split(","))
+                view = meta.get("view", "")
+                k = int(meta.get("k", 0))
+                continue
+            if line == "from,to,weight":
+                continue
+            src, dst, weight = line.split(",")
+            edges.append((src, dst, float(weight)))
+    return w.TradeEdgeList(edges=tuple(edges), view=view, k=k)
+
+
 def column_sums(matrix) -> np.ndarray:
     """Column sums of a `GoogleMatrix`, without densifying it."""
     return matrix.rmatvec(np.ones(matrix.shape[0]))

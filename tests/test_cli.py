@@ -14,7 +14,7 @@ import pytest
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import live_reduced_sets, same_trade
+from conftest import live_reduced_sets, parse_edge_csv, same_trade
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -387,7 +387,7 @@ class TestNetworkCommand:
             "network", "--input", FIXTURE, "--products", "all", "--out-dir", tmp_path,
         )
         assert rc == 0
-        edges = w.parse_edge_csv(tmp_path / "network_import.csv")
+        edges = parse_edge_csv(tmp_path / "network_import.csv")
         assert edges.k == 4
         assert edges.view == "import"
 
@@ -406,7 +406,7 @@ class TestNetworkCommand:
         )
         reduced = w.reduce(direct, sel)
         expected = w.top_links(reduced.reduced, sel.labels(tensor.registry), 2, view="import")
-        assert w.parse_edge_csv(tmp_path / "network_import.csv") == expected
+        assert parse_edge_csv(tmp_path / "network_import.csv") == expected
 
 
     def test_k_not_below_selection_size_exits_2_before_the_matrix_pair(
@@ -434,7 +434,7 @@ class TestConfigFile:
         out = tmp_path / "out"
         rc = run("network", "--input", FIXTURE, "--config", cfg, "--k", 1, "--out-dir", out)
         assert rc == 0
-        edges = w.parse_edge_csv(out / "network_import.csv")
+        edges = parse_edge_csv(out / "network_import.csv")
         assert edges.k == 1  # flag beat the config file
 
     def test_config_supplies_missing_values(self, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 import wtnrank as w
 
+from conftest import parse_edge_csv
+
 LABELS4 = ("AA:33", "BB:33", "CC:33", "DD:33")
 
 # hand-placed weights; column CC has a tie between AA and DD
@@ -156,7 +158,7 @@ class TestSerialize:
         edges = w.top_links(HAND, LABELS4, 2, view="export")
         path = tmp_path / "edges.csv"
         w.serialize_graph(edges, "edge-csv", path)
-        assert w.parse_edge_csv(path) == edges
+        assert parse_edge_csv(path) == edges
 
     def test_dot_attributes(self, tmp_path):
         edges = w.top_links(HAND, LABELS4, 1, view="import")

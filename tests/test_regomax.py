@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import wtnrank as w
-from wtnrank.regomax import _leading_pair, write_diagnostics, write_reduced_csv
+from wtnrank.regomax import _leading_pair, _power, write_diagnostics, write_reduced_csv
 
 from conftest import (
     ORACLE_CAP,
@@ -486,9 +486,16 @@ class TestLeadingPair:
     def test_nilpotent_complement_absorbs_everything(self):
         chain = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         lam, psi_r, psi_l, iterations = _leading_pair(links_only(chain))
-        assert (lam, iterations) == (0.0, 2)
+        assert (lam, iterations) == (0.0, 3)  # the third product is zero
         assert np.array_equal(psi_r, [0.0, 0.0, 1.0])
         assert np.array_equal(psi_l, np.zeros(3))
+
+    def test_uniform_eigenvector_settles_in_one_call(self):
+        """Equal row sums make the uniform start an eigenvector."""
+        m = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        lam, x, calls = _power(links_only(m).matvec, 3, "eigenvector")
+        assert (lam, calls) == (1.0, 1)
+        assert np.array_equal(x, np.full(3, 1.0 / 3.0))
 
     @pytest.mark.parametrize("transpose, vector", [(False, "eigenvector"), (True, "left-eigenvector")])
     def test_period_two_stalls_naming_its_vector(self, monkeypatch, transpose, vector):
