@@ -159,6 +159,14 @@ class MoneyTensor:
             raise TradeDataError(f"self-trade entries in product {reg.products[self_trade.min()]}")
         if m.nnz and m.data.min() < 0:
             raise TradeDataError("negative trade value")
+        vol = self._volumes  # finite values can still sum past the float range
+        for name, table in (("import", vol.import_vol), ("export", vol.export_vol)):
+            bad = np.flatnonzero(~np.isfinite(table))
+            if bad.size:
+                raise TradeDataError(f"{name} volume of node {reg.node_label(bad[0])} is not finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(vol.total):
+                raise TradeDataError("total trade volume is not finite")
 
     @classmethod
     def from_entries(
@@ -179,25 +187,6 @@ class MoneyTensor:
                       np.asarray(exporter_idx) * n_p + product_idx)),
             shape=(registry.size, registry.size),
         ).tocsr()
-        matrix.eliminate_zeros()
-        return cls(year=year, registry=registry, matrix=matrix)
-
-    @classmethod
-    def from_product_matrices(cls, registry: Registry, year: int, matrices) -> "MoneyTensor":
-        """Build from one (importer, exporter) matrix per product, scattered into
-        the node matrix: row i of product p is node row i * n_p + p."""
-        n, n_p = registry.n_countries, registry.n_products
-        mats = [sparse.csr_matrix(m) for m in matrices]
-        if len(mats) != n_p or any(m.shape != (n, n) for m in mats):
-            raise TradeDataError(f"one ({n}, {n}) flow matrix per product required")
-        counts = np.column_stack([np.diff(m.indptr) for m in mats])  # [i, p]: row i * n_p + p
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-        for p, m in enumerate(mats):
-            dest = np.repeat(indptr[p:-1:n_p] - m.indptr[:-1], counts[:, p]) + np.arange(m.nnz)
-            indices[dest], data[dest] = m.indices * n_p + p, m.data
-        matrix = sparse.csr_matrix((data, indices, indptr), shape=(registry.size, registry.size))
-        matrix.sum_duplicates()
         matrix.eliminate_zeros()
         return cls(year=year, registry=registry, matrix=matrix)
 
@@ -243,8 +232,9 @@ class MoneyTensor:
     def _volumes(self) -> "VolumeTable":
         reg = self.registry
         shape = (reg.n_countries, reg.n_products)
-        imp = np.asarray(self.matrix.sum(axis=1)).reshape(shape)
-        exp = np.asarray(self.matrix.sum(axis=0)).reshape(shape)
+        with np.errstate(over="ignore"):  # an overflowed volume is refused by __post_init__
+            imp = np.asarray(self.matrix.sum(axis=1)).reshape(shape)
+            exp = np.asarray(self.matrix.sum(axis=0)).reshape(shape)
         imp.flags.writeable = exp.flags.writeable = False
         return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
 
@@ -628,16 +618,25 @@ def synth_tensor(
     products = _synthetic_codes(n_products, string.digits, 2)
     registry = Registry(countries=countries, products=products)
     n = n_countries
-    mats = []
+    # room for every off-diagonal entry; pages past the kept ones are never written
+    room = n_products * n * (n - 1)
+    product, importer, exporter = (np.empty(room, np.int32) for _ in range(3))
+    values = np.empty(room)
+    kept = 0
     for p in range(n_products):
         keep = rng.random((n, n)) < density
         vals = 10.0 ** rng.uniform(2.0, 8.0, size=(n, n))
-        m = np.where(keep, vals, 0.0)
-        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(keep, False)
         if p == 0 and n_products >= 2:
-            m[:, n - 1] = 0.0  # force a dangling exporter column
-        mats.append(sparse.csr_matrix(m))
-    return MoneyTensor.from_product_matrices(registry, year, mats)
+            keep[:, n - 1] = False  # force a dangling exporter column
+        rows, cols = np.nonzero(keep)
+        end = kept + rows.size
+        product[kept:end], importer[kept:end], exporter[kept:end] = p, rows, cols
+        values[kept:end] = vals[rows, cols]
+        kept = end
+    return MoneyTensor.from_entries(
+        registry, year, product[:kept], importer[:kept], exporter[:kept], values[:kept]
+    )
 
 
 def volumes(tensor: MoneyTensor) -> VolumeTable:

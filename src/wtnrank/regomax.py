@@ -21,24 +21,34 @@ of alpha A_sr that reach it as right-hand sides, so Y is kept sparse. Nodes
 alone in their component are divided by their diagonal 1 - alpha A_ii, as
 one more block.
 
-The resolvent is split through the leading eigenpair of G_ss: with
-right/left eigenvectors psi_r, psi_l (normalized to psi_l . psi_r = 1) and
-eigenvalue lam, the projector P = psi_r psi_l^T gives the rank-one component
+With G_rs = alpha A_rs + U_r V_s^T and W = C^(-1) (V_s^T Y + V_r^T), the
+reduced matrix is the direct block plus one sparse product and a rank-four
+update, all nonnegative,
+
+    R = G_rr + alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W] ,
+
+summed from the solve alone; its columns are clipped at zero and renormalized,
+which only moves LU rounding.
+
+The leading eigenpair of G_ss only splits R: with right/left eigenvectors
+psi_r, psi_l (normalized to psi_l . psi_r = 1) and eigenvalue lam, the
+projector P = psi_r psi_l^T gives the rank-one component
 G_rs psi_r psi_l^T G_sr / (1 - lam), and the deflated rest G_rs (1 - P) X the
-indirect-pathway component. X is never formed: with G_rs = alpha A_rs + U_r V_s^T
-and W = C^(-1) (V_s^T Y + V_r^T), the indirect part is one sparse product plus
-a rank-five update,
+indirect-pathway component, the sum above with one more factor pair,
 
     alpha A_rs Y + [U_r, G_rs Z, -G_rs psi_r] [V_s^T Y; W; psi_l^T Y + (psi_l^T Z) W] .
 
-Only the reduced matrix is stored dense. The indirect part is kept as these
+So R = direct + projector + indirect holds up to rounding plus the rank-one
+gap G_rs psi_r (psi_l^T G_sr / (1 - lam) - psi_l^T X), which vanishes for an
+exact eigenpair; its max-norm is reported as `split_error`.
+
+Only the reduced matrix is stored dense. The indirect part is kept as its
 factors (on trade matrices alpha A_rs Y is block-diagonal by product), the
 direct and projector parts as theirs; each is built when read, and the
 component weights are summed from the factors without building any of them.
 """
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,11 +61,8 @@ from .gmatrix import DEFAULT_ALPHA, GoogleMatrix, build_trade_pair
 from .ingest import MoneyTensor, Registry
 from .ranking import pagerank
 
-log = logging.getLogger(__name__)
-
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
-_NEGATIVE_WARN = -1e-12
 # bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 11 585).
 # `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n
 # elements); every other n x n temporary is made and added a 1/`_BLOCKS` slice at a
@@ -128,22 +135,22 @@ class Selection:
 class ReducedSet:
     """Reduced matrix, its components, and solver diagnostics.
 
-    Only `reduced` is stored dense. The other components are kept as factors
-    and each read of `direct_part` (from the sparse block `direct_block` =
-    G_rr), `projector_part` (the outer product of `projector_column` =
-    G_rs psi_r and `projector_row` = psi_l^T G_sr, over 1 - lam),
-    `indirect_part` (`indirect_left @ indirect_right`, n x 5 times 5 x n, plus
-    the sparse `indirect_links` = alpha A_rs Y), `indirect_diag` or
-    `indirect_offdiag` builds a new dense n x n array. `weights` is summed
-    from the factors and builds none.
+    Only `reduced` is stored dense, summed from the complement solve alone (see
+    the module docstring). The other components are kept as factors and each
+    read of `direct_part` (from the sparse block `direct_block` = G_rr),
+    `projector_part` (the outer product of `projector_column` = G_rs psi_r and
+    `projector_row` = psi_l^T G_sr, over 1 - lam), `indirect_part`
+    (`indirect_left @ indirect_right`, n x 5 times 5 x n, plus the sparse
+    `indirect_links` = alpha A_rs Y), `indirect_diag` or `indirect_offdiag`
+    builds a new dense n x n array. `weights` is summed from the factors and
+    builds none.
 
-    `reduced == direct_part + projector_part + indirect_part` holds by
-    construction up to the clamping of tiny negative rounding residue;
-    `indirect_part == indirect_diag + indirect_offdiag` is exact. The indirect
-    part is summed from factors of the complement solve X = Y + Z W (see the
-    module docstring), never from a dense X. `solve_residual` is the max-norm
-    of (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks
-    the solve used (the batch of link-free complement nodes counts as one).
+    `reduced == direct_part + projector_part + indirect_part` holds up to
+    rounding plus `split_error`, the max-norm of the rank-one gap the
+    eigenpair's error leaves between them; `indirect_part == indirect_diag +
+    indirect_offdiag` is exact. `solve_residual` is the max-norm of
+    (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks the
+    solve used (the batch of link-free complement nodes counts as one).
     """
 
     selection: Selection
@@ -157,6 +164,7 @@ class ReducedSet:
     complement_eigenvalue: float
     solve_residual: float
     complement_blocks: int
+    split_error: float
 
     @property
     def direct_part(self) -> np.ndarray:
@@ -164,12 +172,12 @@ class ReducedSet:
 
     @property
     def projector_part(self) -> np.ndarray:
-        # what `reduce` sums, so the bytes match
-        return _rank_one(self.projector_column, self.projector_row, self.complement_eigenvalue)
+        part = np.outer(self.projector_column, self.projector_row)
+        part /= 1.0 - self.complement_eigenvalue
+        return part
 
     @property
     def indirect_part(self) -> np.ndarray:
-        # what `reduce` sums, so the bytes match
         return _factored(self.indirect_links, self.indirect_left, self.indirect_right)
 
     @property
@@ -229,13 +237,6 @@ def component_weight(matrix: np.ndarray) -> float:
 def _factor_sum(left: np.ndarray, right: np.ndarray) -> float:
     """Sum of all elements of left @ right, without forming it."""
     return float(left.sum(axis=0) @ right.sum(axis=1))
-
-
-def _rank_one(column: np.ndarray, row: np.ndarray, lam: float) -> np.ndarray:
-    """The projector part outer(column, row) / (1 - lam), as one n x n array."""
-    part = np.outer(column, row)
-    part /= 1.0 - lam
-    return part
 
 
 def _factored(links, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -319,6 +320,7 @@ def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         complement_eigenvalue=0.0,
         solve_residual=0.0,
         complement_blocks=0,
+        split_error=0.0,
     )
 
 
@@ -499,36 +501,31 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
 
     direct_block = matrix.block(r, r)
     projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
+    # G_rs X = alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W], with G_rs = alpha A_rs + U_r V_s^T;
+    # the fifth factor pair, -G_rs psi_r and psi_l^T X, deflates it to the indirect part
+    links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
+    left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
+    right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
+    del y
+    # the rank-one gap c (r / (1 - lam) - psi_l^T X) between the sum and its split
+    split_error = float(np.abs(projector_column).max()) * float(
+        np.abs(projector_row / (1.0 - lam) - right[4]).max()
+    )
+    # G_rr + G_rs X: the product is taken whole (see `_factored`) and the
+    # direct block added to it a block of rows at a time
+    reduced = _factored(links, left[:, :4], right[:4])
+    step = -(-n // _BLOCKS)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        reduced[rows] += direct_block.block(rows, slice(None)).to_dense()
+    # every summand is nonnegative (M and C are M-matrices), so a negative entry
+    # is LU rounding; the sums are renormalized whole, or they drift by ~1e-14
+    np.clip(reduced, 0.0, None, out=reduced)
+    normalize_columns(reduced, np.arange(n))
     if sel.n_complement == 1 and lam > 0.0:
         # a one-node complement is its own eigenvector: deflation leaves nothing
         # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
         links, left, right = _no_indirect(n)
-    else:
-        # G_rs (1 - psi_r psi_l^T) (Y + Z W), with G_rs = alpha A_rs + U_r V_s^T
-        links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
-        left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
-        right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
-    del y
-    # (direct + projector) + indirect: the indirect part is taken whole (see
-    # `_factored`) and direct + projector added to it a block of rows at a time,
-    # so no second n x n array is made; IEEE addition commutes, so each entry
-    # has the bits of fl(fl(direct + projector) + indirect)
-    reduced = _factored(links, left, right)
-    step = -(-n // _BLOCKS)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        part = direct_block.block(rows, slice(None)).to_dense()
-        part += _rank_one(projector_column[rows], projector_row, lam)
-        reduced[rows] += part
-
-    worst = float(reduced.min())
-    if worst < _NEGATIVE_WARN:
-        log.warning("reduced matrix has negative entries down to %.3e", worst)
-    negative_cols = np.unique(np.nonzero(reduced < 0)[1])
-    if negative_cols.size:
-        np.clip(reduced, 0.0, None, out=reduced)
-        normalize_columns(reduced, negative_cols)
-        log.info("clamped tiny negatives in %d column(s)", negative_cols.size)
 
     return ReducedSet(
         selection=sel,
@@ -542,6 +539,7 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         complement_eigenvalue=lam,
         solve_residual=residual,
         complement_blocks=blocks,
+        split_error=split_error,
     )
 
 
@@ -577,6 +575,7 @@ def write_diagnostics(path, reduced: ReducedSet) -> None:
         fh.write(f"lambda_c {reduced.complement_eigenvalue!r}\n")
         fh.write(f"solve_residual {reduced.solve_residual!r}\n")
         fh.write(f"complement_blocks {reduced.complement_blocks}\n")
+        fh.write(f"split_error {reduced.split_error!r}\n")
         fh.write(f"projector_column_distance {reduced.projector_column_distance!r}\n")
         for name in ("reduced", "direct", "projector", "indirect", "indirect_offdiag"):
             fh.write(f"weight_{name} {w[name]!r}\n")

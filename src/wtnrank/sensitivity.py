@@ -272,7 +272,8 @@ def reduced_balance_sensitivity(
         if d_imp is None or d_exp is None:
             return np.inf  # the response is undefined: infinitely far
         i, e = imp[0.0], exp[0.0]
-        return 2.0 * (i * d_exp - e * d_imp) / (e + i) ** 2
+        total = e + i  # divided before the products: (e + i)^2 underflows for tiny shares
+        return 2.0 * ((i / total) * (d_exp / total) - (e / total) * (d_imp / total))
 
     baseline, derivative = _central_difference(balance_at, spec.delta)
     metadata = {
@@ -313,7 +314,8 @@ def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec, baseline) -> 
     into = tensor.matrix[:, [source]].toarray()[:, 0]
     f = into[[reg.node_id(c, spec.source_product) for c in spec.group]] / volumes(tensor).total
     _, imp, exp = baseline
-    return -2.0 * exp * f / (exp + imp) ** 2
+    total = exp + imp  # divided before the product: (E + I)^2 underflows for tiny shares
+    return -2.0 * (exp / total) * (f / total)
 
 
 def import_export_sensitivity(

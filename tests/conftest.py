@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import sparse
 
 import wtnrank as w
@@ -17,17 +18,43 @@ for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
     logging.getLogger(f"wtnrank.{name}").setLevel(logging.ERROR)
 
 
+def from_product_matrices(registry, year: int, matrices) -> w.MoneyTensor:
+    """A tensor from one (importer, exporter) matrix per product, scattered
+    into the node matrix: row i of product p is node row i * n_p + p."""
+    n, n_p = registry.n_countries, registry.n_products
+    mats = [sparse.csr_matrix(m) for m in matrices]
+    if len(mats) != n_p or any(m.shape != (n, n) for m in mats):
+        raise TradeDataError(f"one ({n}, {n}) flow matrix per product required")
+    counts = np.column_stack([np.diff(m.indptr) for m in mats])  # [i, p]: row i * n_p + p
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    for p, m in enumerate(mats):
+        dest = np.repeat(indptr[p:-1:n_p] - m.indptr[:-1], counts[:, p]) + np.arange(m.nnz)
+        indices[dest], data[dest] = m.indices * n_p + p, m.data
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(registry.size, registry.size))
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
+    return w.MoneyTensor(year=year, registry=registry, matrix=matrix)
+
+
 @pytest.fixture
 def two_country_tensor():
     """Two countries, one product: A imports 10 from B, B imports 30 from A."""
     reg = w.Registry(countries=("AA", "BB"), products=("01",))
     m = np.array([[0.0, 10.0], [30.0, 0.0]])
-    return w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+    return from_product_matrices(reg, 2016, [m])
 
 
-def live_reduced_sets() -> int:
-    """Count of `ReducedSet` objects alive in the process."""
+def _count_reduced_sets() -> int:
     return sum(isinstance(o, w.ReducedSet) for o in gc.get_objects())
+
+
+@pytest.fixture
+def live_reduced_sets():
+    """Count of `ReducedSet` objects alive in the process beyond those alive
+    when the test started (an earlier failed test's traceback may hold one)."""
+    baseline = _count_reduced_sets()
+    return lambda: _count_reduced_sets() - baseline
 
 
 def make_toy3(a=200.0, b=300.0, c=300.0, yx=0.0):
@@ -42,12 +69,32 @@ def make_toy3(a=200.0, b=300.0, c=300.0, yx=0.0):
     m[2, 0] = b
     m[0, 2] = c
     m[2, 1] = yx
-    return w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+    return from_product_matrices(reg, 2016, [m])
 
 
 @pytest.fixture
 def toy3():
     return make_toy3()
+
+
+@st.composite
+def small_shocks(draw):
+    """A random tensor of 4-8 countries and 1-3 products, with empty products,
+    dangling countries and sources, and a shock on one node of it."""
+    n_c, n_p = draw(st.integers(4, 8)), draw(st.integers(1, 3))
+    reg = w.Registry(
+        countries=tuple(f"C{i}" for i in range(n_c)),
+        products=tuple(f"{p:02d}" for p in range(n_p)),
+    )
+    value = st.sampled_from([0.0, 0.0, 0.0, 1e-6, 1.0, 2.5, 100.0, 1e6])
+    flows = np.array(draw(st.lists(value, min_size=n_p * n_c * n_c, max_size=n_p * n_c * n_c)))
+    flows = flows.reshape(n_p, n_c, n_c) * (1.0 - np.eye(n_c))
+    tensor = from_product_matrices(reg, 2016, list(flows))
+    source = draw(st.sampled_from(reg.countries))
+    others = [c for c in reg.countries if c != source]
+    group = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    spec = w.ShockSpec(source, draw(st.sampled_from(reg.products)), group)
+    return tensor, spec, draw(st.sampled_from([0.5, 0.85]))
 
 
 def same_trade(a, b) -> bool:
@@ -253,7 +300,8 @@ def reduced_sensitivity_oracle(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, m
     try:
         d_imp = marginals(_linear_response(direct, p_imp, rhs_imp, tol, max_iter))
         d_exp = marginals(_linear_response(inverted, p_exp, rhs_exp, tol, max_iter))
-        exact = 2.0 * (imp * d_exp - exp * d_imp) / (exp + imp) ** 2
+        total = exp + imp
+        exact = 2.0 * ((imp / total) * (d_exp / total) - (exp / total) * (d_imp / total))
         fd_error = float(np.abs(derivative - exact).max())
     except ConvergenceError:
         fd_error = np.inf

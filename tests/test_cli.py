@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import live_reduced_sets, parse_edge_csv, same_trade
+from conftest import parse_edge_csv, same_trade
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -76,6 +77,22 @@ class TestExitCodes:
                           "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr == "ERROR wtnrank: line 3: country codes must be 2 letters or digits\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        (("AA,BB,1e308", "CC,BB,1e308", "BB,AA,1"), "import volume of node BB:01 is not finite"),
+        (("AA,BB,1e308", "BB,CC,1e308", "CC,AA,1e308"), "total trade volume is not finite"),
+    ], ids=["node", "total"])
+    def test_overflowing_volume_is_one_error_line(self, tmp_path, caplog, rows, message):
+        """Each value is finite, but their sum is not: the tensor is refused
+        before any volume reaches a division."""
+        path = tmp_path / "huge.csv"
+        path.write_text("year,product,exporter,importer,value_usd\n"
+                        + "".join(f"2016,01,{row}\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("rank", "--input", path, "--out-dir", tmp_path / "out")
+        assert rc == 2
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("ERROR", message)]
 
     def test_bad_alpha_rejected(self, tmp_path):
         rc = run("rank", "--input", FIXTURE, "--alpha", "1.5", "--out-dir", tmp_path)
@@ -312,7 +329,9 @@ class TestReduce:
 
 
 @pytest.mark.parametrize("command, extra", [("reduce", ()), ("network", ("--k", 2))])
-def test_one_direction_reduced_at_a_time(tmp_path, monkeypatch, command, extra):
+def test_one_direction_reduced_at_a_time(
+    tmp_path, monkeypatch, live_reduced_sets, command, extra
+):
     """The import direction's `ReducedSet`, and the Google matrix it was
     reduced from, are gone before the export direction's reduction starts."""
     reduce = w.regomax.reduce
@@ -379,6 +398,26 @@ class TestSensitivityCommand:
     def test_requires_selection_flags(self, tmp_path):
         rc = run("sensitivity", "--input", FIXTURE, "--out-dir", tmp_path)
         assert rc == 2
+
+    def test_tiny_shares_give_a_finite_fd_error(self, tmp_path, caplog):
+        """Flows of 1e-300 give CC a volume share whose square underflows: both
+        exact derivatives divide by E + I before they multiply."""
+        path = tmp_path / "tiny.csv"
+        path.write_text("year,product,exporter,importer,value_usd\n2016,01,AA,BB,1\n"
+                        "2016,01,BB,AA,2.5\n2016,01,CC,BB,1e-300\n2016,01,AA,CC,1e-300\n")
+        with warnings.catch_warnings(), caplog.at_level(logging.INFO, logger="wtnrank"):
+            warnings.simplefilter("error")
+            rc = run(
+                "sensitivity", "--input", path, "--group", "CC", "--source-country", "AA",
+                "--source-product", "01", "--methods", "import-export,regomax",
+                "--out-dir", tmp_path / "out",
+            )
+        assert rc == 0
+        assert all(r.levelno < logging.WARNING for r in caplog.records)
+        logged = [r.getMessage().split(" finite-difference error ") for r in caplog.records]
+        errors = {m[0]: float(m[1]) for m in logged if len(m) == 2}
+        assert sorted(errors) == ["import-export", "regomax"]
+        assert np.isfinite(list(errors.values())).all()
 
 
 class TestNetworkCommand:

@@ -4,7 +4,7 @@ import pytest
 import wtnrank as w
 from wtnrank.gmatrix import DIRECT, INVERTED
 
-from conftest import column, column_sums, dump_google
+from conftest import column, column_sums, dump_google, from_product_matrices
 
 
 class TestBuildStochastic:
@@ -26,7 +26,7 @@ class TestBuildStochastic:
         reg = w.Registry(countries=("AA", "BB", "CC"), products=("01",))
         m = np.zeros((3, 3))
         m[0, 1] = 5.0  # only B exports; C exports nothing
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         s = w.build_stochastic(tensor, DIRECT)
         assert s.dangling[reg.node_id("CC", "01")]
         np.testing.assert_allclose(column(s, reg.node_id("CC", "01")), np.full(3, 1 / 3))
@@ -69,7 +69,7 @@ class TestPersonalization:
         reg = w.Registry(countries=("AA", "BB"), products=("01", "02"))
         m1 = np.array([[0.0, 7.0], [0.0, 0.0]])  # AA imports product 01 only
         m2 = np.array([[0.0, 0.0], [3.0, 0.0]])  # BB imports product 02 only
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m1, m2])
+        tensor = from_product_matrices(reg, 2016, [m1, m2])
         v = w.personalization_volume(tensor, DIRECT)
         np.testing.assert_allclose(v, [0.5, 0.0, 0.0, 0.5])
 
@@ -77,7 +77,7 @@ class TestPersonalization:
         reg = w.Registry(countries=("AA", "BB", "CC"), products=("01",))
         m = np.zeros((3, 3))
         m[0, 1] = 5.0  # CC neither imports nor exports
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         with caplog.at_level("WARNING", logger="wtnrank.gmatrix"):
             v = w.personalization_volume(tensor, DIRECT)
         assert v[reg.node_id("CC", "01")] == pytest.approx(1.0 / 3.0)
@@ -211,7 +211,7 @@ class TestBuildTradePair:
 
     def test_zero_tensor_rejected(self):
         reg = w.Registry(countries=("AA", "BB"), products=("01",))
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [np.zeros((2, 2))])
+        tensor = from_product_matrices(reg, 2016, [np.zeros((2, 2))])
         with pytest.raises(w.TradeDataError):
             w.build_trade_pair(tensor)
 

@@ -14,7 +14,13 @@ import wtnrank as w
 from wtnrank import ingest
 from wtnrank.errors import ParseError, TradeDataError
 
-from conftest import flow_value, load_money_tensor_reference, same_trade, total_value
+from conftest import (
+    flow_value,
+    from_product_matrices,
+    load_money_tensor_reference,
+    same_trade,
+    total_value,
+)
 
 HEADER = "year,product,exporter,importer,value_usd\n"
 
@@ -690,7 +696,7 @@ class TestVolumes:
     def test_single_entry(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
         m = np.array([[0.0, 10.0], [0.0, 0.0]])  # A imports 10 from B
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         vol = w.volumes(tensor)
         assert vol.import_vol[0, 0] == 10.0
         assert vol.export_vol[1, 0] == 10.0
@@ -706,7 +712,7 @@ class TestVolumes:
 
     def test_empty_tensor(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [np.zeros((2, 2))])
+        tensor = from_product_matrices(reg, 2016, [np.zeros((2, 2))])
         vol = w.volumes(tensor)
         assert vol.total == 0.0
         assert np.all(vol.import_vol == 0)
@@ -737,7 +743,7 @@ class TestVolumeRanks:
     def test_single_entry_probabilities(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
         m = np.array([[0.0, 10.0], [0.0, 0.0]])
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         table = w.volume_ranks(w.volumes(tensor))
         assert table.import_prob[reg.node_id("AA", "33")] == 1.0
         assert table.export_prob[reg.node_id("BB", "33")] == 1.0
@@ -747,14 +753,14 @@ class TestVolumeRanks:
         m = np.zeros((3, 3))
         m[0, 1] = 5.0  # AA imports 5 from BB
         m[1, 2] = 5.0  # BB imports 5 from CC
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         table = w.volume_ranks(w.volumes(tensor))
         # AA and BB tie on imports; ascending node id wins, as in importrank_nodes.csv
         assert list(w.order_indices(table.import_prob).order) == [0, 1, 2]
 
     def test_zero_volume_rejected(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [np.zeros((2, 2))])
+        tensor = from_product_matrices(reg, 2016, [np.zeros((2, 2))])
         with pytest.raises(ValueError, match="zero"):
             w.volume_ranks(w.volumes(tensor))
 

@@ -3,7 +3,6 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import wtnrank as w
 from wtnrank.errors import ConvergenceError, TradeDataError
@@ -17,14 +16,15 @@ from wtnrank.sensitivity import (
 from conftest import (
     brute_force_derivative,
     build_shock_matrices,
+    from_product_matrices,
     linear_response_oracle,
-    live_reduced_sets,
     make_toy3,
     reduce_pair,
     reduced_sensitivity_oracle,
     same_bits,
     shock_mid,
     shock_pair,
+    small_shocks,
 )
 
 
@@ -181,7 +181,7 @@ class TestBuildShockMatrices:
 
 
 class TestReducedSensitivity:
-    def test_no_reduced_set_alive_in_the_difference_loop(self, toy3, monkeypatch):
+    def test_no_reduced_set_alive_in_the_difference_loop(self, toy3, monkeypatch, live_reduced_sets):
         """Each reduction's `ReducedSet` is freed before the next reduction
         runs, and only its reduced matrix, eigenvalue and weights are kept
         for the shocked PageRank solves."""
@@ -285,7 +285,7 @@ class TestReducedSensitivity:
         reg = w.Registry(countries=("AA", "XX", "YY", "ZZ"), products=("00",))
         m = np.zeros((4, 4))
         m[2, 1] = m[1, 2] = m[3, 0] = m[0, 3] = 1.0
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         spec = w.ShockSpec("AA", "00", ("XX",))
         report = w.reduced_balance_sensitivity(tensor, spec, alpha=1.0)
         assert np.array_equal(report.derivative, [0.0])
@@ -315,7 +315,7 @@ class TestImportExportSensitivity:
         m[0, 2] = 300.0  # A imports from Y
         m[3, 2] = 50.0   # Z imports from Y
         m[2, 3] = 40.0   # Y imports from Z
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m])
+        tensor = from_product_matrices(reg, 2016, [m])
         spec = w.ShockSpec("AA", "00", ("XX", "ZZ"))
         report = w.import_export_sensitivity(tensor, spec)
         assert report.derivative[1] == 0.0
@@ -361,7 +361,7 @@ class TestGlobalPriceSensitivity:
         reg = w.Registry(countries=("AA", "BB", "CC"), products=("10", "20"))
         m10 = np.array([[0, 50, 20], [30, 0, 10], [5, 15, 0]], dtype=float)
         m20 = np.array([[0, 5, 40], [25, 0, 0], [10, 30, 0]], dtype=float)
-        tensor = w.MoneyTensor.from_product_matrices(reg, 2016, [m10, m20])
+        tensor = from_product_matrices(reg, 2016, [m10, m20])
 
         def brute_balance(dv):
             t = tensor.scaled_product("10", 1 + dv) if dv else tensor
@@ -379,26 +379,6 @@ class TestGlobalPriceSensitivity:
     def test_unknown_product(self, toy3):
         with pytest.raises(w.TradeDataError):
             w.global_price_sensitivity(toy3, "99")
-
-
-@st.composite
-def small_shocks(draw):
-    """A random tensor of 4-8 countries and 1-3 products, with empty products,
-    dangling countries and sources, and a shock on one node of it."""
-    n_c, n_p = draw(st.integers(4, 8)), draw(st.integers(1, 3))
-    reg = w.Registry(
-        countries=tuple(f"C{i}" for i in range(n_c)),
-        products=tuple(f"{p:02d}" for p in range(n_p)),
-    )
-    value = st.sampled_from([0.0, 0.0, 0.0, 1e-6, 1.0, 2.5, 100.0, 1e6])
-    flows = np.array(draw(st.lists(value, min_size=n_p * n_c * n_c, max_size=n_p * n_c * n_c)))
-    flows = flows.reshape(n_p, n_c, n_c) * (1.0 - np.eye(n_c))
-    tensor = w.MoneyTensor.from_product_matrices(reg, 2016, list(flows))
-    source = draw(st.sampled_from(reg.countries))
-    others = [c for c in reg.countries if c != source]
-    group = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
-    spec = w.ShockSpec(source, draw(st.sampled_from(reg.products)), group)
-    return tensor, spec, draw(st.sampled_from([0.5, 0.85]))
 
 
 class TestRandomTensors:
@@ -447,7 +427,7 @@ def slow_response_tensor():
         [[0, 1e-6, 0, 0], [100, 0, 0, 2.5], [2.5, 0, 0, 0], [100, 1e6, 1e6, 0]],
         [[0, 0, 0, 100], [1e-6, 0, 0, 0], [100, 0, 0, 1e6], [1e-6, 0, 1e-6, 0]],
     ]
-    return w.MoneyTensor.from_product_matrices(reg, 2016, [np.array(m, float) for m in flows])
+    return from_product_matrices(reg, 2016, [np.array(m, float) for m in flows])
 
 
 def response_errors(tensor, spec, alpha, max_iter=10000):
