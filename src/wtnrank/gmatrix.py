@@ -150,7 +150,13 @@ def personalization_volume(tensor: MoneyTensor, direction: str = DIRECT) -> np.n
         )
         v[silent, :] = 1.0 / (reg.n_countries * reg.n_products)
     active = ~silent
-    v[active, :] = table[active, :] / (reg.n_countries * totals[active, None])
+    with np.errstate(over="ignore"):
+        scale = reg.n_countries * totals
+    # a finite volume times n_countries can overflow: such rows divide twice
+    huge = ~np.isfinite(scale)
+    once, twice = active & ~huge, active & huge
+    v[once, :] = table[once, :] / scale[once, None]
+    v[twice, :] = table[twice, :] / totals[twice, None] / reg.n_countries
     return v.ravel()
 
 

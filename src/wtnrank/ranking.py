@@ -67,7 +67,6 @@ def pagerank(
     matrix,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    start: np.ndarray | None = None,
 ) -> RankVector:
     """Power iteration for the stationary vector of a column-stochastic matrix.
 
@@ -75,7 +74,6 @@ def pagerank(
         matrix: square ndarray, or operator with `size` and `matvec`.
         tol: L1 bound on the fixed-point residual of the returned vector.
         max_iter: iteration cap before raising ConvergenceError.
-        start: optional starting distribution (defaults to uniform).
 
     Returns:
         RankVector whose probabilities x satisfy sum(x) == 1 and
@@ -86,13 +84,7 @@ def pagerank(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n, matvec = _as_operator(matrix)
-    if start is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.asarray(start, dtype=np.float64)
-        if x.shape != (n,) or np.any(x < 0) or x.sum() <= 0:
-            raise ValueError("start must be a nonnegative vector of matching size")
-        x = x / x.sum()
+    x = np.full(n, 1.0 / n)
     residual = np.inf
     for it in range(max_iter + 1):
         y = matvec(x)

@@ -21,14 +21,14 @@ of alpha A_sr that reach it as right-hand sides, so Y is kept sparse. Nodes
 alone in their component are divided by their diagonal 1 - alpha A_ii, as
 one more block.
 
-With G_rs = alpha A_rs + U_r V_s^T and W = C^(-1) (V_s^T Y + V_r^T), the
-reduced matrix is the direct block plus one sparse product and a rank-four
-update, all nonnegative,
+With W = C^(-1) (V_s^T Y + V_r^T), and since G_rr = alpha A_rr + U_r V_r^T
+shares U_r with G_rs = alpha A_rs + U_r V_s^T, the reduced matrix is one
+sparse part plus one rank-four product, all nonnegative,
 
-    R = G_rr + alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W] ,
+    R = alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W] ,
 
-summed from the solve alone; its columns are clipped at zero and renormalized,
-which only moves LU rounding.
+summed from the solve alone; its columns are clipped at zero and divided by
+their sums, which only moves LU rounding.
 
 The leading eigenpair of G_ss only splits R: with right/left eigenvectors
 psi_r, psi_l (normalized to psi_l . psi_r = 1) and eigenvalue lam, the
@@ -65,16 +65,14 @@ DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 # bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 11 585).
 # `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n
-# elements); every other n x n temporary is made and added a 1/`_BLOCKS` slice at a
-# time. `reduce_trade_pair` reduces one direction at a time, so its callers hold one
-# reduced matrix, and at most one more n x n array: the shocked copy `sensitivity`
-# solves, or the component the `reduce` command is writing.
+# elements). `reduce_trade_pair` reduces one direction at a time, so its callers hold
+# one reduced matrix, and at most one more n x n array: the component the `reduce`
+# command is writing (`sensitivity` shocks the reduced matrix without a copy).
 # Larger selections are refused up front, and so is a complement component whose one
 # dense block would exceed it (trade links never cross products, so a component there
 # has at most one node per country)
 DENSE_CAP_BYTES = 2 * 1024**3
 DENSE_ARRAYS = 2
-_BLOCKS = 16  # slices per n x n temporary that is built a slice at a time
 
 
 @dataclass(frozen=True)
@@ -245,22 +243,6 @@ def _factored(links, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     part = left @ right
     _add_sparse(part, links)
     return part
-
-
-def normalize_columns(matrix: np.ndarray, cols) -> None:
-    """Divide the columns `cols` of a square n x n matrix by their sums, in
-    place, copying out n / `_BLOCKS` of them at a time. Raises ValueError at
-    a chunk with a column of no positive mass, the earlier chunks divided."""
-    n = matrix.shape[0]
-    step = -(-n // _BLOCKS)
-    for start in range(0, len(cols), step):
-        chunk = cols[start : start + step]
-        block = matrix[:, chunk]
-        sums = block.sum(axis=0)
-        if np.any(sums <= 0.0):
-            raise ValueError("column has no mass to renormalize")
-        block /= sums
-        matrix[:, chunk] = block
 
 
 def _power(apply, n: int, name: str):
@@ -511,17 +493,15 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     split_error = float(np.abs(projector_column).max()) * float(
         np.abs(projector_row / (1.0 - lam) - right[4]).max()
     )
-    # G_rr + G_rs X: the product is taken whole (see `_factored`) and the
-    # direct block added to it a block of rows at a time
-    reduced = _factored(links, left[:, :4], right[:4])
-    step = -(-n // _BLOCKS)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        reduced[rows] += direct_block.block(rows, slice(None)).to_dense()
+    # G_rr + G_rs X = alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W],
+    # since G_rr = alpha A_rr + U_r V_r^T shares U_r with G_rs
+    reduced = _factored(
+        links + direct_block.alpha * direct_block.links, left[:, :4], np.vstack((w_rhs, w))
+    )
     # every summand is nonnegative (M and C are M-matrices), so a negative entry
     # is LU rounding; the sums are renormalized whole, or they drift by ~1e-14
     np.clip(reduced, 0.0, None, out=reduced)
-    normalize_columns(reduced, np.arange(n))
+    reduced /= reduced.sum(axis=0)
     if sel.n_complement == 1 and lam > 0.0:
         # a one-node complement is its own eigenvector: deflation leaves nothing
         # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)

@@ -3,11 +3,17 @@
 Three methods share the balance definition B_c = (E_c - I_c)/(E_c + I_c)
 on per-country export/import probabilities:
 
-* reduced: shock applied inside the reduced matrices of the selection
+* reduced: shock applied inside the reduced matrices R of the selection
   "group countries x all products, plus the source node"; probabilities are
   the stationary vectors of the shocked reduced pair. The pair is reduced one
   direction at a time by `regomax.reduce_trade_pair`, and each direction is
-  shocked and solved before the other is reduced.
+  shocked and solved before the other is reduced. A shocked R' is never
+  built: it is an operator on the stored R. The direct shock moves the
+  source column c to c' (group rows scaled by 1 + delta, renormalized), so
+  R'x = Rx + x_s (c' - c). The inverted shock scales the source row r on the
+  group by 1 + delta and divides each group column by its new sum, so with
+  w = 1 / (1 + delta r) on the group and 1 at the source,
+  R'x = R (w x) + e_s delta (r w) . x.
 * import-export: shock applied to the raw bilateral flows; probabilities are
   the normalized volume marginals.
 * global-price: every flow of one product is rescaled and the full matrix
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +36,7 @@ from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor, volumes
 from .ranking import pagerank, trace
-from .regomax import ReducedSet, Selection, normalize_columns, reduce_trade_pair
+from .regomax import ReducedSet, Selection, reduce_trade_pair
 
 DEFAULT_DELTA = 1e-3
 
@@ -102,36 +109,6 @@ def balance(export_marginal: np.ndarray, import_marginal: np.ndarray) -> np.ndar
     if np.any(dead):
         raise ValueError(f"balance undefined for entries {np.flatnonzero(dead).tolist()}")
     return (e - i) / denom
-
-
-def apply_direct_shock(
-    matrix: np.ndarray, source_col: int, group_rows: np.ndarray, delta: float
-) -> np.ndarray:
-    """Scale the source column's group-row entries by (1 + delta) and
-    renormalize that column to unit sum. delta == 0 returns an exact copy."""
-    if 1.0 + delta <= 0.0:
-        raise ValueError("1 + delta must be positive")
-    out = matrix.copy()
-    if delta == 0.0:
-        return out
-    out[group_rows, source_col] *= 1.0 + delta
-    normalize_columns(out, [source_col])
-    return out
-
-
-def apply_inverted_shock(
-    matrix: np.ndarray, source_row: int, group_cols: np.ndarray, delta: float
-) -> np.ndarray:
-    """Scale the source row's entries at group columns by (1 + delta) and
-    renormalize each touched column to unit sum. delta == 0 is an exact copy."""
-    if 1.0 + delta <= 0.0:
-        raise ValueError("1 + delta must be positive")
-    out = matrix.copy()
-    if delta == 0.0:
-        return out
-    out[source_row, group_cols] *= 1.0 + delta
-    normalize_columns(out, group_cols)
-    return out
 
 
 def reduce_for_shock(
@@ -219,12 +196,32 @@ def _inverted_shock_rhs(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.append(np.zeros(s), moved.sum()) - matrix[:, :s] @ moved
 
 
-def _shocked_stationary(matrix: np.ndarray, shock, delta: float, tol: float, max_iter: int):
-    """Stationary vector of `matrix` with `shock` applied at `delta` to the
-    source (last node) and the group (every other node); the shocked copy
-    lives only while its PageRank solve runs."""
+def _direct_shock(matrix: np.ndarray, delta: float) -> SimpleNamespace:
+    """R' of the direct shock as an operator on the stored R (source last):
+    R'x = Rx + x_s (c' - c), see the module docstring."""
     s = matrix.shape[0] - 1
-    return pagerank(shock(matrix, s, np.arange(s), delta), tol=tol, max_iter=max_iter).probabilities
+    c = matrix[:, s]
+    moved = np.append(c[:s] * (1.0 + delta), c[s])
+    moved /= moved.sum()
+    moved -= c
+    return SimpleNamespace(size=s + 1, matvec=lambda x: matrix @ x + x[s] * moved)
+
+
+def _inverted_shock(matrix: np.ndarray, delta: float) -> SimpleNamespace:
+    """R' of the inverted shock as an operator on the stored R (source last):
+    R'x = R (w x) + e_s delta (r w) . x, see the module docstring. The new
+    sum of group column j is 1 + delta r_j, since R's columns sum to 1."""
+    s = matrix.shape[0] - 1
+    r = matrix[s, :s]
+    w = np.append(1.0 / (1.0 + delta * r), 1.0)
+    rw = delta * r * w[:s]
+
+    def matvec(x):
+        y = matrix @ (w * x)
+        y[s] += rw @ x[:s]
+        return y
+
+    return SimpleNamespace(size=s + 1, matvec=matvec)
 
 
 def reduced_balance_sensitivity(
@@ -246,13 +243,16 @@ def reduced_balance_sensitivity(
     deltas = (0.0, spec.delta, -spec.delta)
     responses = []  # per direction: group marginals per delta, exact derivative, lambda_c, weights
     settled = True  # the inverted response is only taken when the direct one settled
-    for shock, rhs in ((apply_direct_shock, _direct_shock_rhs),
-                       (apply_inverted_shock, _inverted_shock_rhs)):
+    for shock, rhs in ((_direct_shock, _direct_shock_rhs), (_inverted_shock, _inverted_shock_rhs)):
         result = next(reductions)
         matrix, lam, weights = result.reduced, result.complement_eigenvalue, result.weights
         del result  # only these three fields are kept for the PageRank solves
         s = matrix.shape[0] - 1
-        p = {dv: _shocked_stationary(matrix, shock, dv, tol, max_iter) for dv in deltas}
+        # delta == 0 solves the stored R itself; +/- delta an operator on it, not a copy
+        p = {}
+        for dv in deltas:
+            operator = shock(matrix, dv) if dv else matrix
+            p[dv] = pagerank(operator, tol=tol, max_iter=max_iter).probabilities
         derivative = None
         if settled:
             try:
@@ -260,7 +260,7 @@ def reduced_balance_sensitivity(
                 derivative = dp[:s].reshape(-1, n_products).sum(axis=1)
             except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
                 settled = False
-        del matrix  # before the next direction's reduction runs
+        del matrix, operator  # an operator holds R too: both go before the next reduction
         marginals = {dv: x[:s].reshape(-1, n_products).sum(axis=1) for dv, x in p.items()}
         responses.append((marginals, derivative, lam, weights))
     (imp, d_imp, lam_direct, w_direct), (exp, d_exp, lam_inverted, w_inverted) = responses
@@ -306,15 +306,19 @@ def _volume_balance(tensor: MoneyTensor, spec: ShockSpec, delta: float):
     return balance(exp_vol, imp_vol), imp_vol / total, exp_vol / total
 
 
-def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec, baseline) -> np.ndarray:
-    """dB_g = -2 E_g f_g / (E_g + I_g)^2, with f_g the source's flow of the
-    product into g: the shock adds delta * f_g to I_g and leaves E_g alone."""
+def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec) -> np.ndarray:
+    """dB_g = -2 E_g f_g / (E_g + I_g)^2 on raw volumes, with f_g the source's
+    flow of the product into g: the shock adds delta * f_g to I_g and leaves
+    E_g alone. The grand total cancels, as in `_volume_balance`, so no share
+    of it can underflow."""
     reg = tensor.registry
     source = reg.node_id(spec.source_country, spec.source_product)
     into = tensor.matrix[:, [source]].toarray()[:, 0]
-    f = into[[reg.node_id(c, spec.source_product) for c in spec.group]] / volumes(tensor).total
-    _, imp, exp = baseline
-    total = exp + imp  # divided before the product: (E + I)^2 underflows for tiny shares
+    f = into[[reg.node_id(c, spec.source_product) for c in spec.group]]
+    vol = volumes(tensor)
+    idx = [reg.country_index(c) for c in spec.group]
+    exp, imp = vol.country_export[idx], vol.country_import[idx]
+    total = exp + imp  # divided before the product: (E + I)^2 can over- or underflow
     return -2.0 * (exp / total) * (f / total)
 
 
@@ -337,7 +341,7 @@ def import_export_sensitivity(
     )
     return _report(
         METHOD_IMPORT_EXPORT, spec.source_label, delta, spec.group, baseline, derivative, {},
-        exact=lambda: _volume_exact_derivative(tensor, spec, baseline),
+        exact=lambda: _volume_exact_derivative(tensor, spec),
     )
 
 

@@ -11,7 +11,7 @@ import wtnrank as w
 from wtnrank.errors import ConvergenceError, ParseError, TradeDataError
 from wtnrank.ingest import CSV_HEADER
 from wtnrank.regomax import _leading_pair
-from wtnrank.sensitivity import _linear_response, apply_direct_shock, apply_inverted_shock
+from wtnrank.sensitivity import _linear_response
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -261,6 +261,34 @@ def reduce_pair(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, max_iter=10000):
     return tuple(w.reduce(matrix, sel) for matrix in pair)
 
 
+def _shocked_copy(matrix, rows, cols, delta):
+    """A copy of `matrix` with the entries at `rows` x `cols` scaled by
+    1 + delta and the columns `cols` renormalized. delta == 0 is an exact copy."""
+    if 1.0 + delta <= 0.0:
+        raise ValueError("1 + delta must be positive")
+    out = matrix.copy()
+    if delta == 0.0:
+        return out
+    out[np.ix_(rows, cols)] *= 1.0 + delta
+    sums = out[:, cols].sum(axis=0)
+    if np.any(sums <= 0.0):
+        raise ValueError("column has no mass to renormalize")
+    out[:, cols] /= sums
+    return out
+
+
+def apply_direct_shock(matrix, source_col, group_rows, delta):
+    """Dense oracle of the direct shock: the source column's group rows
+    scaled by 1 + delta, that column renormalized. Verification only."""
+    return _shocked_copy(matrix, np.asarray(group_rows), [source_col], delta)
+
+
+def apply_inverted_shock(matrix, source_row, group_cols, delta):
+    """Dense oracle of the inverted shock: the source row's group columns
+    scaled by 1 + delta, each of them renormalized. Verification only."""
+    return _shocked_copy(matrix, [source_row], np.asarray(group_cols), delta)
+
+
 def shock_pair(direct: np.ndarray, inverted: np.ndarray, delta: float):
     """Apply the price shock to both baseline reduced matrices."""
     s = direct.shape[0] - 1
@@ -319,12 +347,24 @@ def reduced_sensitivity_oracle(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, m
     )
 
 
-def same_bits(a, b) -> bool:
-    """Bit-for-bit equality of two sensitivity reports (0.0 differs from -0.0)."""
-    arrays = ("balance", "derivative", "import_probability", "export_probability")
-    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays) and repr(
-        (a.method, a.source, a.delta, a.countries, a.metadata)
-    ) == repr((b.method, b.source, b.delta, b.countries, b.metadata))
+def close_reports(a, b) -> bool:
+    """Two sensitivity reports agree: balances and probabilities within 1e-12,
+    dB/ddelta and `fd_error` within 1e-12 + 1e-9 |value|, the rest equal."""
+
+    def near(x, y, rel):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        same = x == y  # inf == inf
+        return bool(np.all(same | (np.abs(x - y) <= 1e-12 + rel * np.abs(y))))
+
+    arrays = ("balance", "import_probability", "export_probability")
+    rest = [{k: v for k, v in r.metadata.items() if k != "fd_error"} for r in (a, b)]
+    return (
+        all(near(getattr(a, f), getattr(b, f), 0.0) for f in arrays)
+        and near(a.derivative, b.derivative, 1e-9)
+        and near(a.metadata["fd_error"], b.metadata["fd_error"], 1e-9)
+        and repr((a.method, a.source, a.delta, a.countries, rest[0]))
+        == repr((b.method, b.source, b.delta, b.countries, rest[1]))
+    )
 
 
 def linear_response_oracle(matrix: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from wtnrank.cli import main as cli_main
 from wtnrank.groups import EU27_2008
 
 from conftest import (
+    apply_direct_shock,
+    apply_inverted_shock,
     brute_force_derivative,
     column,
     column_sums,
@@ -91,8 +93,6 @@ def test_c1_stochasticity_suite():
 
             source_pos = sel.n_selected - 1
             group_pos = np.arange(sel.n_selected - 1)
-            from wtnrank.sensitivity import apply_direct_shock, apply_inverted_shock
-
             shocked_d = apply_direct_shock(reduced_direct.reduced, source_pos, group_pos, spec.delta)
             shocked_i = apply_inverted_shock(
                 reduced_inverted.reduced, source_pos, group_pos, spec.delta

