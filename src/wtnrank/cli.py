@@ -394,12 +394,12 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(_merge_config(args))
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:  # first: LinAlgError is a ValueError
+        log.error("numerical failure: %s", exc)
+        return 1
     except (TradeDataError, OSError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a huge field
         log.error("%s", exc)
         return 2
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        log.error("numerical failure: %s", exc)
-        return 1
 
 
 if __name__ == "__main__":

@@ -13,26 +13,22 @@ nonnegative decimal. Cells are stripped of surrounding whitespace.
 Duplicate (product, importer, exporter) rows are summed; self-trade rows
 are dropped with a warning.
 
-The byte path reads the file as text in blocks of about `_BLOCK_CHARS`
-characters, each ended at a line end (a last line without one gets a
-newline), so the text in memory is bounded by the block. `csv.reader`
-reads the header, and any comments before it, from the first block. The
-rest of that block, and each block after it, is read by numpy's CSV
-reader, `np.loadtxt`, into a table of year and code cells as bytes and
-values as floats; a block of line ends alone holds only blank rows and is
-skipped. A year column of one repeated cell is looked up once, and code
-cells map to ids through a table of their 16-bit values.
+The byte path reads the file twice. The first pass reads it as text in
+blocks of about `_BLOCK_CHARS` characters, each ended at a line end, finds
+the header, and any comments before it, with `csv.reader` in the first
+block and checks every block after it, parsing nothing. The second pass is
+one `np.loadtxt` of the data rows into a table of year and code cells as
+bytes and values as floats. Code ids are int16: a code is 2 letters or
+digits, and more than 32 768 distinct codes are refused.
 
 `np.loadtxt` reads some text more laxly than `csv.reader` and the row
-rules do, so the byte path refuses a block with a quote, `#` or NUL, a CR
-outside a CRLF line end, a line longer than `csv.field_size_limit()`, a
-code cell that is not 2 ASCII bytes or a year cell longer than 4 bytes.
-It stops at the first block that it or `np.loadtxt` refuses, or at the
-first fault it meets, in no set order. The file is then read by one
-row-by-row `csv.reader` loop, `_read_rows`, the one statement of the row
-rules: it returns the rows of a valid file and raises the first fault of
-a faulty one with its 1-based row number. Every row is validated,
-whatever its year.
+rules do, so the byte path refuses a quote, `#` or NUL, a CR outside a
+CRLF line end, a line longer than `csv.field_size_limit()`, a code cell
+that is not 2 ASCII bytes or a year cell longer than 4 bytes. On a
+refusal or the first fault it meets, the file is read by one row-by-row
+`csv.reader` loop, `_read_rows`, the one statement of the row rules: it
+returns the rows of a valid file and raises the first fault of a faulty
+one with its 1-based row number. Every row is validated, whatever its year.
 
 An optional registry file fixes the index order of countries and products:
 
@@ -84,6 +80,8 @@ class Registry:
             raise TradeDataError("duplicate product codes in registry")
         if not self.countries or not self.products:
             raise TradeDataError("registry needs at least one country and one product")
+        if max(len(self.countries), len(self.products)) > 1 << 15:  # ingest keeps int16 ids
+            raise TradeDataError("registry holds more than 32 768 countries or products")
 
     @cached_property
     def _country_index(self) -> dict[str, int]:
@@ -182,9 +180,10 @@ class MoneyTensor:
         n_p = registry.n_products
         # within a node row the column exporter * n_p + p grows with the
         # exporter, so duplicates are summed in the order of a per-product build
+        # int32 node ids: int16 code ids would wrap, and coo_matrix keeps int32
         matrix = sparse.coo_matrix(
-            (values, (np.asarray(importer_idx) * n_p + product_idx,
-                      np.asarray(exporter_idx) * n_p + product_idx)),
+            (values, (np.asarray(importer_idx, np.int32) * n_p + product_idx,
+                      np.asarray(exporter_idx, np.int32) * n_p + product_idx)),
             shape=(registry.size, registry.size),
         ).tocsr()
         matrix.eliminate_zeros()
@@ -341,9 +340,10 @@ def _text_blocks(fh):
         yield block if block.endswith(("\n", "\r")) else block + "\n"
 
 
-def _header_rest(block: str) -> str | None:
-    """The text after the header in the file's first block `block`, or None
-    when the block does not hold a right header after blank or comment rows."""
+def _header_rest(block: str) -> tuple[int, str] | None:
+    """The count of lines through the header and the text after it in the
+    file's first block `block`, or None when the block does not hold a right
+    header after blank or comment rows."""
     lines = io.StringIO(block, newline="").readlines()
     reader = csv.reader(lines, strict=True)  # strict: a record cut off by the block's end raises
     try:
@@ -351,7 +351,7 @@ def _header_rest(block: str) -> str | None:
             if row and not row[0].lstrip().startswith("#"):
                 if tuple(c.strip() for c in row) != CSV_HEADER:
                     return None
-                return "".join(lines[reader.line_num :])
+                return reader.line_num, "".join(lines[reader.line_num :])
     except csv.Error:
         pass
     return None
@@ -378,10 +378,13 @@ class _Codes(_Distinct):
     def __init__(self):
         super().__init__(self._code_id)
         self.ids: dict[str, int] = {}
-        self.by_key = np.full(1 << 16, -1, np.int64)
+        self.by_key = np.full(1 << 16, -1, np.int16)
 
     def _code_id(self, raw: str) -> int:
-        return self.ids.setdefault(_checked_code(raw.strip()), len(self.ids))
+        code = _checked_code(raw.strip())
+        if code not in self.ids and len(self.ids) >= 1 << 15:  # ids are int16
+            raise ValueError("one of the first 32 768 codes")
+        return self.ids.setdefault(code, len(self.ids))
 
     def of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the code cells with the 16-bit values `keys`."""
@@ -390,23 +393,16 @@ class _Codes(_Distinct):
         return self.by_key[keys]
 
 
-# one row of a block as numpy's CSV reader keeps it: a longer year or code
-# cell is cut to the width, so a cell of the full width is known to be too long
+# one data row as numpy's CSV reader keeps it: a longer year or code cell is
+# cut to the width, so a cell of the full width is known to be too long
 _ROW = np.dtype([("year", "S5"), ("product", "S3"), ("exporter", "S3"), ("importer", "S3"), ("value", "f8")])
 
 
-def _convert_chunk(block: str, years, products, countries):
-    """Read one block with numpy's CSV reader, validate it and keep the rows
-    of the year.
-
-    The block is refused where that reader is laxer than `csv.reader` and the
-    row rules: a quote, `#` or NUL, a CR outside a CRLF line end, a line
-    longer than the field size limit, a code cell that is not 2 ASCII bytes
-    or a year cell longer than 4 bytes. A year column of one repeated cell is
-    looked up once; code cells map by their 16-bit value. Returns the count of
-    self-trade rows dropped and the product, importer, exporter and value
-    arrays of the rows kept. A refusal or a fault raises ValueError.
-    """
+def _checked_block(block: str) -> bool:
+    """Whether the text block `block` holds a data row. Raises ValueError where
+    numpy's CSV reader is laxer than `csv.reader` and the row rules: at a
+    quote, `#` or NUL, a CR outside a CRLF line end or a line longer than the
+    field size limit."""
     if '"' in block or "#" in block or "\0" in block:
         raise ValueError("a quote, comment or NUL")
     if "\r" in block and block.count("\r") != block.count("\r\n"):
@@ -418,63 +414,65 @@ def _convert_chunk(block: str, years, products, countries):
     if any(block.find("\n", k, k + span) < 0 for k in range(0, len(block), span)):
         if max(map(len, block.split("\n"))) > limit:
             raise ValueError("a line longer than the field size limit")
-    rows = np.loadtxt(io.StringIO(block), _ROW, delimiter=",", comments=None, ndmin=1)
-    m = len(rows)
+    return bool(block.strip("\r\n"))  # line ends alone are blank rows
+
+
+def _index_map(codes, index: dict[str, int]) -> np.ndarray:
+    """Registry index of each code, -1 for a code the registry lacks."""
+    return np.array([index.get(c, -1) for c in codes], dtype=np.int16)
+
+
+def _read_blocks(path, year: int) -> tuple | None:
+    """The rows of `path`, as `_read_rows` gives them, when `_checked_block`
+    passes every text block after the header and the one `np.loadtxt` of the
+    data rows holds code cells of 2 ASCII bytes and year cells of at most 4;
+    else None. A year column of one repeated cell is looked up once; code
+    cells map by their 16-bit value."""
+    if str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):  # np.loadtxt would unpack the file
+        return None
+    years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
 
     def code_ids(column, codes):
-        cells = np.frombuffer(rows[column].tobytes(), np.uint8).reshape(m, 3)
+        cells = rows[column].view((np.uint8, 3))
         # a shorter cell is padded with NUL, which `_Codes` refuses in a code
         if cells[:, 2].any() or (cells >= 0x80).any():
             raise ValueError("a code cell is not 2 ASCII bytes")
-        return codes.of_keys(cells[:, 0].astype(np.intp) << 8 | cells[:, 1])
+        return codes.of_keys(cells[:, 0].astype(np.uint16) << 8 | cells[:, 1])
 
     def in_year(cell: bytes) -> bool:
         if len(cell) > 4:
             raise ValueError("a year cell is longer than 4 bytes")
         return years[cell.decode("ascii")]
 
-    cells = rows["year"]
-    if (cells == cells[0]).all():
-        kept = np.full(m, in_year(cells[0]))
-    else:
-        kept = np.fromiter(map(in_year, cells.tolist()), bool, m)
-    p = code_ids("product", products)
-    e = code_ids("exporter", countries)
-    i = code_ids("importer", countries)
-    v = rows["value"]
-    if not np.all(np.isfinite(v) & (v >= 0)):
-        raise ValueError("a value is negative or not finite")
-    self_trade = kept & (e == i)
-    kept &= ~self_trade
-    return int(self_trade.sum()), p[kept], i[kept], e[kept], v[kept]
-
-
-def _index_map(codes, index: dict[str, int]) -> np.ndarray:
-    """Registry index of each code, -1 for a code the registry lacks."""
-    return np.array([index.get(c, -1) for c in codes], dtype=np.int64)
-
-
-def _read_blocks(path, year: int) -> tuple | None:
-    """The rows of `path`, as `_read_rows` gives them, when the header is in
-    the first text block and `_convert_chunk` reads every block after it; else None."""
-    years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
-    chunks = []
-    try:
+    try:  # a refusal or a fault raises ValueError; so does UnicodeDecodeError
         with open(path, encoding="utf-8", newline="") as fh:
             blocks = _text_blocks(fh)
-            rest = _header_rest(next(blocks, ""))
-            if rest is None:
+            header = _header_rest(next(blocks, ""))
+            if header is None:
                 return None
-            for block in itertools.chain((rest,), blocks):
-                if block.strip("\r\n"):  # line ends alone are blank rows, on which loadtxt warns
-                    chunks.append(_convert_chunk(block, years, products, countries))
-    except ValueError:  # a refusal or a fault; UnicodeDecodeError is a ValueError
+            skip, rest = header
+            # a list, not a generator: `any` must not stop before every block is checked
+            if not any([_checked_block(block) for block in itertools.chain((rest,), blocks)]):
+                return None  # loadtxt would warn, and the row loop reads a header alone at once
+        # a path, not the open file, lets numpy read in chunks instead of lines
+        rows = np.loadtxt(path, _ROW, delimiter=",", comments=None, skiprows=skip, ndmin=1, encoding="utf-8")
+        cells = rows["year"]
+        if (cells == cells[0]).all():
+            kept = np.full(len(rows), in_year(cells[0]))
+        else:
+            kept = np.fromiter(map(in_year, cells.tolist()), bool, len(rows))
+        p = code_ids("product", products)
+        e = code_ids("exporter", countries)
+        i = code_ids("importer", countries)
+        v = rows["value"]
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("a value is negative or not finite")
+    except ValueError:
         return None
-    if not chunks:  # a header alone: nothing to join, and the row loop reads it at once
-        return None
-    dropped, p, i, e, values = zip(*chunks)
-    p, i, e, values = map(np.concatenate, (p, i, e, values))
-    return list(products.ids), list(countries.ids), p, i, e, values, sum(dropped), None
+    self_trade = kept & (e == i)
+    kept &= ~self_trade
+    return (list(products.ids), list(countries.ids), p[kept], i[kept], e[kept], v[kept],
+            int(self_trade.sum()), None)
 
 
 def _read_rows(path, year: int, registry: Registry | None) -> tuple:
@@ -489,7 +487,7 @@ def _read_rows(path, year: int, registry: Registry | None) -> tuple:
     lacks, or None.
     """
     years, products, countries = _Distinct(lambda raw: int(raw.strip()) == year), _Codes(), _Codes()
-    p, i, e, values = array("q"), array("q"), array("q"), array("d")
+    p, i, e, values = array("h"), array("h"), array("h"), array("d")
     dropped, unknown, header = 0, None, False
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -544,7 +542,7 @@ def _read_rows(path, year: int, registry: Registry | None) -> tuple:
             values.append(value)
     if not header:
         raise TradeDataError("no records: file is empty")
-    p, i, e = (np.frombuffer(ids, np.int64) for ids in (p, i, e))
+    p, i, e = (np.frombuffer(ids, np.int16) for ids in (p, i, e))
     values = np.frombuffer(values, np.float64)
     return list(products.ids), list(countries.ids), p, i, e, values, dropped, unknown
 

@@ -15,9 +15,10 @@ and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
 
 M is block-diagonal over the weakly connected components of A_ss (on trade
 matrices, one block per product of at most one node per country, since
-products mix only through the rank-two term). Each component is scattered
-into one dense block and solved by one dense LU, with U and only the columns
-of alpha A_sr that reach it as right-hand sides, so Y is kept sparse. Nodes
+products mix only through the rank-two term). With A_ss permuted into
+component order, each component is one diagonal slice, densified and solved
+by one dense LU, with U and only the columns of alpha A_sr that reach it as
+right-hand sides, so Y is kept sparse. Nodes
 alone in their component are divided by their diagonal 1 - alpha A_ii, as
 one more block.
 
@@ -343,14 +344,6 @@ def _components(links) -> np.ndarray:
     return label
 
 
-def _row_range(matrix, start: int, stop: int):
-    """Row (counted from `start`), column and value of every stored entry in
-    rows start:stop of a CSR matrix."""
-    lo, hi = matrix.indptr[start], matrix.indptr[stop]
-    at = np.repeat(np.arange(stop - start), np.diff(matrix.indptr[start : stop + 1]))
-    return at, matrix.indices[lo:hi], matrix.data[lo:hi]
-
-
 def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
     weakly connected component of A_ss at a time (see the module docstring).
@@ -381,41 +374,38 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     n_shared = n_blocks - int(alone.any())  # components of two nodes or more
     nodes = np.argsort(group, kind="stable")  # group by group, ascending within
     starts = np.concatenate(([0], np.cumsum(counts)))
-    pos = np.empty(m, dtype=np.intp)  # a node's index inside its group
-    pos[nodes] = np.arange(m) - starts[group[nodes]]
 
-    # one row-permuted CSR each of A_ss and alpha A_sr: group k is rows starts[k]:starts[k + 1]
-    ss_rows = b_ss.links[nodes]
+    # A_ss and alpha A_sr permuted into group order: group k is rows (and
+    # columns of A_ss) starts[k]:starts[k + 1]. Links between groups fall
+    # outside each group's slice, so M Y shows a wrong partition.
+    ss = b_ss.links[nodes][:, nodes]
     rhs_rows = rhs[nodes]
     z = np.empty((m, 2))
     rows, cols, vals = [], [], []
     for k in range(n_shared):
-        idx = nodes[starts[k]:starts[k + 1]]
-        size = idx.size
-        at, col, val = _row_range(ss_rows, starts[k], starts[k + 1])
-        inside = group[col] == k  # a link to another group is left out, so M Y shows it
-        block = np.zeros((size, size))
-        block[at[inside], pos[col[inside]]] = val[inside]
+        lo, hi = starts[k], starts[k + 1]
+        idx = nodes[lo:hi]
+        block = ss[lo:hi, lo:hi].toarray()
         block *= -alpha
-        block.flat[:: size + 1] += 1.0
-        at, col, val = _row_range(rhs_rows, starts[k], starts[k + 1])
-        reached, col_pos = np.unique(col, return_inverse=True)
-        b_k = np.zeros((size, 2 + reached.size))
+        block.flat[:: hi - lo + 1] += 1.0
+        part = rhs_rows[lo:hi]
+        reached = np.unique(part.indices)
+        b_k = np.empty((hi - lo, 2 + reached.size))
         b_k[:, :2] = u[idx]
-        b_k[at, 2 + col_pos] = val
+        b_k[:, 2:] = part[:, reached].toarray()
         x_k = np.linalg.solve(block, b_k)
         z[idx] = x_k[:, :2]
         rows.append(np.repeat(idx, reached.size))
-        cols.append(np.tile(reached, size))
+        cols.append(np.tile(reached, hi - lo))
         vals.append(x_k[:, 2:].ravel())
     diag = 1.0 - alpha * b_ss.links.diagonal()
     z[alone] = u[alone] / diag[alone, None]
-    at, col, val = _row_range(rhs_rows, starts[n_shared], m)
-    row = nodes[starts[n_shared] + at]
+    tail = rhs_rows[starts[n_shared] :].tocoo()
+    row = nodes[starts[n_shared] + tail.row]
     rows.append(row)
-    cols.append(col)
-    vals.append(val / diag[row])
-    del ss_rows, rhs_rows
+    cols.append(tail.col)
+    vals.append(tail.data / diag[row])
+    del ss, rhs_rows, tail
     pattern = (np.concatenate(rows), np.concatenate(cols))
     y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
     del rows, cols, vals, pattern

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import logging
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -582,6 +583,15 @@ class TestFastPath:
         assert row_loops == 0
         assert_same_tensor(tensor, load_money_tensor_reference(path, 2016))
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_file_named_like_an_archive_is_read_as_text(self, tmp_path, suffix):
+        """`np.loadtxt` unpacks a path with such a suffix, so the row loop reads it."""
+        tensor, path = self.written_tensor(tmp_path)
+        path = path.rename(tmp_path / f"t.csv{suffix}")
+        back, row_loops = self.load_counting_row_loops(path, tensor.year)
+        assert row_loops == 1
+        assert_same_tensor(back, load_money_tensor_reference(path, tensor.year))
+
     @pytest.mark.parametrize("text", [
         "2016,01,AA,BB,5\r\n2016,02,BB,AA,7\r\n",
         "2016,01,AA,BB,5\n2016,0\r1,AA,BB,5\n",
@@ -600,6 +610,74 @@ class TestFastPath:
             assert (type(actual), str(actual)) == (type(expected), str(expected))
         else:
             assert_same_tensor(actual, expected)
+
+
+class TestIds:
+    """Both readers keep code ids as int16; node ids are formed in int32."""
+
+    @staticmethod
+    def both_readers(path, year=2016):
+        """The rows `_read_blocks` and `_read_rows` give for `path`."""
+        return ingest._read_blocks(path, year), ingest._read_rows(path, year, None)
+
+    def test_both_readers_return_int16_ids(self, tmp_path):
+        path = tmp_path / "t.csv"
+        w.serialize_tensor(w.synth_tensor(2, 30, 5, 0.5), path)
+        blocks, rows = self.both_readers(path)
+        assert blocks is not None
+        for reader in (blocks, rows):
+            assert [ids.dtype for ids in reader[2:5]] == [np.int16] * 3
+        # ids follow each reader's own order of first sight: compare the codes
+        for codes, ids in ((0, 2), (1, 3), (1, 4)):
+            assert (np.array(blocks[codes])[blocks[ids]] == np.array(rows[codes])[rows[ids]]).all()
+
+    def test_registry_file_beyond_int16_nodes(self, tmp_path):
+        """200 countries x 200 products = 40 000 nodes: node ids near the top
+        are formed from int16 code ids without wrapping, by either reader."""
+        alnum = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        codes = [a + b for a in alnum for b in alnum][:200]
+        reg = w.Registry(countries=tuple(codes), products=tuple(codes))
+        reg_path = tmp_path / "registry.txt"
+        w.save_registry(reg, reg_path)
+        reg = w.load_registry(reg_path)
+        assert reg.size == 40_000
+        last, before = reg.countries[-1], reg.countries[-2]
+        rows = f"2016,{last},{before},{last},5\n2016,{last},{last},{before},7\n2016,00,00,01,3\n"
+        for text in (HEADER + rows, HEADER + '"2016",00,00,01,1\n' + rows):  # byte path, row loop
+            path = write(tmp_path, text)
+            tensor = w.load_money_tensor(path, 2016, reg)
+            assert_same_tensor(tensor, load_money_tensor_reference(path, 2016, reg))
+            assert tensor.matrix[39_999, 39_799] == 5.0
+            assert tensor.matrix[39_799, 39_999] == 7.0
+            assert tensor.matrix[200, 0] >= 3.0
+
+    def test_more_codes_than_int16_ids_are_refused(self, tmp_path):
+        """Codes may be any 2 Unicode letters or digits, so a file or a
+        registry can name more codes than int16 ids reach: a clean refusal."""
+        han = [chr(0x4E00 + k) for k in range(200)]
+        codes = [a + b for a in han for b in han][: (1 << 15) + 1]
+        with pytest.raises(TradeDataError, match="more than 32 768 countries or products"):
+            w.Registry(countries=("AA", "BB"), products=tuple(codes))
+        path = write(tmp_path, HEADER + "".join(f"2016,{c},AA,BB,1\n" for c in codes))
+        with pytest.raises(ParseError, match=f"^line {len(codes) + 1}: product code '{codes[-1]}' "
+                                             "is not one of the first 32 768 codes$"):
+            w.load_money_tensor(path, 2016)
+
+
+class TestMemory:
+    def test_traced_peak_at_shock_mid(self, tmp_path):
+        """At the shock-mid input (150 571 flows), ingest allocates at most
+        5.5 times the tensor it returns."""
+        path = tmp_path / "mid.csv"
+        w.serialize_tensor(w.synth_tensor(1, 100, 61, 0.25), path)
+        tracemalloc.start()
+        try:
+            tensor = w.load_money_tensor(path, 2016)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = tensor.matrix
+        assert peak < 5.5 * (m.indptr.nbytes + m.indices.nbytes + m.data.nbytes)
 
 
 class TestRoundTrip:
