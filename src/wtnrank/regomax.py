@@ -29,19 +29,25 @@ sparse part plus one rank-four product, all nonnegative,
     R = alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W] ,
 
 summed from the solve alone; its columns are clipped at zero and divided by
-their sums, which only moves LU rounding.
+their sums, which only moves LU rounding. A complement whose capacitance C
+is singular to working precision (1-norm condition number above 1 / eps,
+or NaN) is refused: 1 - G_ss is then singular too, or too close to it for
+the solve.
 
-The leading eigenpair of G_ss only splits R: with right/left eigenvectors
-psi_r, psi_l (normalized to psi_l . psi_r = 1) and eigenvalue lam, the
-projector P = psi_r psi_l^T gives the rank-one component
-G_rs psi_r psi_l^T G_sr / (1 - lam), and the deflated rest G_rs (1 - P) X the
-indirect-pathway component, the sum above with one more factor pair,
+The leading eigenpair of G_ss only splits R, and it is computed only when
+the split is first read (the `reduce` command writes it; the reduced matrix
+never needs it): with right/left eigenvectors psi_r, psi_l (normalized to
+psi_l . psi_r = 1) and eigenvalue lam, the projector P = psi_r psi_l^T gives
+the rank-one component G_rs psi_r psi_l^T G_sr / (1 - lam), and the deflated
+rest G_rs (1 - P) X the indirect-pathway component, the sum above with one
+more factor pair,
 
     alpha A_rs Y + [U_r, G_rs Z, -G_rs psi_r] [V_s^T Y; W; psi_l^T Y + (psi_l^T Z) W] .
 
 So R = direct + projector + indirect holds up to rounding plus the rank-one
 gap G_rs psi_r (psi_l^T G_sr / (1 - lam) - psi_l^T X), which vanishes for an
-exact eigenpair; its max-norm is reported as `split_error`.
+exact eigenpair; its max-norm is reported as `split_error`. A complement
+with lam within 1e-12 of 1 has no split, and reading it raises.
 
 Only the reduced matrix is stored dense. The indirect part is kept as its
 factors (on trade matrices alpha A_rs Y is block-diagonal by product), the
@@ -135,35 +141,71 @@ class ReducedSet:
     """Reduced matrix, its components, and solver diagnostics.
 
     Only `reduced` is stored dense, summed from the complement solve alone (see
-    the module docstring). The other components are kept as factors and each
-    read of `direct_part` (from the sparse block `direct_block` = G_rr),
-    `projector_part` (the outer product of `projector_column` = G_rs psi_r and
-    `projector_row` = psi_l^T G_sr, over 1 - lam), `indirect_part`
-    (`indirect_left @ indirect_right`, n x 5 times 5 x n, plus the sparse
-    `indirect_links` = alpha A_rs Y), `indirect_diag` or `indirect_offdiag`
-    builds a new dense n x n array. `weights` is summed from the factors and
-    builds none.
+    the module docstring). `solve_residual` is the max-norm of
+    (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks the
+    solve used (the batch of link-free complement nodes counts as one).
+
+    The split needs the complement's leading eigenpair, which runs once, on
+    the first read of `complement_eigenvalue`, `projector_column` = G_rs psi_r,
+    `projector_row` = psi_l^T G_sr, `indirect_links` = alpha A_rs Y,
+    `indirect_left`, `indirect_right` (n x 5 and 5 x n), `split_error` or
+    anything built from them; that read raises ConvergenceError when lam is
+    within 1e-12 of 1 or the eigenvector iteration stalls. Each read of
+    `direct_part` (from the sparse block `direct_block` = G_rr),
+    `projector_part` (the outer product of the projector column and row, over
+    1 - lam), `indirect_part` (`indirect_left @ indirect_right` plus
+    `indirect_links`), `indirect_diag` or `indirect_offdiag` builds a new
+    dense n x n array. `weights` is summed from the factors and builds none.
 
     `reduced == direct_part + projector_part + indirect_part` holds up to
     rounding plus `split_error`, the max-norm of the rank-one gap the
     eigenpair's error leaves between them; `indirect_part == indirect_diag +
-    indirect_offdiag` is exact. `solve_residual` is the max-norm of
-    (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks the
-    solve used (the batch of link-free complement nodes counts as one).
+    indirect_offdiag` is exact.
     """
 
     selection: Selection
     reduced: np.ndarray
     direct_block: GoogleMatrix
-    projector_column: np.ndarray
-    projector_row: np.ndarray
-    indirect_links: sparse.csr_matrix
-    indirect_left: np.ndarray
-    indirect_right: np.ndarray
-    complement_eigenvalue: float
     solve_residual: float
     complement_blocks: int
-    split_error: float
+    # what the split reads: the Google matrix, Y, Z, alpha A_rs Y and the four
+    # factor pairs [U_r, G_rs Z] [V_s^T Y; W] (None with no complement)
+    _solve: tuple | None
+
+    @cached_property
+    def _split(self) -> tuple:
+        """(lam, projector column, projector row, indirect links, left and right
+        factors, split_error), from the complement's leading eigenpair."""
+        sel = self.selection
+        n = sel.n_selected
+        if self._solve is None:
+            return 0.0, np.zeros(n), np.zeros(n), *_no_indirect(n), 0.0
+        matrix, y, z, links, left, right = self._solve
+        r, s = np.asarray(sel.node_ids), sel.complement
+        lam, psi_r, psi_l, _ = _leading_pair(matrix.block(s, s))
+        if 1.0 - lam < 1e-12:
+            raise ConvergenceError(
+                "complement block is not strictly substochastic; no split", 0, 1.0 - lam
+            )
+        column, row = matrix.block(r, s).matvec(psi_r), matrix.block(s, r).rmatvec(psi_l)
+        # the fifth factor pair, -G_rs psi_r and psi_l^T X, deflates G_rs X to the indirect part
+        left = np.column_stack((left, -column))
+        right = np.vstack((right, y.T @ psi_l + (psi_l @ z) @ right[2:]))
+        # the rank-one gap c (r / (1 - lam) - psi_l^T X) between the sum and its split
+        error = float(np.abs(column).max()) * float(np.abs(row / (1.0 - lam) - right[4]).max())
+        if sel.n_complement == 1 and lam > 0.0:
+            # a one-node complement is its own eigenvector: deflation leaves nothing
+            # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
+            links, left, right = _no_indirect(n)
+        return lam, column, row, links, left, right, error
+
+    complement_eigenvalue = property(lambda self: self._split[0])
+    projector_column = property(lambda self: self._split[1])
+    projector_row = property(lambda self: self._split[2])
+    indirect_links = property(lambda self: self._split[3])
+    indirect_left = property(lambda self: self._split[4])
+    indirect_right = property(lambda self: self._split[5])
+    split_error = property(lambda self: self._split[6])
 
     @property
     def direct_part(self) -> np.ndarray:
@@ -289,22 +331,7 @@ def _leading_pair(block: GoogleMatrix):
 def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     order = np.asarray(sel.node_ids)
     block = matrix.block(order, order)
-    n = sel.n_selected
-    links, left, right = _no_indirect(n)
-    return ReducedSet(
-        selection=sel,
-        reduced=block.to_dense(),
-        direct_block=block,
-        projector_column=np.zeros(n),
-        projector_row=np.zeros(n),
-        indirect_links=links,
-        indirect_left=left,
-        indirect_right=right,
-        complement_eigenvalue=0.0,
-        solve_residual=0.0,
-        complement_blocks=0,
-        split_error=0.0,
-    )
+    return ReducedSet(sel, block.to_dense(), block, 0.0, 0, None)
 
 
 def _no_indirect(n: int):
@@ -415,7 +442,8 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
 
 
 def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
-    """Reduce a Google matrix onto a selection with full decomposition.
+    """Reduce a Google matrix onto a selection by the complement solve; the
+    split into components waits for its first read (see `ReducedSet`).
 
     Args:
         matrix: the damped matrix to reduce.
@@ -424,7 +452,8 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     The trivial all-nodes selection returns the dense matrix itself with
     zero projector/indirect parts. A selection whose `DENSE_ARRAYS` dense
     n x n arrays would exceed `DENSE_CAP_BYTES` raises ValueError before any
-    allocation.
+    allocation. A complement whose Woodbury capacitance is singular to
+    working precision raises ConvergenceError.
     """
     if matrix.size != sel.total:
         raise ValueError("selection built for a different matrix size")
@@ -445,17 +474,17 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     b_sr = matrix.block(s, r)
     b_ss = matrix.block(s, s)
 
-    lam, psi_r, psi_l, _ = _leading_pair(b_ss)
-    if 1.0 - lam < 1e-12:
-        raise ConvergenceError(
-            "complement block is not strictly substochastic; resolvent undefined", 0, 1.0 - lam
-        )
-
     y, y_res, z, z_res, blocks = _solve_components(b_ss, b_sr)
     u_s, v_s = b_ss.u, b_ss.v
     del b_ss
-    vy = (y.T @ v_s).T  # V_s^T Y
     capacitance = np.eye(2) - v_s.T @ z
+    condition = np.linalg.cond(capacitance, 1)
+    if not condition <= 1.0 / np.finfo(float).eps:  # NaN too
+        raise ConvergenceError(
+            "Woodbury capacitance of the complement block is singular to working precision",
+            0, condition,
+        )
+    vy = (y.T @ v_s).T  # V_s^T Y
     w_rhs = vy + b_sr.v.T
     w = np.linalg.solve(capacitance, w_rhs)
     # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + [M Z - U, U] [W; C W - V_s^T Y - V_r^T]
@@ -472,45 +501,18 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     del y_res
 
     direct_block = matrix.block(r, r)
-    projector_column, projector_row = b_rs.matvec(psi_r), b_sr.rmatvec(psi_l)
-    # G_rs X = alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W], with G_rs = alpha A_rs + U_r V_s^T;
-    # the fifth factor pair, -G_rs psi_r and psi_l^T X, deflates it to the indirect part
+    # G_rs X = alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W], with G_rs = alpha A_rs + U_r V_s^T
     links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
-    left = np.column_stack((b_rs.u, b_rs.matvec(z), -projector_column))
-    right = np.vstack((vy, w, y.T @ psi_l + (psi_l @ z) @ w))
-    del y
-    # the rank-one gap c (r / (1 - lam) - psi_l^T X) between the sum and its split
-    split_error = float(np.abs(projector_column).max()) * float(
-        np.abs(projector_row / (1.0 - lam) - right[4]).max()
-    )
+    left = np.column_stack((b_rs.u, b_rs.matvec(z)))
     # G_rr + G_rs X = alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W],
     # since G_rr = alpha A_rr + U_r V_r^T shares U_r with G_rs
-    reduced = _factored(
-        links + direct_block.alpha * direct_block.links, left[:, :4], np.vstack((w_rhs, w))
-    )
+    reduced = _factored(links + direct_block.alpha * direct_block.links, left, np.vstack((w_rhs, w)))
     # every summand is nonnegative (M and C are M-matrices), so a negative entry
     # is LU rounding; the sums are renormalized whole, or they drift by ~1e-14
     np.clip(reduced, 0.0, None, out=reduced)
     reduced /= reduced.sum(axis=0)
-    if sel.n_complement == 1 and lam > 0.0:
-        # a one-node complement is its own eigenvector: deflation leaves nothing
-        # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
-        links, left, right = _no_indirect(n)
-
-    return ReducedSet(
-        selection=sel,
-        reduced=reduced,
-        direct_block=direct_block,
-        projector_column=projector_column,
-        projector_row=projector_row,
-        indirect_links=links,
-        indirect_left=left,
-        indirect_right=right,
-        complement_eigenvalue=lam,
-        solve_residual=residual,
-        complement_blocks=blocks,
-        split_error=split_error,
-    )
+    solve = (matrix, y, z, links, left, np.vstack((vy, w)))
+    return ReducedSet(sel, reduced, direct_block, residual, blocks, solve)
 
 
 def reduce_trade_pair(

@@ -22,7 +22,11 @@ on per-country export/import probabilities:
 Derivatives are central finite differences at +/- delta. The reduced and
 import-export reports put in metadata["fd_error"] their largest distance
 from the exact dB/ddelta at delta = 0: the linear response of both reduced
-stationary vectors, and a closed form in the volumes.
+stationary vectors, and a closed form in the volumes. The reduced method
+reads only each reduced matrix, never the split of its `ReducedSet`, so the
+complement eigenpair is never computed: its metadata holds alpha, the
+PageRank tol and fd_error, and no lambda_c or component weights (the
+`reduce` command writes those).
 """
 from __future__ import annotations
 
@@ -241,12 +245,10 @@ def reduced_balance_sensitivity(
     reductions = reduce_for_shock(tensor, spec, alpha=alpha, tol=tol, max_iter=max_iter)
     n_products = tensor.registry.n_products
     deltas = (0.0, spec.delta, -spec.delta)
-    responses = []  # per direction: group marginals per delta, exact derivative, lambda_c, weights
+    responses = []  # per direction: group marginals per delta, exact derivative
     settled = True  # the inverted response is only taken when the direct one settled
     for shock, rhs in ((_direct_shock, _direct_shock_rhs), (_inverted_shock, _inverted_shock_rhs)):
-        result = next(reductions)
-        matrix, lam, weights = result.reduced, result.complement_eigenvalue, result.weights
-        del result  # only these three fields are kept for the PageRank solves
+        matrix = next(reductions).reduced  # the rest of the reduction is dropped here
         s = matrix.shape[0] - 1
         # delta == 0 solves the stored R itself; +/- delta an operator on it, not a copy
         p = {}
@@ -262,8 +264,8 @@ def reduced_balance_sensitivity(
                 settled = False
         del matrix, operator  # an operator holds R too: both go before the next reduction
         marginals = {dv: x[:s].reshape(-1, n_products).sum(axis=1) for dv, x in p.items()}
-        responses.append((marginals, derivative, lam, weights))
-    (imp, d_imp, lam_direct, w_direct), (exp, d_exp, lam_inverted, w_inverted) = responses
+        responses.append((marginals, derivative))
+    (imp, d_imp), (exp, d_exp) = responses
 
     def balance_at(dv):
         return balance(exp[dv], imp[dv]), imp[dv], exp[dv]
@@ -276,17 +278,9 @@ def reduced_balance_sensitivity(
         return 2.0 * ((i / total) * (d_exp / total) - (e / total) * (d_imp / total))
 
     baseline, derivative = _central_difference(balance_at, spec.delta)
-    metadata = {
-        "alpha": alpha,
-        "pagerank_tol": tol,
-        "complement_eigenvalue_direct": lam_direct,
-        "complement_eigenvalue_inverted": lam_inverted,
-        "weights_direct": w_direct,
-        "weights_inverted": w_inverted,
-    }
     return _report(
         METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,
-        metadata, exact=exact,
+        {"alpha": alpha, "pagerank_tol": tol}, exact=exact,
     )
 
 

@@ -333,15 +333,7 @@ def reduced_sensitivity_oracle(tensor, spec, alpha=w.DEFAULT_ALPHA, tol=1e-12, m
         fd_error = float(np.abs(derivative - exact).max())
     except ConvergenceError:
         fd_error = np.inf
-    metadata = {
-        "alpha": alpha,
-        "pagerank_tol": tol,
-        "complement_eigenvalue_direct": r_direct.complement_eigenvalue,
-        "complement_eigenvalue_inverted": r_inverted.complement_eigenvalue,
-        "weights_direct": r_direct.weights,
-        "weights_inverted": r_inverted.weights,
-        "fd_error": fd_error,
-    }
+    metadata = {"alpha": alpha, "pagerank_tol": tol, "fd_error": fd_error}
     return w.SensitivityReport(
         "regomax", spec.source_label, spec.delta, spec.group, b, derivative, imp, exp, metadata
     )

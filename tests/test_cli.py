@@ -371,6 +371,21 @@ def test_one_direction_reduced_at_a_time(
     assert alive == [0, 0]
 
 
+def test_only_reduce_computes_the_complement_eigenpair(tmp_path, monkeypatch):
+    """`network` and `sensitivity` read only the reduced matrices, so they never
+    run the complement's eigenvector iteration; `reduce` writes the split, so it does."""
+
+    def unreachable(block):
+        raise AssertionError("complement eigenpair computed")
+
+    monkeypatch.setattr(w.regomax, "_leading_pair", unreachable)
+    assert run("network", *SHOCK, "--k", 2, "--out-dir", tmp_path / "network") == 0
+    out_dir = tmp_path / "sensitivity"
+    assert run("sensitivity", *SHOCK, "--methods", "regomax", "--out-dir", out_dir) == 0
+    with pytest.raises(AssertionError, match="complement eigenpair computed"):
+        run("reduce", *SHOCK, "--out-dir", tmp_path / "reduce")
+
+
 def test_reduce_computes_each_weight_once(tmp_path, monkeypatch):
     """The log line and the diagnostics file share one computation of the
     weights per direction: one sum of the stored reduced matrix, and one sum
@@ -535,9 +550,7 @@ class TestExtremeValues:
         ]
         group = data.draw(st.lists(st.sampled_from(countries[:-1]), min_size=1, unique=True))
         alpha = data.draw(st.sampled_from((0.5, 0.85, 1.0)))
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-            w.regomax, "DEFAULT_EIG_MAX_ITER", 10_000
-        ):
+        with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             path = write_trade(tmp / "trade.csv", rows)
             for argv, out_dir in every_command(path, tmp, group, countries[-1], alpha):
@@ -591,18 +604,16 @@ class TestNetworkCommand:
         )
 
 
-    @pytest.mark.xfail(strict=True, reason="the complement eigenpair stalls; the solve does not need it")
-    def test_near_periodic_complement_at_alpha_one_reduces(self, tmp_path, monkeypatch):
+    def test_near_periodic_complement_at_alpha_one_reduces(self, tmp_path):
         """At alpha = 1 the inverted complement's eigenvector iteration stalls
-        (at the default 100 000 steps after about 3 s), and `network` exits 1,
-        though the exact solve alone matches the dense oracle."""
+        (at the default 100 000 steps after about 3 s), but `network` never
+        runs it: it exits 0, and the exact solve matches the dense oracle."""
         path = write_trade(tmp_path / "trade.csv", (
             "00,C0,C1,100", "00,C0,C3,100", "00,C1,C2,1e6", "00,C1,C3,2.5", "00,C2,C0,100",
             "00,C2,C1,2.5", "00,C2,C3,1e6", "00,C3,C0,2.5", "00,C3,C1,100", "00,C3,C2,2.5",
             "01,C1,C0,100", "01,C1,C3,1e6", "01,C2,C0,1e6", "01,C3,C1,1e-6", "01,C3,C2,2.5",
             "02,C0,C1,1", "02,C0,C2,2.5", "02,C1,C3,1", "02,C2,C3,1e6", "02,C3,C2,1e-6",
         ))
-        monkeypatch.setattr(w.regomax, "DEFAULT_EIG_MAX_ITER", 10_000)
         rc = run(
             "network", "--input", path, "--alpha", 1, "--group", "C0,C1", "--source-country", "C2",
             "--source-product", "02", "--products", "all", "--k", 1, "--out-dir", tmp_path / "out",

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,7 +323,7 @@ class TestExactSolve:
         reg = tensor.registry
         sel = w.Selection.for_countries(reg, reg.countries, products=reg.products[:1])
         for matrix in (g, g_star):
-            with pytest.raises(w.ConvergenceError, match="substochastic"):
+            with pytest.raises(w.ConvergenceError, match="capacitance .* singular"):
                 w.reduce(matrix, sel)
 
 
@@ -484,9 +483,8 @@ class TestSmallShocks:
     def test_refused_or_matches_dense_oracle(self, case, alpha):
         """Each reduction of a random shock selection is refused cleanly, or
         matches the dense block solve to the solve's own accuracy, with unit
-        column sums and no negative entry. At alpha = 1 some complements are
-        near-periodic and their eigenvector iteration stalls until its cap:
-        a smaller cap refuses them sooner (100 000 steps take seconds)."""
+        column sums and no negative entry. The reduction runs no eigenvector
+        iteration, so near-periodic complements at alpha = 1 reduce too."""
         tensor, spec, _ = case
         reg = tensor.registry
         source = reg.node_id(spec.source_country, spec.source_product)
@@ -497,8 +495,7 @@ class TestSmallShocks:
             return
         for matrix in pair:
             try:
-                with mock.patch.object(w.regomax, "DEFAULT_EIG_MAX_ITER", 10_000):
-                    r = w.reduce(matrix, sel)
+                r = w.reduce(matrix, sel)
             except w.ConvergenceError:
                 continue
             error = np.abs(r.reduced - reduce_dense_oracle(matrix, sel)).max()
@@ -673,6 +670,7 @@ class TestMemory:
         matrix = w.build_trade_pair(tensor)[0]
         result, peak = traced_peak(lambda: w.reduce(matrix, sel))
         assert peak <= 2.2 * unit
+        result.split_error  # the split's eigenpair is computed on its first read, not here
         _, peak = traced_peak(lambda: result.weights)
         assert peak < 0.1 * unit  # summed from factors: no n x n array
 

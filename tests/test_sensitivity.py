@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import wtnrank as w
 from wtnrank.errors import ConvergenceError, TradeDataError
@@ -222,8 +222,8 @@ class TestBuildShockMatrices:
 class TestReducedSensitivity:
     def test_no_reduced_set_alive_in_the_difference_loop(self, toy3, monkeypatch, live_reduced_sets):
         """Each reduction's `ReducedSet` is freed before the next reduction
-        runs, and only its reduced matrix, eigenvalue and weights are kept
-        for the shocked PageRank solves."""
+        runs, and only its reduced matrix is kept for the shocked PageRank
+        solves."""
         spec = w.ShockSpec("AA", "00", ("XX",))
         counts = {"reduce": [], "pagerank": []}
 
@@ -236,16 +236,9 @@ class TestReducedSensitivity:
 
         for module, name in ((w.regomax, "reduce"), (w.sensitivity, "pagerank")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        report = w.reduced_balance_sensitivity(toy3, spec)
+        w.reduced_balance_sensitivity(toy3, spec)
         assert counts["reduce"] == [0, 0]
         assert len(counts["pagerank"]) == 6 and set(counts["pagerank"]) == {0}
-        sel = w.Selection.for_countries(
-            toy3.registry, spec.group, extra_nodes=(toy3.registry.node_id("AA", "00"),)
-        )
-        for tag, matrix in zip(("direct", "inverted"), w.build_trade_pair(toy3)):
-            result = w.reduce(matrix, sel)
-            assert report.metadata[f"complement_eigenvalue_{tag}"] == result.complement_eigenvalue
-            assert report.metadata[f"weights_{tag}"] == result.weights
 
     def test_one_reduced_matrix_alive_at_a_time(self, monkeypatch):
         """The direct reduced matrix, and the direct Google matrix it came
@@ -420,6 +413,32 @@ class TestGlobalPriceSensitivity:
             w.global_price_sensitivity(toy3, "99")
 
 
+# product, exporter, importer, value: a shock where both sensitivity paths, each
+# solving PageRank at tol 1e-12, differ by up to 3.2e-10 in dB/ddelta (their
+# shocked solves stop one iteration apart)
+FD_GAP_ROWS = (
+    "00,C0,C3,100 00,C0,C5,1e-06 00,C0,C6,2.5 00,C1,C3,100 00,C1,C4,1 00,C1,C5,1 "
+    "00,C2,C0,1 00,C3,C1,1 00,C3,C5,2.5 00,C4,C0,1e+06 00,C4,C1,1 00,C5,C3,1e+06 "
+    "00,C6,C0,1 00,C6,C2,2.5 00,C6,C4,1e+06 01,C0,C4,100 01,C0,C5,1 01,C0,C6,2.5 "
+    "01,C1,C6,1 01,C2,C6,1e+06 01,C3,C1,1 01,C3,C5,1 01,C3,C6,2.5 01,C4,C3,100 "
+    "01,C4,C6,1 01,C5,C0,1 01,C5,C6,1 01,C6,C0,100 01,C6,C1,100 01,C6,C5,1e+06 "
+    "02,C0,C4,1e+06 02,C1,C0,2.5 02,C1,C2,100 02,C1,C5,1e+06 02,C2,C0,1e+06 02,C2,C5,1e+06 "
+    "02,C3,C1,1 02,C3,C4,2.5 02,C4,C3,1e+06 02,C5,C3,1e+06 02,C6,C1,1e+06 02,C6,C3,1e+06"
+)
+
+
+def fd_gap_case():
+    """`small_shocks`' form of the FD_GAP_ROWS tensor (7 countries x 3
+    products), shocked at C3:02 as seen by the other six, at alpha = 0.85."""
+    reg = w.Registry(countries=tuple(f"C{i}" for i in range(7)), products=("00", "01", "02"))
+    flows = np.zeros((3, 7, 7))  # [product, importer, exporter]
+    for row in FD_GAP_ROWS.split():
+        product, exporter, importer, value = row.split(",")
+        flows[int(product), reg.country_index(importer), reg.country_index(exporter)] = float(value)
+    tensor = from_product_matrices(reg, 2016, list(flows))
+    return tensor, w.ShockSpec("C3", "02", ("C1", "C0", "C2", "C5", "C4", "C6")), 0.85
+
+
 class TestRandomTensors:
     @settings(max_examples=60, deadline=None)
     @given(small_shocks())
@@ -439,15 +458,23 @@ class TestRandomTensors:
 
     @settings(max_examples=60, deadline=None)
     @given(small_shocks())
+    @example(fd_gap_case())
     def test_reduced_matches_the_pair_oracle(self, case):
         """One direction at a time, shocked through operators, gives the
         report (or the error) of both reduced matrices held at once and
-        shocked as dense copies, up to rounding."""
+        shocked as dense copies, up to rounding.
+
+        Both solve at tol 1e-11. Where the two paths' shocked PageRank
+        solves stop one iteration apart, the central difference magnifies
+        their gap by 1 / (2 delta), past `close_reports`' bound (3.2e-10 on
+        the pinned example at tol 1e-12). That happens when a residual lands
+        within rounding of tol, so the nearer tol is to the rounding floor,
+        the likelier: 0, 3, 6 and 73 of 3 000 examples at 1e-11 to 1e-14."""
         tensor, spec, alpha = case
         outcomes = []
         for method in (w.reduced_balance_sensitivity, reduced_sensitivity_oracle):
             try:
-                outcomes.append(method(tensor, spec, alpha=alpha))
+                outcomes.append(method(tensor, spec, alpha=alpha, tol=1e-11))
             except (ConvergenceError, TradeDataError, ValueError) as exc:
                 outcomes.append(type(exc))
         first, second = outcomes
