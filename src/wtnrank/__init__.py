@@ -15,19 +15,15 @@ from .groups import EU27_2008
 from .ingest import (
     MoneyTensor,
     Registry,
-    VolumeRankTable,
     VolumeTable,
     load_money_tensor,
     load_registry,
     save_registry,
     serialize_tensor,
     synth_tensor,
-    volume_ranks,
-    volumes,
 )
 from .netexport import TradeEdgeList, serialize_graph, top_links
 from .ranking import (
-    RankIndex,
     RankVector,
     order_indices,
     pagerank,
@@ -65,19 +61,15 @@ __all__ = [
     "EU27_2008",
     "MoneyTensor",
     "Registry",
-    "VolumeRankTable",
     "VolumeTable",
     "load_money_tensor",
     "load_registry",
     "save_registry",
     "serialize_tensor",
     "synth_tensor",
-    "volume_ranks",
-    "volumes",
     "TradeEdgeList",
     "serialize_graph",
     "top_links",
-    "RankIndex",
     "RankVector",
     "order_indices",
     "pagerank",

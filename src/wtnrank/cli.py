@@ -212,12 +212,18 @@ def cmd_rank(cfg: RunConfig) -> int:
     p_star = ranking.pagerank(inverted, tol=cfg.tol, max_iter=cfg.max_iter)
     log.info("pagerank converged in %d iterations (residual %.2e)", p.iterations, p.residual)
     log.info("cheirank converged in %d iterations (residual %.2e)", p_star.iterations, p_star.residual)
-    table = ingest.volume_ranks(ingest.volumes(tensor))
+    # the volume shares; build_trade_pair has refused a zero total
+    vol = tensor.volumes
+    total = vol.total
     per_method = {
         "pagerank": (p.probabilities, None, None),
         "cheirank": (p_star.probabilities, None, None),
-        "importrank": (table.import_prob, table.country_import, table.product_import),
-        "exportrank": (table.export_prob, table.country_export, table.product_export),
+        "importrank": (
+            (vol.import_vol / total).ravel(), vol.country_import / total, vol.product_import / total
+        ),
+        "exportrank": (
+            (vol.export_vol / total).ravel(), vol.country_export / total, vol.product_export / total
+        ),
     }
     for name, (nodes, by_country, by_product) in per_method.items():
         if by_country is None:

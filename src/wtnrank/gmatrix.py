@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import TradeDataError
-from .ingest import MoneyTensor, Registry, volumes
+from .ingest import MoneyTensor, Registry
 from .ranking import pagerank, trace
 
 log = logging.getLogger(__name__)
@@ -80,10 +80,10 @@ class GoogleMatrix:
         y = np.asarray(y, dtype=np.float64)
         return self.alpha * (self.links.T @ y) + self.v @ (self.u.T @ y)
 
-    def to_dense(self, cols: slice = slice(None)) -> np.ndarray:
-        """Dense matrix, or the dense slice of its columns `cols`."""
-        dense = self.links[:, cols].toarray()
-        dense[:, self.dangling[cols]] = 1.0 / self.total
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix; a column block is `block(slice(None), cols).to_dense()`."""
+        dense = self.links.toarray()
+        dense[:, self.dangling] = 1.0 / self.total
         dense *= self.alpha
         dense += (1.0 - self.alpha) * self.personalization[:, None]
         return dense
@@ -111,7 +111,7 @@ def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> GoogleMatr
     """
     if direction not in (DIRECT, INVERTED):
         raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
-    vol = volumes(tensor)
+    vol = tensor.volumes
     if direction == DIRECT:
         links, source_vol = tensor.matrix.copy(), vol.export_vol  # column node's own outflow
     else:
@@ -135,7 +135,7 @@ def personalization_volume(tensor: MoneyTensor, direction: str = DIRECT) -> np.n
     no volume in the relevant direction gets a uniform product split.
     """
     reg = tensor.registry
-    vol = volumes(tensor)
+    vol = tensor.volumes
     table = vol.import_vol if direction == DIRECT else vol.export_vol
     if direction not in (DIRECT, INVERTED):
         raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
@@ -193,7 +193,7 @@ def build_trade_pair(
     teleportation (uniform across countries). The second-iteration pair is
     what the rest of the pipeline consumes.
     """
-    vol = volumes(tensor)
+    vol = tensor.volumes
     if vol.total <= 0:
         raise TradeDataError("tensor has zero total volume")
     reg = tensor.registry

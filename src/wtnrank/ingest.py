@@ -157,7 +157,7 @@ class MoneyTensor:
             raise TradeDataError(f"self-trade entries in product {reg.products[self_trade.min()]}")
         if m.nnz and m.data.min() < 0:
             raise TradeDataError("negative trade value")
-        vol = self._volumes  # finite values can still sum past the float range
+        vol = self.volumes  # finite values can still sum past the float range
         for name, table in (("import", vol.import_vol), ("export", vol.export_vol)):
             bad = np.flatnonzero(~np.isfinite(table))
             if bad.size:
@@ -228,7 +228,10 @@ class MoneyTensor:
         return self._scaled(factor, entries)
 
     @cached_property
-    def _volumes(self) -> "VolumeTable":
+    def volumes(self) -> "VolumeTable":
+        """Row/column sums of the node flow matrix, computed once per tensor:
+        import_vol[c, p] adds flows into country c, export_vol[c, p] flows
+        out. The arrays are shared by every reader and read-only."""
         reg = self.registry
         shape = (reg.n_countries, reg.n_products)
         with np.errstate(over="ignore"):  # an overflowed volume is refused by __post_init__
@@ -265,23 +268,6 @@ class VolumeTable:
     @property
     def total(self) -> float:
         return float(self.import_vol.sum())
-
-
-@dataclass(frozen=True)
-class VolumeRankTable:
-    """Probabilities derived from raw trade volumes.
-
-    Node-level probabilities normalize the per-(country, product) volumes by
-    the grand total, so both vectors sum to one.
-    """
-
-    registry: Registry
-    import_prob: np.ndarray
-    export_prob: np.ndarray
-    country_import: np.ndarray
-    country_export: np.ndarray
-    product_import: np.ndarray
-    product_export: np.ndarray
 
 
 def load_registry(path) -> Registry:
@@ -634,29 +620,4 @@ def synth_tensor(
         kept = end
     return MoneyTensor.from_entries(
         registry, year, product[:kept], importer[:kept], exporter[:kept], values[:kept]
-    )
-
-
-def volumes(tensor: MoneyTensor) -> VolumeTable:
-    """Row/column sums of the node flow matrix, computed once per tensor.
-
-    import_vol[c, p] adds flows into country c; export_vol[c, p] flows out.
-    The arrays are shared by every caller and read-only.
-    """
-    return tensor._volumes
-
-
-def volume_ranks(vol: VolumeTable) -> VolumeRankTable:
-    """Normalized volume probabilities per node, per country and per product."""
-    total = vol.total
-    if total <= 0:
-        raise ValueError("total trade volume is zero")
-    return VolumeRankTable(
-        registry=vol.registry,
-        import_prob=(vol.import_vol / total).ravel(),
-        export_prob=(vol.export_vol / total).ravel(),
-        country_import=vol.country_import / total,
-        country_export=vol.country_export / total,
-        product_import=vol.product_import / total,
-        product_export=vol.product_export / total,
     )

@@ -27,32 +27,14 @@ class RankVector:
     iterations: int
     residual: float
 
-    @property
-    def size(self) -> int:
-        return self.probabilities.shape[0]
 
-
-@dataclass(frozen=True)
-class RankIndex:
-    """Permutation ordering nodes by decreasing probability.
-
-    `order[k]` is the node at position k (0-based); `rank_of[node]` is the
-    inverse lookup. Ties are broken by ascending node id.
-    """
-
-    order: np.ndarray
-    rank_of: np.ndarray
-
-
-def order_indices(vector: np.ndarray) -> RankIndex:
-    """Stable decreasing sort of a probability (or any finite) vector."""
+def order_indices(vector: np.ndarray) -> np.ndarray:
+    """Node order by decreasing value of a probability (or any finite)
+    vector, ties by ascending node id: a stable sort."""
     vector = np.asarray(vector, dtype=np.float64)
     if not np.all(np.isfinite(vector)):
         raise ValueError("cannot rank non-finite values")
-    order = np.argsort(-vector, kind="stable")
-    rank_of = np.empty_like(order)
-    rank_of[order] = np.arange(order.shape[0])
-    return RankIndex(order=order, rank_of=rank_of)
+    return np.argsort(-vector, kind="stable")
 
 
 def _as_operator(matrix):
@@ -111,7 +93,7 @@ def trace(vector, axis: str, registry: "Registry") -> np.ndarray:
 
 def write_node_ranks(path, probabilities: np.ndarray, registry: "Registry") -> None:
     """CSV export `node,country,product,probability,rank_index`, best first."""
-    order = order_indices(probabilities).order
+    order = order_indices(probabilities)
     labels = [f"{c},{p}" for c in registry.countries for p in registry.products]
     ranked = zip(order.tolist(), np.asarray(probabilities, dtype=np.float64)[order].tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -122,8 +104,7 @@ def write_node_ranks(path, probabilities: np.ndarray, registry: "Registry") -> N
 
 def write_marginal_ranks(path, probabilities: np.ndarray, labels, label_name: str) -> None:
     """CSV export `<label>,probability,rank_index`, best first."""
-    idx = order_indices(probabilities)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{label_name},probability,rank_index\n")
-        for pos, i in enumerate(idx.order, start=1):
+        for pos, i in enumerate(order_indices(probabilities), start=1):
             fh.write(f"{labels[i]},{float(probabilities[i])!r},{pos}\n")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
-from .ingest import MoneyTensor, volumes
+from .ingest import MoneyTensor
 from .ranking import pagerank, trace
 from .regomax import ReducedSet, Selection, reduce_trade_pair
 
@@ -136,18 +136,16 @@ def reduce_for_shock(
 
 
 def _central_difference(balance_at, delta: float):
-    """`balance_at(0.0)` and dB/ddelta from the +/- delta evaluations (zero
-    when delta == 0); the first item `balance_at` returns is the balance."""
+    """`balance_at(0.0)` and dB/ddelta from the +/- delta evaluations, for a
+    nonzero delta; the first item `balance_at` returns is the balance."""
     baseline = balance_at(0.0)
-    if delta == 0.0:
-        return baseline, np.zeros_like(baseline[0])
     return baseline, (balance_at(delta)[0] - balance_at(-delta)[0]) / (2.0 * delta)
 
 
 def _report(method, source, delta, countries, baseline, derivative, metadata, exact=None):
     """The report of a central difference, with `fd_error`, its largest distance
-    from the exact dB/ddelta at delta = 0 that `exact()` gives, when delta != 0."""
-    if exact is not None and delta != 0.0:
+    from the exact dB/ddelta at delta = 0 that `exact()` gives, if given."""
+    if exact is not None:
         metadata["fd_error"] = float(np.abs(derivative - exact()).max())
     b, imp, exp = baseline[:3]
     return SensitivityReport(method, source, delta, countries, b, derivative, imp, exp, metadata)
@@ -288,7 +286,7 @@ def _volume_balance(tensor: MoneyTensor, spec: ShockSpec, delta: float):
     shocked = tensor if delta == 0.0 else tensor.scaled_flows(
         spec.source_product, spec.source_country, spec.group, 1.0 + delta
     )
-    vol = volumes(shocked)
+    vol = shocked.volumes
     total = vol.total
     if total <= 0:
         raise ValueError("total trade volume is zero")
@@ -309,32 +307,25 @@ def _volume_exact_derivative(tensor: MoneyTensor, spec: ShockSpec) -> np.ndarray
     source = reg.node_id(spec.source_country, spec.source_product)
     into = tensor.matrix[:, [source]].toarray()[:, 0]
     f = into[[reg.node_id(c, spec.source_product) for c in spec.group]]
-    vol = volumes(tensor)
+    vol = tensor.volumes
     idx = [reg.country_index(c) for c in spec.group]
     exp, imp = vol.country_export[idx], vol.country_import[idx]
     total = exp + imp  # divided before the product: (E + I)^2 can over- or underflow
     return -2.0 * (exp / total) * (f / total)
 
 
-def import_export_sensitivity(
-    tensor: MoneyTensor,
-    spec: ShockSpec,
-    delta: float | None = None,
-) -> SensitivityReport:
+def import_export_sensitivity(tensor: MoneyTensor, spec: ShockSpec) -> SensitivityReport:
     """Balance sensitivity from raw bilateral volumes (no network effects).
 
-    Only the direct flows from the source into the group are rescaled, so a
-    group country with no such flow has exactly zero derivative; `fd_error`
-    is measured against the closed form.
+    Only the direct flows from the source into the group are rescaled, by
+    1 +/- spec.delta, so a group country with no such flow has exactly zero
+    derivative; `fd_error` is measured against the closed form.
     """
-    delta = spec.delta if delta is None else delta
-    if not -1.0 < delta < 1.0:
-        raise ValueError("delta must be in (-1, 1)")
     baseline, derivative = _central_difference(
-        lambda dv: _volume_balance(tensor, spec, dv), delta
+        lambda dv: _volume_balance(tensor, spec, dv), spec.delta
     )
     return _report(
-        METHOD_IMPORT_EXPORT, spec.source_label, delta, spec.group, baseline, derivative, {},
+        METHOD_IMPORT_EXPORT, spec.source_label, spec.delta, spec.group, baseline, derivative, {},
         exact=lambda: _volume_exact_derivative(tensor, spec),
     )
 
@@ -350,12 +341,13 @@ def global_price_sensitivity(
 ) -> SensitivityReport:
     """Balance sensitivity to a worldwide price change of one product.
 
-    All flows of the product are rescaled by (1 + delta) and the full matrix
-    pair rebuilt, so each evaluation costs a complete pipeline run.
+    All flows of the product are rescaled by 1 +/- delta, delta nonzero in
+    (-1, 1), and the full matrix pair rebuilt, so each evaluation costs a
+    complete pipeline run.
     """
     reg = tensor.registry
-    if not -1.0 < delta < 1.0:
-        raise ValueError("delta must be in (-1, 1)")
+    if delta == 0.0 or not -1.0 < delta < 1.0:
+        raise ValueError("delta must be nonzero and in (-1, 1)")
     reg.product_index(product)  # validate early
     countries = tuple(group) if group else reg.countries
     if len(set(countries)) != len(countries):

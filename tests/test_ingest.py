@@ -13,6 +13,7 @@ from scipy import sparse
 
 import wtnrank as w
 from wtnrank import ingest
+from wtnrank.cli import main
 from wtnrank.errors import ParseError, TradeDataError
 
 from conftest import (
@@ -72,7 +73,7 @@ class TestLoad:
         path = write(tmp_path, HEADER + "2016,33,RU,NL,100\n")
         tensor = w.load_money_tensor(path, 2016)
         assert flow_value(tensor, "33", importer="NL", exporter="RU") == 100.0
-        vol = w.volumes(tensor)
+        vol = tensor.volumes
         nl = tensor.registry.country_index("NL")
         assert vol.import_vol[nl, 0] == 100.0
 
@@ -721,7 +722,7 @@ class TestSynth:
 
     def test_dangling_column_present(self):
         tensor = w.synth_tensor(2, 5, 3, 0.5)
-        vol = w.volumes(tensor)
+        vol = tensor.volumes
         assert np.all(vol.import_vol >= 0) and np.all(vol.export_vol >= 0)
         assert np.any(vol.export_vol == 0)
 
@@ -775,23 +776,23 @@ class TestVolumes:
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
         m = np.array([[0.0, 10.0], [0.0, 0.0]])  # A imports 10 from B
         tensor = from_product_matrices(reg, 2016, [m])
-        vol = w.volumes(tensor)
+        vol = tensor.volumes
         assert vol.import_vol[0, 0] == 10.0
         assert vol.export_vol[1, 0] == 10.0
         assert vol.total == 10.0
 
     def test_computed_once_and_read_only(self):
         tensor = w.synth_tensor(1, 4, 2, 0.8)
-        vol = w.volumes(tensor)
-        assert w.volumes(tensor) is vol
+        vol = tensor.volumes
+        assert tensor.volumes is vol
         with pytest.raises(ValueError):
             vol.import_vol[0, 0] = 1.0
-        assert w.volumes(tensor.scaled_product("01", 2.0)) is not vol
+        assert tensor.scaled_product("01", 2.0).volumes is not vol
 
     def test_empty_tensor(self):
         reg = w.Registry(countries=("AA", "BB"), products=("33",))
         tensor = from_product_matrices(reg, 2016, [np.zeros((2, 2))])
-        vol = w.volumes(tensor)
+        vol = tensor.volumes
         assert vol.total == 0.0
         assert np.all(vol.import_vol == 0)
 
@@ -802,13 +803,13 @@ class TestVolumes:
         with open(path, encoding="utf-8") as fh:
             reader = csv.DictReader(row for row in fh if not row.startswith("#"))
             total = sum(float(row["value_usd"]) for row in reader)
-        assert w.volumes(tensor).total == pytest.approx(total, rel=1e-12)
+        assert tensor.volumes.total == pytest.approx(total, rel=1e-12)
 
     def test_linearity(self):
         t1 = w.synth_tensor(3, 4, 2, 0.8)
         t2 = w.synth_tensor(4, 4, 2, 0.8)
         combo = w.MoneyTensor(2016, t1.registry, 2.0 * t1.matrix + t2.matrix)
-        v1, v2, vc = w.volumes(t1), w.volumes(t2), w.volumes(combo)
+        v1, v2, vc = t1.volumes, t2.volumes, combo.volumes
         np.testing.assert_allclose(
             vc.import_vol, 2.0 * v1.import_vol + v2.import_vol, rtol=1e-12
         )
@@ -818,35 +819,49 @@ class TestVolumes:
 
 
 class TestVolumeRanks:
-    def test_single_entry_probabilities(self):
-        reg = w.Registry(countries=("AA", "BB"), products=("33",))
-        m = np.array([[0.0, 10.0], [0.0, 0.0]])
-        tensor = from_product_matrices(reg, 2016, [m])
-        table = w.volume_ranks(w.volumes(tensor))
-        assert table.import_prob[reg.node_id("AA", "33")] == 1.0
-        assert table.export_prob[reg.node_id("BB", "33")] == 1.0
+    """ImportRank and ExportRank, the volume shares that the `rank` command
+    divides out of `MoneyTensor.volumes`, read back from its files."""
 
-    def test_tie_break_ascending_node(self):
-        reg = w.Registry(countries=("AA", "BB", "CC"), products=("33",))
-        m = np.zeros((3, 3))
-        m[0, 1] = 5.0  # AA imports 5 from BB
-        m[1, 2] = 5.0  # BB imports 5 from CC
-        tensor = from_product_matrices(reg, 2016, [m])
-        table = w.volume_ranks(w.volumes(tensor))
-        # AA and BB tie on imports; ascending node id wins, as in importrank_nodes.csv
-        assert list(w.order_indices(table.import_prob).order) == [0, 1, 2]
+    @staticmethod
+    def rank_files(tmp_path, text):
+        """The exit code of `rank` on the trade CSV `text`, and a reader of
+        its output files as lists of rows."""
+        out = tmp_path / "out"
+        rc = main(["rank", "--input", str(write(tmp_path, text)), "--out-dir", str(out)])
 
-    def test_zero_volume_rejected(self):
-        reg = w.Registry(countries=("AA", "BB"), products=("33",))
-        tensor = from_product_matrices(reg, 2016, [np.zeros((2, 2))])
-        with pytest.raises(ValueError, match="zero"):
-            w.volume_ranks(w.volumes(tensor))
+        def rows(name):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        return rc, rows
+
+    def test_single_entry_probabilities(self, tmp_path):
+        rc, rows = self.rank_files(tmp_path, HEADER + "2016,33,BB,AA,10\n")  # AA imports 10 from BB
+        assert rc == 0
+        for name, node in (("importrank_nodes.csv", "AA"), ("exportrank_nodes.csv", "BB")):
+            top = rows(name)[0]
+            assert (top["country"], top["product"], top["probability"]) == (node, "33", "1.0")
+
+    def test_tie_break_ascending_node(self, tmp_path):
+        text = HEADER + "2016,33,BB,AA,5\n2016,33,CC,BB,5\n"  # AA and BB each import 5
+        rc, rows = self.rank_files(tmp_path, text)
+        assert rc == 0
+        assert [row["node"] for row in rows("importrank_nodes.csv")] == ["0", "1", "2"]
+
+    def test_zero_volume_rejected(self, tmp_path, caplog):
+        rc, _ = self.rank_files(tmp_path, HEADER + "2016,33,BB,AA,0\n2016,33,AA,BB,0.0\n")
+        assert rc == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            "tensor has zero total volume"
+        ]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_probabilities_normalized(self, seed):
-        tensor = w.synth_tensor(seed, 6, 4, 0.5)
-        table = w.volume_ranks(w.volumes(tensor))
-        assert abs(table.import_prob.sum() - 1.0) < 1e-12
-        assert abs(table.export_prob.sum() - 1.0) < 1e-12
-        assert abs(table.country_import.sum() - 1.0) < 1e-12
-        assert abs(table.product_export.sum() - 1.0) < 1e-12
+    def test_probabilities_normalized(self, tmp_path, seed):
+        path = tmp_path / "synthetic.csv"
+        w.serialize_tensor(w.synth_tensor(seed, 6, 4, 0.5), path)
+        rc, rows = self.rank_files(tmp_path, path.read_text(encoding="utf-8"))
+        assert rc == 0
+        for method in ("importrank", "exportrank"):
+            for level in ("nodes", "countries", "products"):
+                total = sum(float(row["probability"]) for row in rows(f"{method}_{level}.csv"))
+                assert abs(total - 1.0) < 1e-12, (method, level)

@@ -332,12 +332,6 @@ class TestReducedSensitivity:
 
 
 class TestImportExportSensitivity:
-    def test_zero_delta_zero_derivative(self, toy3):
-        spec = w.ShockSpec("AA", "00", ("XX",))
-        report = w.import_export_sensitivity(toy3, spec, delta=0.0)
-        assert np.array_equal(report.derivative, np.zeros(1))
-        assert "fd_error" not in report.metadata
-
     def test_untouched_country_exact_zero(self):
         # ZZ trades only with YY: no direct link to the source at all
         reg = w.Registry(countries=("AA", "XX", "YY", "ZZ"), products=("00",))
@@ -378,8 +372,8 @@ class TestGlobalPriceSensitivity:
         assert np.abs(report.derivative).max() < 1e-9
 
     def test_zero_delta(self, toy3):
-        report = w.global_price_sensitivity(toy3, "00", group=("XX",), delta=0.0)
-        assert np.array_equal(report.derivative, np.zeros(1))
+        with pytest.raises(ValueError, match="delta must be nonzero"):
+            w.global_price_sensitivity(toy3, "00", group=("XX",), delta=0.0)
 
     def test_no_error_estimate(self, toy3):
         report = w.global_price_sensitivity(toy3, "00", group=("XX", "YY"))
@@ -455,6 +449,17 @@ class TestRandomTensors:
             assert np.all(np.abs(report.balance) <= 1.0)
             bound = spec.delta**2 * max(1.0, np.abs(report.derivative).max())
             assert report.metadata["fd_error"] <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_shocks())
+    def test_reductions_nonnegative_and_stochastic(self, case):
+        tensor, spec, alpha = case
+        try:
+            for reduced in w.reduce_for_shock(tensor, spec, alpha=alpha):
+                assert reduced.reduced.min() >= 0.0
+                assert np.abs(reduced.reduced.sum(axis=0) - 1.0).max() <= 1e-12
+        except (ConvergenceError, TradeDataError, ValueError):
+            pass
 
     @settings(max_examples=60, deadline=None)
     @given(small_shocks())
@@ -583,3 +588,23 @@ class TestReport:
                 import_probability=np.array([0.5]),
                 export_probability=np.array([0.5]),
             )
+
+
+class TestCloseReports:
+    @staticmethod
+    def report(fd_error):
+        return w.SensitivityReport(
+            "regomax", "AA:00", 1e-3, ("XX",), np.array([0.1]), np.array([0.2]),
+            np.array([0.3]), np.array([0.4]), {"fd_error": fd_error},
+        )
+
+    def test_two_infinite_fd_errors_are_equal(self):
+        assert close_reports(self.report(np.inf), self.report(np.inf))
+
+    @pytest.mark.parametrize("first, second", [(np.inf, 1.0), (1.0, np.inf), (np.inf, -np.inf)])
+    def test_infinite_and_other_fd_error_differ(self, first, second):
+        assert not close_reports(self.report(first), self.report(second))
+
+    def test_fd_errors_within_the_bound_are_near(self):
+        assert close_reports(self.report(1.0), self.report(1.0 + 1e-10))
+        assert not close_reports(self.report(1.0), self.report(1.0 + 1e-8))
