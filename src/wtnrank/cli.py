@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -179,7 +180,18 @@ def _load_tensor(cfg: RunConfig) -> ingest.MoneyTensor:
         if not cfg.registry.exists():
             raise TradeDataError(f"registry file not found: {cfg.registry}")
         registry = ingest.load_registry(cfg.registry)
-    return ingest.load_money_tensor(cfg.input, cfg.year, registry=registry)
+    return ingest.load_money_tensor(cfg.input, cfg.year, registry=registry, cache_dir=_cache_dir())
+
+
+def _cache_dir() -> Path | None:
+    """The tensor cache: `$XDG_CACHE_HOME/wtnrank`, else `$HOME/.cache/wtnrank`;
+    None without either. A relative `XDG_CACHE_HOME` is ignored, as the XDG
+    base directory spec asks."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.environ.get("HOME")
+        base = home and os.path.join(home, ".cache")
+    return Path(base, "wtnrank") if base else None
 
 
 def _out_dir(cfg: RunConfig) -> Path:

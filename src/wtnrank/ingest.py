@@ -30,6 +30,12 @@ refusal or the first fault it meets, the file is read by one row-by-row
 returns the rows of a valid file and raises the first fault of a faulty
 one with its 1-based row number. Every row is validated, whatever its year.
 
+Given a cache directory, `load_money_tensor` keeps each tensor it parses in
+an `.npz` entry named by the sha256 of the input's bytes, the year, the
+registry, this module's source and the numpy and scipy versions, and keeps the
+`_CACHE_ENTRIES` most recently used. A later load of the same input reads
+that entry instead of the CSV; any fault of the cache falls back to parsing.
+
 An optional registry file fixes the index order of countries and products:
 
     [countries]
@@ -41,17 +47,24 @@ An optional registry file fixes the index order of countries and products:
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
+import json
 import logging
 import math
+import os
+import stat
 import string
+import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 from .errors import ParseError, TradeDataError
@@ -60,6 +73,11 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("year", "product", "exporter", "importer", "value_usd")
 _BLOCK_CHARS = 1 << 20  # text tested for the byte fast path at a time
+_CACHE_ENTRIES = 16  # tensors kept in a cache directory: the paper's 13 years fit
+# array of a cache entry -> the type its dtype must have
+_ENTRY = {"countries": np.str_, "products": np.str_, "indptr": np.signedinteger,
+          "indices": np.signedinteger, "data": np.float64, "rows": np.signedinteger,
+          "dropped": np.signedinteger}
 
 
 @dataclass(frozen=True)
@@ -533,17 +551,47 @@ def _read_rows(path, year: int, registry: Registry | None) -> tuple:
     return list(products.ids), list(countries.ids), p, i, e, values, dropped, unknown
 
 
-def load_money_tensor(path, year: int, registry: Registry | None = None) -> MoneyTensor:
+def load_money_tensor(path, year: int, registry: Registry | None = None, *,
+                      cache_dir=None) -> MoneyTensor:
     """Load a trade tensor for one year from the CSV format above.
 
     Without an explicit registry the country and product orderings are the
     lexicographically sorted unions of the codes seen. With a registry,
     unknown codes are rejected. A file the byte path does not read whole, or
-    with an unknown code, is read by the row loop `_read_rows`.
+    with an unknown code, is read by the row loop `_read_rows`. With a
+    `cache_dir`, a regular file is looked up in that cache first, and a
+    parsed tensor is stored there when the file did not change while read.
     """
-    product_codes, country_codes, p, i, e, values, dropped_self, unknown = (
-        _read_blocks(path, year) or _read_rows(path, year, registry)
-    )
+    if cache_dir is None:
+        return _parse(path, year, registry)[0]
+    before = os.stat(path)
+    digest = name = cached = None
+    if stat.S_ISREG(before.st_mode):  # hashing a pipe would consume it
+        with contextlib.suppress(OSError):
+            digest, name = _cache_key(path, year, registry)
+            cached = _cached(os.path.join(cache_dir, name), year)
+    if cached:
+        tensor, rows, dropped = cached
+        reader = "cache"
+        if dropped:
+            log.warning("%s: dropped %d self-trade row(s)", path, dropped)
+    else:
+        tensor, rows, dropped, reader = _parse(path, year, registry)
+        after = os.stat(path)
+        if name and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+            _store(cache_dir, name, tensor, rows, dropped)
+    log.info("%s (sha256 %s): %d rows kept, from the %s",
+             os.path.basename(path), digest, rows, reader)
+    return tensor
+
+
+def _parse(path, year: int, registry: Registry | None) -> tuple:
+    """The tensor of `path` for `year`, the counts of rows kept and of
+    self-trade rows dropped, and the name of the reader that parsed it."""
+    reader, rows = "byte path", _read_blocks(path, year)
+    if rows is None:
+        reader, rows = "row loop", _read_rows(path, year, registry)
+    product_codes, country_codes, p, i, e, values, dropped_self, unknown = rows
     if dropped_self:
         log.warning("%s: dropped %d self-trade row(s)", path, dropped_self)
     if not values.size:
@@ -564,7 +612,70 @@ def load_money_tensor(path, year: int, registry: Registry | None = None) -> Mone
     if ((product_map[p] < 0) | (country_map[e] < 0) | (country_map[i] < 0)).any():
         raise unknown or _read_rows(path, year, registry)[-1]  # the byte path has no row numbers
     p, i, e = product_map[p], country_map[i], country_map[e]  # rebound: ingest sets the peak of `rank`
-    return MoneyTensor.from_entries(registry, year, p, i, e, values)
+    tensor = MoneyTensor.from_entries(registry, year, p, i, e, values)
+    return tensor, values.size, dropped_self, reader
+
+
+def _cache_key(path, year: int, registry: Registry | None) -> tuple[str, str]:
+    """The sha256 of the file `path`, and the file name of its cache entry."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    with open(__file__, "rb") as fh:  # a change to the readers retires every entry
+        source = hashlib.sha256(fh.read()).hexdigest()
+    codes = None if registry is None else [registry.countries, registry.products]
+    key = json.dumps([digest.hexdigest(), year, codes, source, np.__version__, scipy.__version__])
+    return digest.hexdigest(), hashlib.sha256(key.encode()).hexdigest() + ".npz"
+
+
+def _cached(entry: str, year: int) -> tuple | None:
+    """The tensor, rows kept and self-trade rows dropped that the cache entry
+    `entry` holds, through every check of `MoneyTensor`; None when it is
+    missing, unreadable or unsound. A hit marks the entry most recently used."""
+    try:
+        # an open file: np.load leaks the one it opens when the zip is cut off
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in _ENTRY}
+        if not all(np.issubdtype(arrays[name].dtype, t) for name, t in _ENTRY.items()):
+            return None
+        registry = Registry(countries=tuple(arrays["countries"].tolist()),
+                            products=tuple(arrays["products"].tolist()))
+        matrix = sparse.csr_matrix((arrays["data"], arrays["indices"], arrays["indptr"]),
+                                   shape=(registry.size, registry.size))
+        matrix.check_format(full_check=True)  # an index out of range would reach C code
+        tensor = MoneyTensor(year=year, registry=registry, matrix=matrix)
+        rows, dropped = arrays["rows"].item(), arrays["dropped"].item()
+    except FileNotFoundError:
+        return None
+    except Exception:  # a damaged zip raises many types, from zipfile, zlib and np.load
+        log.debug("cache entry %s is unsound", entry, exc_info=True)
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return tensor, rows, dropped
+
+
+def _store(cache_dir, name: str, tensor: MoneyTensor, rows: int, dropped: int) -> None:
+    """Write `tensor` as the cache entry `name` in `cache_dir`, whole or not at
+    all, then remove all but the `_CACHE_ENTRIES` most recently used entries."""
+    m, tmp = tensor.matrix, None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, countries=np.array(tensor.registry.countries),
+                     products=np.array(tensor.registry.products), indptr=m.indptr,
+                     indices=m.indices, data=m.data, rows=rows, dropped=dropped)
+        os.replace(tmp, os.path.join(cache_dir, name))
+        entries = [e for e in os.scandir(cache_dir) if e.name.endswith(".npz")]
+        entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for old in entries[_CACHE_ENTRIES:]:
+            os.remove(old.path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def serialize_tensor(tensor: MoneyTensor, path) -> None:

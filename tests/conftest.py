@@ -107,6 +107,18 @@ def same_trade(a, b) -> bool:
     return list(a.to_records()) == list(b.to_records())
 
 
+def assert_same_tensor(actual, expected):
+    """The same year and registry, and the same CSR arrays: dtypes and bytes."""
+    assert actual.year == expected.year
+    assert actual.registry == expected.registry
+    a, b = actual.matrix, expected.matrix
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
 def total_value(tensor) -> float:
     return float(tensor.matrix.sum())
 

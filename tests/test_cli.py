@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import logging
 import logging.handlers
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import parse_edge_csv, reduce_dense_oracle, same_trade
+from conftest import assert_same_tensor, parse_edge_csv, reduce_dense_oracle, same_trade
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -708,12 +709,209 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
 
+def assert_same_outputs(a: Path, b: Path) -> None:
+    """The output directories `a` and `b` hold the same files, byte for byte."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert not mismatch and not errors, (mismatch, errors)
+
+
+def never_parse(monkeypatch):
+    """Make either CSV reader of `ingest` fail the test when it is called."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(w.ingest, "_read_blocks", unreachable)
+    monkeypatch.setattr(w.ingest, "_read_rows", unreachable)
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that gains one item each time `ingest` parses a CSV."""
+    calls, read = [], w.ingest._read_blocks
+
+    def read_blocks(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(w.ingest, "_read_blocks", read_blocks)
+    return calls
+
+
+def cache_entries(cache_home: Path) -> list[Path]:
+    return sorted((cache_home / "wtnrank").glob("*.npz"))
+
+
+# the extra flags of each command that reads a trade CSV
+_READING_COMMANDS = {
+    "rank": (),
+    "network": (*SHOCK[2:], "--k", 2),
+    "sensitivity": (*SHOCK[2:], "--methods", "regomax,import-export,global-price"),
+    "reduce": (*SHOCK[2:], "--products", "all"),
+}
+
+
 class TestDeterminism:
     def test_rank_twice_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("rank", "--input", FIXTURE, "--out-dir", a) == 0
         assert run("rank", "--input", FIXTURE, "--out-dir", b) == 0
-        match, mismatch, errors = filecmp.cmpfiles(
-            a, b, [p.name for p in a.iterdir()], shallow=False
-        )
-        assert not mismatch and not errors
+        assert_same_outputs(a, b)
+
+    @pytest.mark.parametrize("command", sorted(_READING_COMMANDS))
+    def test_cache_hit_writes_the_bytes_of_a_parse(self, tmp_path, monkeypatch, caplog, command):
+        """The first run parses and stores the tensor, the second reads it
+        back without a CSV reader; both log the same self-trade warning."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        path = tmp_path / "trade.csv"
+        path.write_text(FIXTURE.read_text(encoding="utf-8") + "2016,00,AA,AA,5\n", encoding="utf-8")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        for out, reader in ((tmp_path / "parse", "byte path"), (tmp_path / "hit", "cache")):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="wtnrank.ingest"):
+                rc = run(command, "--input", path, *_READING_COMMANDS[command], "--out-dir", out)
+            assert rc == 0
+            assert [r.getMessage() for r in caplog.records if r.name == "wtnrank.ingest"] == [
+                f"{path}: dropped 1 self-trade row(s)",
+                f"trade.csv (sha256 {digest}): 10 rows kept, from the {reader}",
+            ]
+            never_parse(monkeypatch)
+        assert_same_outputs(tmp_path / "parse", tmp_path / "hit")
+        assert len(cache_entries(tmp_path / "cache")) == 1
+
+    def test_cache_hit_is_the_parsed_tensor_at_paper_size(self, tmp_path, monkeypatch):
+        path = tmp_path / "paper.csv"
+        w.serialize_tensor(w.synth_tensor(1, 227, 61, 0.25), path)
+        parse = w.load_money_tensor(path, 2016)
+        w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache")
+        never_parse(monkeypatch)
+        assert_same_tensor(w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache"), parse)
+
+
+def rewrite_entry(entry: Path, **changes) -> None:
+    """Store the cache entry `entry` again with each named array replaced by
+    its function of the array; a function that returns None drops it."""
+    with np.load(entry) as npz:
+        arrays = dict(npz)
+    for name, change in changes.items():
+        arrays[name] = change(arrays[name])
+    np.savez(entry, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def drop(array):
+    return None
+
+
+class TestTensorCache:
+    """A fault of the tensor cache never changes a run: the CSV is parsed as
+    without the cache, the run exits 0 and nothing more reaches stderr."""
+
+    @staticmethod
+    def quiet_rank(tmp_path, name, caplog, capfd, *flags) -> Path:
+        """Run `rank` on the fixture into `tmp_path / name` and check that it
+        succeeds with nothing logged at WARNING or above or written to stderr."""
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="wtnrank.ingest"):
+            assert run("rank", "--input", FIXTURE, *flags, "--out-dir", tmp_path / name) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert capfd.readouterr().err == ""
+        return tmp_path / name
+
+    @pytest.mark.parametrize("spoil", [
+        lambda entry: entry.write_bytes(b""),
+        lambda entry: entry.write_bytes(entry.read_bytes()[:100]),
+        lambda entry: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
+        lambda entry: entry.write_bytes(entry.read_bytes()[:-1]),
+        lambda entry: rewrite_entry(entry, data=drop),
+        lambda entry: rewrite_entry(entry, dropped=drop),
+        lambda entry: rewrite_entry(entry, data=lambda a: a.astype(np.float32)),
+        lambda entry: rewrite_entry(entry, indices=lambda a: a.astype(np.float64)),
+        lambda entry: rewrite_entry(entry, products=lambda a: np.arange(a.size)),
+        lambda entry: rewrite_entry(entry, data=lambda a: -a),
+        lambda entry: rewrite_entry(entry, indices=lambda a: a + 10**6),
+        lambda entry: rewrite_entry(entry, indptr=lambda a: a[:-1]),
+        lambda entry: rewrite_entry(entry, countries=lambda a: np.repeat(a[:1], a.size)),
+        lambda entry: rewrite_entry(entry, rows=lambda a: np.arange(2)),
+    ], ids=["empty", "cut-at-100-bytes", "half", "last-byte-cut", "no-data", "no-dropped",
+            "float32-data", "float-indices", "integer-codes", "negative-values",
+            "index-out-of-range", "short-indptr", "repeated-country", "two-row-counts"])
+    def test_unsound_entry_is_parsed_again(self, tmp_path, monkeypatch, caplog, capfd, spoil):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        first = self.quiet_rank(tmp_path, "first", caplog, capfd)
+        (entry,) = cache_entries(tmp_path / "cache")
+        spoil(entry)
+        parses = count_parses(monkeypatch)
+        assert_same_outputs(first, self.quiet_rank(tmp_path, "second", caplog, capfd))
+        assert len(parses) == 1
+        never_parse(monkeypatch)  # the parse stored a sound entry in its place
+        assert_same_outputs(first, self.quiet_rank(tmp_path, "third", caplog, capfd))
+
+    def test_unwritable_cache_directory(self, tmp_path, monkeypatch, caplog, capfd):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "wtnrank").write_text("a file, not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        parses = count_parses(monkeypatch)
+        first = self.quiet_rank(tmp_path, "first", caplog, capfd)
+        assert_same_outputs(first, self.quiet_rank(tmp_path, "second", caplog, capfd))
+        assert len(parses) == 2
+        assert os.listdir(tmp_path / "cache") == ["wtnrank"]
+
+    def test_no_home_and_no_cache_home(self, tmp_path, monkeypatch, caplog, capfd):
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        calls = []
+        load = w.ingest.load_money_tensor
+        monkeypatch.setattr(w.ingest, "load_money_tensor",
+                            lambda *args, **kwargs: calls.append(kwargs) or load(*args, **kwargs))
+        self.quiet_rank(tmp_path, "out", caplog, capfd)
+        assert calls == [{"registry": None, "cache_dir": None}]
+
+    def test_relative_cache_home_falls_back_to_home(self, tmp_path, monkeypatch, caplog, capfd):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        self.quiet_rank(tmp_path, "out", caplog, capfd)
+        assert not (tmp_path / "relative").exists()
+        assert len(cache_entries(tmp_path / "home" / ".cache")) == 1
+
+    def test_faulty_csv_fails_the_same_each_time_and_stores_nothing(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        path = tmp_path / "faulty.csv"
+        path.write_text(FIXTURE.read_text(encoding="utf-8") + "2016,00,AA,AB,-1\n", encoding="utf-8")
+        logged = []
+        for _ in range(2):
+            caplog.clear()
+            assert run("rank", "--input", path, "--out-dir", tmp_path / "out") == 2
+            logged.append([r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING])
+        assert logged == [["line 12: value '-1' is negative or not finite"]] * 2
+        assert cache_entries(tmp_path / "cache") == []
+
+    @pytest.mark.parametrize("change", ["one-byte-edit", "year", "registry"])
+    def test_other_input_misses(self, tmp_path, monkeypatch, change):
+        """After a run on one input, a run on a changed input parses it
+        again: its outputs are those of a run with an empty cache."""
+        path = tmp_path / "trade.csv"
+        text = FIXTURE.read_text(encoding="utf-8")
+        body = text.split("\n", 1)[1].replace("2016,", "2015,")
+        path.write_text(text + body.replace(",38350.24320803484", ",99999999.0"), encoding="utf-8")
+        flags = ("--input", path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert run("rank", *flags, "--out-dir", tmp_path / "first") == 0
+        if change == "one-byte-edit":
+            path.write_text(path.read_text(encoding="utf-8").replace(",38350.", ",38351.", 1),
+                            encoding="utf-8")
+        elif change == "year":
+            flags += ("--year", 2015)
+        else:
+            registry = tmp_path / "registry.txt"
+            registry.write_text("[countries]\nAC\nAB\nAA\n[products]\n01\n00\n", encoding="utf-8")
+            flags += ("--registry", registry)
+        parses = count_parses(monkeypatch)
+        assert run("rank", *flags, "--out-dir", tmp_path / "second") == 0
+        assert len(parses) == 1
+        assert len(cache_entries(tmp_path / "cache")) == 2
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        assert run("rank", *flags, "--out-dir", tmp_path / "fresh") == 0
+        assert_same_outputs(tmp_path / "second", tmp_path / "fresh")
+        assert not filecmp.cmp(tmp_path / "first" / "pagerank_nodes.csv",
+                               tmp_path / "second" / "pagerank_nodes.csv", shallow=False)

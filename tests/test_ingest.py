@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import logging
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -17,6 +18,7 @@ from wtnrank.cli import main
 from wtnrank.errors import ParseError, TradeDataError
 
 from conftest import (
+    assert_same_tensor,
     flow_value,
     from_product_matrices,
     load_money_tensor_reference,
@@ -132,17 +134,6 @@ class TestLoad:
         tensor = w.load_money_tensor(path, 2016)
         assert tensor.registry.countries == ("AE", "FR", "NL", "RU")
         assert tensor.registry.products == ("33", "34")
-
-
-def assert_same_tensor(actual, expected):
-    assert actual.year == expected.year
-    assert actual.registry == expected.registry
-    a, b = actual.matrix, expected.matrix
-    assert a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, name
-        assert x.tobytes() == y.tobytes(), name
 
 
 def load_logged(load, path, registry):
@@ -865,3 +856,48 @@ class TestVolumeRanks:
             for level in ("nodes", "countries", "products"):
                 total = sum(float(row["probability"]) for row in rows(f"{method}_{level}.csv"))
                 assert abs(total - 1.0) < 1e-12, (method, level)
+
+
+class TestTensorCache:
+    def test_library_default_writes_nothing(self, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the tensor cache was used")
+
+        for name in ("_cache_key", "_cached", "_store"):
+            monkeypatch.setattr(ingest, name, unreachable)
+        for home in ("home", "cache-home", "cwd"):
+            (tmp_path / home).mkdir()
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache-home"))
+        monkeypatch.chdir(tmp_path / "cwd")
+        w.load_money_tensor(write(tmp_path, HEADER + "2016,33,BB,AA,10\n"), 2016)
+        assert [list(p.iterdir()) for p in tmp_path.iterdir() if p.is_dir()] == [[], [], []]
+
+    def test_seventeenth_store_evicts_the_least_recently_used(self, tmp_path):
+        years = range(2000, 2017)
+        path = write(tmp_path, HEADER + "".join(f"{y},33,BB,AA,{y}\n" for y in years))
+        cache = tmp_path / "cache"
+        names = {y: ingest._cache_key(path, y, None)[1] for y in years}
+        for age, y in enumerate(years[:16]):
+            w.load_money_tensor(path, y, cache_dir=cache)
+            os.utime(cache / names[y], ns=(age * 10**9, age * 10**9))  # 2000 is the oldest
+        with mock.patch.object(ingest, "_read_blocks", side_effect=AssertionError("parsed")):
+            w.load_money_tensor(path, 2000, cache_dir=cache)  # a hit: 2001 is now the oldest
+        w.load_money_tensor(path, 2016, cache_dir=cache)
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            names[y] for y in years if y != 2001
+        )
+
+    def test_file_changed_while_read_is_not_stored(self, tmp_path, monkeypatch):
+        path = write(tmp_path, HEADER + "2016,33,BB,AA,10\n")
+        parse = ingest._parse
+
+        def parse_then_append(*args):
+            result = parse(*args)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("2016,33,AA,BB,5\n")
+            return result
+
+        monkeypatch.setattr(ingest, "_parse", parse_then_append)
+        w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()
