@@ -658,7 +658,8 @@ def _cached(entry: str, year: int) -> tuple | None:
 
 def _store(cache_dir, name: str, tensor: MoneyTensor, rows: int, dropped: int) -> None:
     """Write `tensor` as the cache entry `name` in `cache_dir`, whole or not at
-    all, then remove all but the `_CACHE_ENTRIES` most recently used entries."""
+    all, then keep only the `_CACHE_ENTRIES` most recently used files: entries,
+    and the temporary files of writers that were killed."""
     m, tmp = tensor.matrix, None
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -668,11 +669,14 @@ def _store(cache_dir, name: str, tensor: MoneyTensor, rows: int, dropped: int) -
                      products=np.array(tensor.registry.products), indptr=m.indptr,
                      indices=m.indices, data=m.data, rows=rows, dropped=dropped)
         os.replace(tmp, os.path.join(cache_dir, name))
-        entries = [e for e in os.scandir(cache_dir) if e.name.endswith(".npz")]
-        entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
-        for old in entries[_CACHE_ENTRIES:]:
+        tmp = None
+        files = [e for e in os.scandir(cache_dir) if e.name.endswith((".npz", ".tmp"))]
+        files.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for old in files[_CACHE_ENTRIES:]:
             os.remove(old.path)
-    except OSError:
+    except Exception:  # the run has its parsed tensor whatever the store meets
+        log.debug("cache entry %s not stored", name, exc_info=True)
+    finally:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)

@@ -752,11 +752,13 @@ _READING_COMMANDS = {
 
 
 class TestDeterminism:
-    def test_rank_twice_byte_identical(self, tmp_path):
+    def test_rank_twice_byte_identical(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
+        parses = count_parses(monkeypatch)
         assert run("rank", "--input", FIXTURE, "--out-dir", a) == 0
         assert run("rank", "--input", FIXTURE, "--out-dir", b) == 0
         assert_same_outputs(a, b)
+        assert len(parses) == 2  # outside the cache tests, every run parses its input
 
     @pytest.mark.parametrize("command", sorted(_READING_COMMANDS))
     def test_cache_hit_writes_the_bytes_of_a_parse(self, tmp_path, monkeypatch, caplog, command):

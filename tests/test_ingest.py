@@ -901,3 +901,38 @@ class TestTensorCache:
         monkeypatch.setattr(ingest, "_parse", parse_then_append)
         w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache")
         assert not (tmp_path / "cache").exists()
+
+    def test_temporary_files_of_killed_writers_are_evicted(self, tmp_path):
+        """A writer killed before its rename leaves a `.tmp` file; stores
+        count such files with the entries, so the directory stays at 16."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for age in range(16):
+            left = cache / f"killed{age:02d}.tmp"
+            left.write_bytes(b"PK")
+            os.utime(left, ns=(age * 10**9, age * 10**9))  # killed00 is the oldest
+        path = write(tmp_path, HEADER + "2016,33,BB,AA,10\n")
+        w.load_money_tensor(path, 2016, cache_dir=cache)
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [ingest._cache_key(path, 2016, None)[1]] + [f"killed{age:02d}.tmp" for age in range(1, 16)]
+        )
+
+    @pytest.mark.parametrize("fault", [OSError("disk full"), MemoryError(), RuntimeError("zip")])
+    def test_store_that_fails_leaves_the_parse_and_no_file(self, tmp_path, fault):
+        path = write(tmp_path, HEADER + "2016,33,BB,AA,10\n")
+
+        def half_written(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise fault
+
+        with mock.patch.object(np, "savez", half_written):
+            tensor = w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache")
+        assert_same_tensor(tensor, w.load_money_tensor(path, 2016))
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_interrupted_store_removes_its_temporary_file(self, tmp_path):
+        path = write(tmp_path, HEADER + "2016,33,BB,AA,10\n")
+        with mock.patch.object(np, "savez", side_effect=KeyboardInterrupt), \
+                pytest.raises(KeyboardInterrupt):
+            w.load_money_tensor(path, 2016, cache_dir=tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
