@@ -282,6 +282,7 @@ def _reductions(cfg: RunConfig, k: int | None = None):
         yield tag, labels, next(results)
 
 
+@regomax.one_blas_thread()  # the split's dense products, too, round differently at each thread count
 def cmd_reduce(cfg: RunConfig) -> int:
     for tag, labels, result in _reductions(cfg):
         log.info(

@@ -336,12 +336,22 @@ def _checked_code(code: str) -> str:
 
 def _text_blocks(fh):
     """Yield the text of the file `fh` in blocks of `_BLOCK_CHARS`
-    characters, each read on to the end of its last line. A last line
-    without a line end gets a newline: `csv.reader` reads it the same."""
+    characters, each read on to the end of its last line (or on for the field
+    size limit, which a longer line then fails in `_checked_block`). A last
+    line without a line end gets a newline: `csv.reader` reads it the same."""
     while block := fh.read(_BLOCK_CHARS):
         if not block.endswith("\n"):
-            block += fh.readline()
+            block += fh.readline(csv.field_size_limit() + 1)
         yield block if block.endswith(("\n", "\r")) else block + "\n"
+
+
+def _lines(fh):
+    """The lines of `fh`, each read in one capped piece: ParseError at a line longer than a row."""
+    longest = 5 * (2 * csv.field_size_limit() + 2) + 4  # five quoted fields within the limit
+    for lineno, line in enumerate(iter(lambda: fh.readline(longest + 2), ""), start=1):
+        if len(line.rstrip("\r\n")) > longest:
+            raise ParseError(f"longer than {longest} characters, the most a row can hold", lineno)
+        yield line
 
 
 def _header_rest(block: str) -> tuple[int, str] | None:
@@ -494,7 +504,7 @@ def _read_rows(path, year: int, registry: Registry | None) -> tuple:
     p, i, e, values = array("h"), array("h"), array("h"), array("d")
     dropped, unknown, header = 0, None, False
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(csv.reader(_lines(fh)), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if not header:

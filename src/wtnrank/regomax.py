@@ -56,7 +56,9 @@ component weights are summed from the factors without building any of them.
 """
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,7 +73,7 @@ from .ranking import pagerank
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
 # bytes allowed for the dense n x n float64 arrays alive at once (2 GiB: n up to 11 585).
-# `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n
+# `reduce` holds one, the reduced matrix (before it, one residual block of at most n x n (or 2^19)
 # elements). `reduce_trade_pair` reduces one direction at a time, so its callers hold
 # one reduced matrix, and at most one more n x n array: the component the `reduce`
 # command is writing (`sensitivity` shocks the reduced matrix without a copy).
@@ -345,6 +347,15 @@ def _add_sparse(dense: np.ndarray, matrix) -> None:
     dense[coo.row, coo.col] += coo.data
 
 
+def _complement_pattern(links, s: np.ndarray) -> sparse.coo_matrix:
+    """The pattern of `links[s][:, s]`, without a copy of the values."""
+    where = np.full(links.shape[0], -1, dtype=links.indices.dtype)
+    where[s] = np.arange(s.size)
+    head, tail = np.repeat(where, np.diff(links.indptr)), where[links.indices]
+    inside = (head >= 0) & (tail >= 0)
+    return sparse.coo_matrix((inside[inside], (head[inside], tail[inside])), shape=(s.size, s.size))
+
+
 def _components(links) -> np.ndarray:
     """Weak-component labels of a square sparse matrix: each node is labelled
     with the smallest node id of its component.
@@ -358,8 +369,8 @@ def _components(links) -> np.ndarray:
     coo = links.tocoo()
     head, tail = coo.row, coo.col
     label = np.arange(links.shape[0], dtype=head.dtype)
-    while head.size:
-        a, b = label[head], label[tail]
+    a, b = head, tail  # the labels of each link's ends: at first, the ends themselves
+    while a.size:
         np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = label[label]
@@ -368,24 +379,38 @@ def _components(links) -> np.ndarray:
             label = jumped
         apart = np.flatnonzero(label[head] != label[tail])
         head, tail = head[apart], tail[apart]
+        a, b = label[head], label[tail]
     return label
 
 
-def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
-    """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
-    weakly connected component of A_ss at a time (see the module docstring).
+@contextmanager
+def one_blas_thread():
+    """Run on one thread of numpy's OpenBLAS, then restore the count."""
+    # a threaded LU rounds differently at each thread count; another BLAS (MKL, say) is left alone
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its symbol lookup reaches the BLAS it links
+    get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", lambda *_: None) for op in ("get", "set"))
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
-    Returns Y (CSC) and Z (dense), their residuals M Y - alpha A_sr and
-    M Z - U taken with the whole M, so a wrong partition into components
-    shows there, and the number of blocks solved. A component whose dense
-    block would exceed `DENSE_CAP_BYTES` raises ValueError before any block
-    is allocated.
+
+def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray, labels: np.ndarray):
+    """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
+    weakly connected component of A_ss (as `labels` gives them) at a time,
+    from one gather of G's complement rows in component order (see the
+    module docstring).
+
+    Returns Y (CSC) and Z (dense), the residual factors M Y - alpha A_sr and
+    [M Z - U, U] with rows in component order, taken with the whole M so that
+    a wrong partition into components shows there, and the number of blocks
+    solved. A component whose dense block would exceed `DENSE_CAP_BYTES`
+    raises ValueError before any block is allocated.
     """
-    m = b_ss.shape[0]
-    alpha = b_ss.alpha
-    rhs = (b_sr.alpha * b_sr.links).tocsr()
-    u = b_ss.u
-    labels = _components(b_ss.links)
+    m, n, alpha = s.size, r.size, matrix.alpha
+    u = matrix.u[s]
     sizes = np.bincount(labels)[labels]  # per node: the size of its component
     widest = int(sizes.max())
     if 8 * widest * widest > DENSE_CAP_BYTES:
@@ -402,58 +427,63 @@ def _solve_components(b_ss: GoogleMatrix, b_sr: GoogleMatrix):
     nodes = np.argsort(group, kind="stable")  # group by group, ascending within
     starts = np.concatenate(([0], np.cumsum(counts)))
 
-    # A_ss and alpha A_sr permuted into group order: group k is rows (and
-    # columns of A_ss) starts[k]:starts[k + 1]. Links between groups fall
-    # outside each group's slice, so M Y shows a wrong partition.
-    ss = b_ss.links[nodes][:, nodes]
-    rhs_rows = rhs[nodes]
+    # G's complement rows in group order: group k is rows starts[k]:starts[k + 1],
+    # column j < m is complement node nodes[j] and column m + i selected node r[i].
+    # Links between groups fall outside each group's columns, so M Y shows a wrong partition.
+    where = np.argsort(np.concatenate((s[nodes], r))).astype(matrix.links.indices.dtype)
+    rows = matrix.links[s[nodes]]
+    gathered = sparse.csr_matrix((rows.data, where[rows.indices], rows.indptr), shape=(m, m + n))
+    far = np.flatnonzero(gathered.indices >= m)  # the links to selected nodes: right-hand sides
+    # their rows, selected nodes and values times alpha
+    rhs = (np.searchsorted(gathered.indptr, far, "right") - 1, gathered.indices[far] - m,
+           alpha * gathered.data[far])
     z = np.empty((m, 2))
-    rows, cols, vals = [], [], []
+    parts = []  # (rows, columns, values) of Y
     for k in range(n_shared):
         lo, hi = starts[k], starts[k + 1]
-        idx = nodes[lo:hi]
-        block = ss[lo:hi, lo:hi].toarray()
+        size, idx = hi - lo, nodes[lo:hi]
+        block = gathered[lo:hi, lo:hi].toarray()
         block *= -alpha
-        block.flat[:: hi - lo + 1] += 1.0
-        part = rhs_rows[lo:hi]
-        reached = np.unique(part.indices)
-        b_k = np.empty((hi - lo, 2 + reached.size))
+        block.flat[:: size + 1] += 1.0
+        row, col, val = (part[slice(*np.searchsorted(rhs[0], (lo, hi)))] for part in rhs)
+        reached, at = np.unique(col, return_inverse=True)
+        b_k = np.zeros((size, 2 + reached.size))
         b_k[:, :2] = u[idx]
-        b_k[:, 2:] = part[:, reached].toarray()
+        np.add.at(b_k, (row - lo, 2 + at), val)
         x_k = np.linalg.solve(block, b_k)
         z[idx] = x_k[:, :2]
-        rows.append(np.repeat(idx, reached.size))
-        cols.append(np.tile(reached, hi - lo))
-        vals.append(x_k[:, 2:].ravel())
-    diag = 1.0 - alpha * b_ss.links.diagonal()
-    z[alone] = u[alone] / diag[alone, None]
-    tail = rhs_rows[starts[n_shared] :].tocoo()
-    row = nodes[starts[n_shared] + tail.row]
-    rows.append(row)
-    cols.append(tail.col)
-    vals.append(tail.data / diag[row])
-    del ss, rhs_rows, tail
-    pattern = (np.concatenate(rows), np.concatenate(cols))
-    y = sparse.csc_matrix((np.concatenate(vals), pattern), shape=rhs.shape)
-    del rows, cols, vals, pattern
-    mat = (sparse.identity(m, format="csr") - alpha * b_ss.links).tocsr()
-    y_res = (mat @ y - rhs).tocsc()
-    return y, y_res, z, mat @ z - u, n_blocks
+        parts.append((np.repeat(idx, reached.size), np.tile(reached, size), x_k[:, 2:].ravel()))
+    lo = starts[n_shared]
+    diag = 1.0 - alpha * gathered[lo:, lo:m].diagonal()
+    z[nodes[lo:]] = u[nodes[lo:]] / diag[:, None]
+    row, col, val = (part[np.searchsorted(rhs[0], lo) :] for part in rhs)
+    parts.append((nodes[row], col, val / diag[row - lo]))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    y = sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
+    del parts, rows, cols, vals
+    # in group order, A_ss X + A_sr = gathered @ [X; I] for X = Y, and with 0 for I, X = Z
+    z_res = z[nodes] - alpha * (gathered @ np.vstack((z[nodes], np.zeros((n, 2))))) - u[nodes]
+    y_p = y[nodes]
+    y_res = gathered @ sparse.vstack((y_p, sparse.identity(n)), format="csr")
+    del gathered  # the largest array here, freed before the sum
+    return y, (y_p - alpha * y_res).tocsc(), z, np.hstack((z_res, u[nodes])), n_blocks
 
 
-def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
+@one_blas_thread()
+def reduce(matrix: GoogleMatrix, sel: Selection, labels: list | None = None) -> ReducedSet:
     """Reduce a Google matrix onto a selection by the complement solve; the
     split into components waits for its first read (see `ReducedSet`).
 
     Args:
         matrix: the damped matrix to reduce.
         sel: ordered node selection (its order is the reduced index order).
+        labels: a list holding the complement's component labels, or an empty one to fill.
 
     The trivial all-nodes selection returns the dense matrix itself with
     zero projector/indirect parts. A selection whose `DENSE_ARRAYS` dense
     n x n arrays would exceed `DENSE_CAP_BYTES` raises ValueError before any
     allocation. A complement whose Woodbury capacitance is singular to
-    working precision raises ConvergenceError.
+    working precision raises ConvergenceError. It runs on one BLAS thread.
     """
     if matrix.size != sel.total:
         raise ValueError("selection built for a different matrix size")
@@ -468,15 +498,11 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     if sel.n_complement == 0:
         return _trivial_reduction(matrix, sel)
 
-    r = np.asarray(sel.node_ids)
-    s = sel.complement
-    b_rs = matrix.block(r, s)
-    b_sr = matrix.block(s, r)
-    b_ss = matrix.block(s, s)
-
-    y, y_res, z, z_res, blocks = _solve_components(b_ss, b_sr)
-    u_s, v_s = b_ss.u, b_ss.v
-    del b_ss
+    r, s = np.asarray(sel.node_ids), sel.complement
+    labels = [] if labels is None else labels
+    labels[:] = labels or [_components(_complement_pattern(matrix.links, s))]  # once per pair
+    y, y_res, z, left, blocks = _solve_components(matrix, r, s, labels[0])
+    v_s, v_r = matrix.v[s], matrix.v[r]
     capacitance = np.eye(2) - v_s.T @ z
     condition = np.linalg.cond(capacitance, 1)
     if not condition <= 1.0 / np.finfo(float).eps:  # NaN too
@@ -485,13 +511,13 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
             0, condition,
         )
     vy = (y.T @ v_s).T  # V_s^T Y
-    w_rhs = vy + b_sr.v.T
+    w_rhs = vy + v_r.T
     w = np.linalg.solve(capacitance, w_rhs)
     # (1 - G_ss) X - G_sr = (M Y - alpha A_sr) + [M Z - U, U] [W; C W - V_s^T Y - V_r^T]
-    left, right = np.hstack((z_res, u_s)), np.vstack((w, capacitance @ w - w_rhs))
-    del z_res
+    right = np.vstack((w, capacitance @ w - w_rhs))
     residual = 0.0
-    width = max(1, n * n // sel.n_complement)  # a (complement, width) block is at most n x n
+    # a (complement, width) block is at most n x n elements, or 2^19 (4 MiB): a small n takes one block
+    width = max(1, max(n * n, 1 << 19) // sel.n_complement)
     for start in range(0, n, width):
         cols = slice(start, start + width)
         res = left @ right[:, cols]
@@ -500,6 +526,7 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
         del res  # freed before the next block's: one (complement, width) array at a time
     del y_res
 
+    b_rs = matrix.block(r, s)
     direct_block = matrix.block(r, r)
     # G_rs X = alpha A_rs Y + [U_r, G_rs Z] [V_s^T Y; W], with G_rs = alpha A_rs + U_r V_s^T
     links = b_rs.alpha * b_rs.links @ y  # CSR, one entry per place
@@ -528,8 +555,10 @@ def reduce_trade_pair(
     drops each `ReducedSet` before the next holds one direction at a time (not
     under `zip`, whose reused result tuple keeps the last one alive)."""
     pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
+    # labelled once: the inverted links are the direct ones' transposed pattern, with the same components
+    labels = []
     while pair:
-        yield reduce(pair.pop(0), sel)
+        yield reduce(pair.pop(0), sel, labels)
 
 
 def write_reduced_csv(path, matrix: np.ndarray, labels) -> None:

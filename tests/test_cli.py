@@ -5,6 +5,7 @@ import logging
 import logging.handlers
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -34,12 +35,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """Run the interpreter in a fresh process that imports this wtnrank."""
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter in a fresh process that imports this wtnrank, with
+    `env` added to this process's environment."""
     src = str(Path(w.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
 
 
 class TestExitCodes:
@@ -72,6 +74,21 @@ class TestExitCodes:
                           "--out-dir", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert re.fullmatch(r"ERROR wtnrank: field larger than field limit \(\d+\)\n", proc.stderr)
+
+    def test_endless_line_is_one_error_line_in_bounded_memory(self, tmp_path):
+        """/dev/zero has no line end and no end: it is refused after a capped
+        read, not read until memory runs out. The child may map 1 GiB, and
+        uses one BLAS thread so that it starts no thread beside its own."""
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = run_python(
+            "-m", "wtnrank", "rank", "--input", "/dev/zero", "--out-dir", str(tmp_path),
+            env={"OPENBLAS_NUM_THREADS": "1"}, timeout=60, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert re.fullmatch(r"ERROR wtnrank: line 1: longer than \d+ characters, the most a row can hold\n",
+                            proc.stderr)
 
     def test_code_with_a_separator_is_one_error_line(self, tmp_path):
         """A quoted code such as "A," would shift every field after it in the
@@ -360,16 +377,38 @@ def test_one_direction_reduced_at_a_time(
     alive = []
     matrices = []
 
-    def counting(matrix, sel):
+    def counting(matrix, sel, *labels):
         seen.append(live_reduced_sets())
         alive.append(sum(ref() is not None for ref in matrices))
         matrices.append(weakref.ref(matrix))
-        return reduce(matrix, sel)
+        return reduce(matrix, sel, *labels)
 
     monkeypatch.setattr(w.regomax, "reduce", counting)
     assert run(command, *SHOCK, *extra, "--out-dir", tmp_path) == 0
     assert seen == [0, 0]
     assert alive == [0, 0]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS's threaded LU rounds the component solves differently at each
+    thread count: with them threaded, every network file of this input, and
+    its reduced, indirect and diagnostics files, differed between one and two
+    threads. The solves, and the `reduce` command's split, run on one thread."""
+    data = tmp_path / "trade.csv"
+    assert run("synth", "--seed", 1, "--n-countries", 230, "--n-products", 3,
+               "--density", 0.25, "--out", data) == 0
+    countries = w.load_money_tensor(data, 2016).registry.countries
+    shock = ("--input", str(data), "--group", ",".join(countries[:5]),
+             "--source-country", countries[-2], "--source-product", "01")
+    for command in ("network", "reduce"):
+        outs = [tmp_path / f"{command}-{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            proc = run_python("-m", "wtnrank", command, *shock, "--out-dir", str(out),
+                              env={"OPENBLAS_NUM_THREADS": str(threads)})
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs[0].iterdir())
+        _, mismatch, errors = filecmp.cmpfiles(*outs, names, shallow=False)
+        assert names and not mismatch and not errors, (command, mismatch, errors)
 
 
 def test_only_reduce_computes_the_complement_eigenpair(tmp_path, monkeypatch):

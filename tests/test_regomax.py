@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -604,6 +606,70 @@ class TestComponents:
         pairs = np.unique(np.column_stack((labels, expected)), axis=0)
         assert len(pairs) == len(np.unique(labels)) == n_comp
 
+    @settings(max_examples=200, deadline=None)
+    @given(link_patterns())
+    def test_transpose_has_the_same_components(self, links):
+        """What lets `reduce_trade_pair` label once: the inverted links are
+        the transposed pattern of the direct ones."""
+        labels = w.regomax._components(links)
+        assert np.array_equal(w.regomax._components(links.T.tocsr()), labels)
+
+    def test_complement_pattern_is_the_complement_block(self):
+        g, _ = pair_for(2, 12, 3, 0.4)
+        s = spread_selection(g.size, 5).complement
+        pattern = w.regomax._complement_pattern(g.links, s).tocsr()
+        block = g.links[s][:, s]
+        assert (pattern != (block != 0)).nnz == 0
+        assert np.array_equal(w.regomax._components(pattern), w.regomax._components(block))
+
+    @pytest.mark.parametrize("ids", [(0, 1, 2), (5,)])
+    def test_one_labelling_per_pair(self, monkeypatch, ids):
+        tensor = w.synth_tensor(1, 10, 4, 0.4)
+        sel = w.Selection(node_ids=ids, total=tensor.registry.size)
+        calls = []
+        components = w.regomax._components
+
+        def counting(links):
+            calls.append(links.shape)
+            return components(links)
+
+        monkeypatch.setattr(w.regomax, "_components", counting)
+        pair = list(w.regomax.reduce_trade_pair(tensor, sel))
+        assert calls == [(sel.n_complement,) * 2]
+        for result, matrix in zip(pair, w.build_trade_pair(tensor)):
+            expected = w.reduce(matrix, sel)
+            assert np.array_equal(result.reduced, expected.reduced)
+            assert result.complement_blocks == expected.complement_blocks
+        assert len(calls) == 3  # a standalone reduce labels its own complement
+
+
+class TestBlasThreads:
+    def test_solve_on_one_thread_and_count_restored(self, monkeypatch):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+        seen = []
+        solve = w.regomax._solve_components
+
+        def watching(*args):
+            seen.append(get())
+            return solve(*args)
+
+        monkeypatch.setattr(w.regomax, "_solve_components", watching)
+        before = get()
+        g, _ = pair_for(1, 6, 2, 0.5)
+        w.reduce(g, spread_selection(g.size, 3))
+        assert seen == [1] and get() == before
+
+    def test_another_blas_is_left_alone(self, monkeypatch):
+        """A library without OpenBLAS's thread calls (MKL, say) is not touched."""
+        g, _ = pair_for(1, 6, 2, 0.5)
+        sel = spread_selection(g.size, 3)
+        expected = w.reduce(g, sel).reduced
+        monkeypatch.setattr(w.regomax, "ctypes", SimpleNamespace(CDLL=lambda path: object()))
+        assert np.array_equal(w.reduce(g, sel).reduced, expected)
+
 
 class TestAgainstSingleLU:
     def test_shock_mid_shape(self):
@@ -659,7 +725,23 @@ def traced_peak(fn):
 
 
 class TestMemory:
-    """Peaks in units of one n x n float64 array, at the shock-mid shape."""
+    """Peaks in units of one n x n float64 array at the shock-mid shape, or of
+    G's links at the paper network selection."""
+
+    def test_reduce_peak_at_paper_network_selection(self):
+        """At 28 of 13 847 nodes the complement holds nearly all of G's links:
+        one reduction, its labelling included, holds at most two copies of
+        them at once."""
+        tensor = w.synth_tensor(1, 227, 61, 0.25)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel = w.Selection.for_countries(
+            reg, reg.countries[:27], products=(reg.products[1],), extra_nodes=(source,)
+        )
+        matrix = w.build_trade_pair(tensor)[0]
+        links = sum(a.nbytes for a in (matrix.links.data, matrix.links.indices, matrix.links.indptr))
+        _, peak = traced_peak(lambda: w.reduce(matrix, sel))
+        assert peak <= 2 * links
 
     def test_reduce_peak_at_shock_mid_shape(self):
         """Only the reduced matrix is stored dense and no second n x n array

@@ -248,10 +248,10 @@ class TestReducedSensitivity:
         seen = []
         reduce = w.regomax.reduce
 
-        def watching(matrix, sel):
+        def watching(matrix, sel, *labels):
             alive.append(sum(ref() is not None for ref in seen))
             seen.append(weakref.ref(matrix))
-            result = reduce(matrix, sel)
+            result = reduce(matrix, sel, *labels)
             seen.append(weakref.ref(result.reduced))
             return result
 
