@@ -134,11 +134,11 @@ def personalization_volume(tensor: MoneyTensor, direction: str = DIRECT) -> np.n
     its own import (direct) or export (inverted) volume mix. A country with
     no volume in the relevant direction gets a uniform product split.
     """
+    if direction not in (DIRECT, INVERTED):
+        raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
     reg = tensor.registry
     vol = tensor.volumes
     table = vol.import_vol if direction == DIRECT else vol.export_vol
-    if direction not in (DIRECT, INVERTED):
-        raise ValueError(f"direction must be {DIRECT!r} or {INVERTED!r}")
     totals = table.sum(axis=1)
     v = np.empty_like(table)
     silent = totals == 0

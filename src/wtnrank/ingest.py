@@ -250,20 +250,18 @@ class MoneyTensor:
         """Row/column sums of the node flow matrix, computed once per tensor:
         import_vol[c, p] adds flows into country c, export_vol[c, p] flows
         out. The arrays are shared by every reader and read-only."""
-        reg = self.registry
-        shape = (reg.n_countries, reg.n_products)
+        shape = (self.registry.n_countries, self.registry.n_products)
         with np.errstate(over="ignore"):  # an overflowed volume is refused by __post_init__
             imp = np.asarray(self.matrix.sum(axis=1)).reshape(shape)
             exp = np.asarray(self.matrix.sum(axis=0)).reshape(shape)
         imp.flags.writeable = exp.flags.writeable = False
-        return VolumeTable(registry=reg, import_vol=imp, export_vol=exp)
+        return VolumeTable(import_vol=imp, export_vol=exp)
 
 
 @dataclass(frozen=True)
 class VolumeTable:
     """Import/export volumes per (country, product) with totals."""
 
-    registry: Registry
     import_vol: np.ndarray  # (n_countries, n_products)
     export_vol: np.ndarray
 

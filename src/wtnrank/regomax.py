@@ -49,10 +49,10 @@ gap G_rs psi_r (psi_l^T G_sr / (1 - lam) - psi_l^T X), which vanishes for an
 exact eigenpair; its max-norm is reported as `split_error`. A complement
 with lam within 1e-12 of 1 has no split, and reading it raises.
 
-Only the reduced matrix is stored dense. The indirect part is kept as its
-factors (on trade matrices alpha A_rs Y is block-diagonal by product), the
-direct and projector parts as theirs; each is built when read, and the
-component weights are summed from the factors without building any of them.
+Only the reduced matrix is stored dense. Each component is kept as one
+(links, left, right) triple, sparse links plus a low-rank product (on trade
+matrices alpha A_rs Y is block-diagonal by product); each is built when read,
+and the component weights are summed from the triples without building any.
 """
 from __future__ import annotations
 
@@ -147,17 +147,14 @@ class ReducedSet:
     (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks the
     solve used (the batch of link-free complement nodes counts as one).
 
-    The split needs the complement's leading eigenpair, which runs once, on
-    the first read of `complement_eigenvalue`, `projector_column` = G_rs psi_r,
-    `projector_row` = psi_l^T G_sr, `indirect_links` = alpha A_rs Y,
-    `indirect_left`, `indirect_right` (n x 5 and 5 x n), `split_error` or
-    anything built from them; that read raises ConvergenceError when lam is
-    within 1e-12 of 1 or the eigenvector iteration stalls. Each read of
-    `direct_part` (from the sparse block `direct_block` = G_rr),
-    `projector_part` (the outer product of the projector column and row, over
-    1 - lam), `indirect_part` (`indirect_left @ indirect_right` plus
-    `indirect_links`), `indirect_diag` or `indirect_offdiag` builds a new
-    dense n x n array. `weights` is summed from the factors and builds none.
+    The split keeps each component as a (links, left, right) triple, read as
+    links + left @ right: direct (alpha A_rr, U_r, V_r^T), projector (no links,
+    G_rs psi_r, psi_l^T G_sr / (1 - lam)) and indirect (alpha A_rs Y, n x 5,
+    5 x n). Its eigenpair runs on the first read of `complement_eigenvalue`,
+    `split_error` or anything taken from the triples, and that read raises
+    ConvergenceError when lam is within 1e-12 of 1 or the iteration stalls.
+    Each read of a `*_part`, `indirect_diag` or `indirect_offdiag` builds a new
+    dense n x n array; `weights` and `projector_column_distance` build none.
 
     `reduced == direct_part + projector_part + indirect_part` holds up to
     rounding plus `split_error`, the max-norm of the rank-one gap the
@@ -175,13 +172,15 @@ class ReducedSet:
     _solve: tuple | None
 
     @cached_property
-    def _split(self) -> tuple:
-        """(lam, projector column, projector row, indirect links, left and right
-        factors, split_error), from the complement's leading eigenpair."""
-        sel = self.selection
+    def _split(self) -> tuple[float, float, dict]:
+        """(lam, split_error, each component's (links, left, right) triple by
+        name), from the complement's leading eigenpair."""
+        sel, block = self.selection, self.direct_block
         n = sel.n_selected
+        parts = {"direct": (block.alpha * block.links, block.u, block.v.T),
+                 "projector": _zero_part(n, 1), "indirect": _zero_part(n, 0)}
         if self._solve is None:
-            return 0.0, np.zeros(n), np.zeros(n), *_no_indirect(n), 0.0
+            return 0.0, 0.0, parts
         matrix, y, z, links, left, right = self._solve
         r, s = np.asarray(sel.node_ids), sel.complement
         lam, psi_r, psi_l, _ = _leading_pair(matrix.block(s, s))
@@ -189,25 +188,23 @@ class ReducedSet:
             raise ConvergenceError(
                 "complement block is not strictly substochastic; no split", 0, 1.0 - lam
             )
-        column, row = matrix.block(r, s).matvec(psi_r), matrix.block(s, r).rmatvec(psi_l)
+        column = matrix.block(r, s).matvec(psi_r)
+        row = matrix.block(s, r).rmatvec(psi_l) / (1.0 - lam)
+        parts["projector"] = (sparse.csr_matrix((n, n)), column[:, None], row[None, :])
         # the fifth factor pair, -G_rs psi_r and psi_l^T X, deflates G_rs X to the indirect part
         left = np.column_stack((left, -column))
         right = np.vstack((right, y.T @ psi_l + (psi_l @ z) @ right[2:]))
         # the rank-one gap c (r / (1 - lam) - psi_l^T X) between the sum and its split
-        error = float(np.abs(column).max()) * float(np.abs(row / (1.0 - lam) - right[4]).max())
-        if sel.n_complement == 1 and lam > 0.0:
-            # a one-node complement is its own eigenvector: deflation leaves nothing
-            # (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
-            links, left, right = _no_indirect(n)
-        return lam, column, row, links, left, right, error
+        error = float(np.abs(column).max()) * float(np.abs(row - right[4]).max())
+        if sel.n_complement > 1 or lam <= 0.0:
+            # a one-node complement with lam > 0 is its own eigenvector, and deflation leaves
+            # nothing (with lam == 0, psi_l == 0 and nothing is deflated: the general form)
+            parts["indirect"] = (links, left, right)
+        return lam, error, parts
 
     complement_eigenvalue = property(lambda self: self._split[0])
-    projector_column = property(lambda self: self._split[1])
-    projector_row = property(lambda self: self._split[2])
-    indirect_links = property(lambda self: self._split[3])
-    indirect_left = property(lambda self: self._split[4])
-    indirect_right = property(lambda self: self._split[5])
-    split_error = property(lambda self: self._split[6])
+    split_error = property(lambda self: self._split[1])
+    _parts = property(lambda self: self._split[2])
 
     @property
     def direct_part(self) -> np.ndarray:
@@ -215,13 +212,11 @@ class ReducedSet:
 
     @property
     def projector_part(self) -> np.ndarray:
-        part = np.outer(self.projector_column, self.projector_row)
-        part /= 1.0 - self.complement_eigenvalue
-        return part
+        return _factored(*self._parts["projector"])
 
     @property
     def indirect_part(self) -> np.ndarray:
-        return _factored(self.indirect_links, self.indirect_left, self.indirect_right)
+        return _factored(*self._parts["indirect"])
 
     @property
     def indirect_diag(self) -> np.ndarray:
@@ -237,38 +232,30 @@ class ReducedSet:
     @cached_property
     def weights(self) -> dict[str, float]:
         n = self.selection.n_selected
-        block = self.direct_block
-        direct = block.alpha * float(block.links.sum()) + _factor_sum(block.u, block.v.T)
-        projector = _factor_sum(self.projector_column[:, None], self.projector_row[None, :])
-        links, left, right = self.indirect_links, self.indirect_left, self.indirect_right
-        indirect = _factor_sum(left, right) + float(links.sum())
+        sums = {name: float(links.sum()) + _factor_sum(left, right)
+                for name, (links, left, right) in self._parts.items()}
+        links, left, right = self._parts["indirect"]
         trace = float(links.diagonal().sum()) + float(np.einsum("ik,ki->", left, right))
         return {
             "reduced": component_weight(self.reduced),
-            "direct": direct / n,
-            "projector": projector / (1.0 - self.complement_eigenvalue) / n,
-            "indirect": indirect / n,
-            "indirect_offdiag": (indirect - trace) / n,
+            **{name: total / n for name, total in sums.items()},
+            "indirect_offdiag": (sums["indirect"] - trace) / n,
         }
 
     @cached_property
     def projector_column_distance(self) -> float:
-        """Max L1 distance between normalized projector columns and the
-        reduced matrix's own stationary vector (closeness diagnostic)."""
-        projector = self.projector_part
-        sums = projector.sum(axis=0)
-        live = sums > 0
-        if not np.any(live):
+        """L1 distance ||c / sum(c) - pi||_1 between the projector's columns,
+        each c = G_rs psi_r once normalized, and the reduced matrix's own
+        stationary vector pi (closeness diagnostic); 0.0 with no live column."""
+        _, column, row = self._parts["projector"]
+        total = column.sum()
+        if not (total > 0.0 and (row > 0.0).any()):
             return 0.0
         try:
             stationary = pagerank(self.reduced, tol=1e-10, max_iter=50000).probabilities
         except ConvergenceError:
             return float("nan")
-        # in place: no n x n array beyond the projector part
-        np.divide(projector, sums, out=projector, where=live)
-        projector -= stationary[:, None]
-        np.abs(projector, out=projector)
-        return float(projector.sum(axis=0)[live].max())
+        return float(np.abs(column[:, 0] / total - stationary).sum())
 
 
 def component_weight(matrix: np.ndarray) -> float:
@@ -336,9 +323,9 @@ def _trivial_reduction(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     return ReducedSet(sel, block.to_dense(), block, 0.0, 0, None)
 
 
-def _no_indirect(n: int):
-    """Links, left and right factors of an indirect part that is exactly zero."""
-    return sparse.csr_matrix((n, n)), np.zeros((n, 0)), np.zeros((0, n))
+def _zero_part(n: int, rank: int):
+    """The (links, left, right) triple of a component that is exactly zero."""
+    return sparse.csr_matrix((n, n)), np.zeros((n, rank)), np.zeros((rank, n))
 
 
 def _add_sparse(dense: np.ndarray, matrix) -> None:
@@ -550,10 +537,11 @@ def reduce_trade_pair(
     max_iter: int = 10000,
 ) -> Iterator[ReducedSet]:
     """Build the (direct, inverted) pair of `tensor` on first use and yield the
-    reduction of each onto `sel`, the direct one first. Each Google matrix is
-    freed as its reduction ends and nothing yielded is kept, so a caller that
-    drops each `ReducedSet` before the next holds one direction at a time (not
-    under `zip`, whose reused result tuple keeps the last one alive)."""
+    reduction of each onto `sel`, the direct one first. The generator keeps no
+    Google matrix past its reduction, but each yielded `ReducedSet` holds its
+    own (in `_solve`, for the split) until the caller drops it. So a caller
+    that drops each `ReducedSet` before the next holds one direction at a time
+    (not under `zip`, whose reused result tuple keeps the last one alive)."""
     pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
     # labelled once: the inverted links are the direct ones' transposed pattern, with the same components
     labels = []

@@ -197,6 +197,24 @@ def reduce_dense_oracle(matrix, sel, cap: int = ORACLE_CAP) -> np.ndarray:
     return g_rr + g_rs @ x
 
 
+def projector_distance_oracle(reduced) -> float:
+    """The largest L1 distance between a live (positive-sum) column of the
+    dense projector part, divided by its sum, and the stationary vector of
+    `reduced.reduced`: 0.0 with no live column, NaN when that PageRank does
+    not converge. Verification only."""
+    projector = reduced.projector_part
+    sums = projector.sum(axis=0)
+    live = sums > 0
+    if not live.any():
+        return 0.0
+    try:
+        stationary = w.pagerank(reduced.reduced, tol=1e-10, max_iter=50000).probabilities
+    except ConvergenceError:
+        return float("nan")
+    columns = projector[:, live] / sums[live]
+    return float(np.abs(columns - stationary[:, None]).sum(axis=0).max())
+
+
 def arpack_leading_pair(block):
     """(eigenvalue, right vector, left vector) of the leading eigenpair of a
     `GoogleMatrix` block from ARPACK, normalized as `regomax` does: the right

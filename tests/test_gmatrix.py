@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,11 @@ class TestPersonalization:
         tensor = w.synth_tensor(7, 6, 4, 0.5)
         v = w.personalization_volume(tensor, direction)
         assert abs(v.sum() - 1.0) < 1e-12
+
+    def test_direction_checked_before_the_volumes_are_read(self):
+        """An unknown direction is refused before the tensor is read at all."""
+        with pytest.raises(ValueError, match="direction must be"):
+            w.personalization_volume(SimpleNamespace(), "sideways")
 
     def test_rank_personalization_single_product(self):
         reg = w.Registry(countries=("AA", "BB", "CC"), products=("01",))

@@ -15,6 +15,7 @@ from wtnrank.regomax import _leading_pair, _power, write_diagnostics, write_redu
 from conftest import (
     ORACLE_CAP,
     from_product_matrices,
+    projector_distance_oracle,
     reduce_dense_oracle,
     reduce_single_lu_reference,
     shock_mid,
@@ -227,16 +228,24 @@ class TestDecomposition:
         dense = [v for v in stored if isinstance(v, np.ndarray) and v.shape == (n, n)]
         assert len(dense) == 1 and dense[0] is r.reduced
         rank = 5 if general else 0
-        assert sparse.issparse(r.indirect_links) and r.indirect_links.shape == (n, n)
-        assert r.indirect_left.shape == (n, rank) and r.indirect_right.shape == (rank, n)
+        links, left, right = r._parts["indirect"]
+        assert sparse.issparse(links) and links.shape == (n, n)
+        assert left.shape == (n, rank) and right.shape == (rank, n)
         rows = np.asarray(sel.node_ids)
         np.testing.assert_array_equal(r.direct_part, g.block(rows, rows).to_dense())
-        rank_one = np.outer(r.projector_column, r.projector_row) / (1.0 - r.complement_eigenvalue)
+        assert r._parts["projector"][0].nnz == 0
+        rank_one = np.zeros((n, n))
+        if general:  # G_rs psi_r times psi_l^T G_sr / (1 - lam), from the complement's eigenpair
+            s = sel.complement
+            lam, psi_r, psi_l, _ = _leading_pair(g.block(s, s))
+            assert lam == r.complement_eigenvalue
+            column, row = g.block(rows, s).matvec(psi_r), g.block(s, rows).rmatvec(psi_l)
+            rank_one = column[:, None] @ (row / (1.0 - lam))[None, :]
         np.testing.assert_array_equal(r.projector_part, rank_one)
         assert general == bool(r.projector_part.any())
         # the sparse part densified, then the whole rank-five product added in
-        indirect = r.indirect_links.toarray()
-        indirect += r.indirect_left @ r.indirect_right
+        indirect = links.toarray()
+        indirect += left @ right
         np.testing.assert_array_equal(r.indirect_part, indirect)
         assert general == bool(indirect.any())
         if general:  # clipped at zero and divided by the column sums
@@ -295,6 +304,16 @@ class TestDecomposition:
         sel = spread_selection(g.size, 8)
         r = w.reduce(g, sel)
         assert 0.0 <= r.projector_column_distance < 2.0
+
+    def test_projector_distance_is_nan_when_the_stationary_vector_stalls(self, monkeypatch):
+        g, _ = pair_for(2, 10, 4, 0.3)
+        r = w.reduce(g, spread_selection(g.size, 8))
+
+        def stalls(*args, **kwargs):
+            raise w.ConvergenceError("power iteration did not converge", 1, 1.0)
+
+        monkeypatch.setattr(w.regomax, "pagerank", stalls)
+        assert np.isnan(r.projector_column_distance)
 
 
 class TestRankConsistency:
@@ -505,16 +524,65 @@ class TestSmallShocks:
             assert np.abs(r.reduced.sum(axis=0) - 1.0).max() <= 1e-14
             assert r.reduced.min() >= 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_shocks(), st.sampled_from([0.5, 0.85, 1.0]))
+    def test_projector_distance_matches_dense_oracle(self, case, alpha):
+        """Every live projector column, once normalized, is c / sum(c): the
+        closed form equals the dense maximum over columns, for the shock
+        selection, a one-node complement and the all-nodes selection."""
+        tensor, spec, _ = case
+        reg = tensor.registry
+        source = reg.node_id(spec.source_country, spec.source_product)
+        shock = w.Selection.for_countries(reg, spec.group, extra_nodes=(source,)).node_ids
+        everything = tuple(range(reg.size))
+        try:
+            pair = w.build_trade_pair(tensor, alpha=alpha)
+        except (w.ConvergenceError, w.TradeDataError, ValueError):
+            return
+        for matrix in pair:
+            for ids in (shock, everything[1:], everything):
+                try:
+                    r = w.reduce(matrix, w.Selection(node_ids=ids, total=reg.size))
+                    r.split_error
+                except w.ConvergenceError:
+                    continue
+                expected, actual = projector_distance_oracle(r), r.projector_column_distance
+                if np.isnan(expected):
+                    assert np.isnan(actual)
+                else:
+                    assert abs(actual - expected) <= 1e-14
+
+    def test_projector_distance_with_zero_row_entries(self):
+        """At alpha = 1 a selected node that trades only inside the selection
+        has a zero projector row entry, so its column is not live; the other
+        columns still give the distance. AA -> BB -> CC -> AA, and in the
+        complement CC -> DD -> CC and CC -> DD -> EE -> CC, so no chain is
+        periodic; selection {AA, BB}: AA exports only to BB, BB imports only
+        from AA."""
+        reg = w.Registry(countries=("AA", "BB", "CC", "DD", "EE"), products=("00",))
+        flows = np.zeros((5, 5))  # flows[importer, exporter]
+        for importer, exporter in ((1, 0), (2, 1), (0, 2), (3, 2), (2, 3), (4, 3), (2, 4)):
+            flows[importer, exporter] = 1.0
+        tensor = from_product_matrices(reg, 2016, [flows])
+        sel = w.Selection(node_ids=(0, 1), total=5)
+        for matrix in w.build_trade_pair(tensor, alpha=1.0):
+            r = w.reduce(matrix, sel)
+            row = r._parts["projector"][2]
+            assert (row == 0.0).any() and (row > 0.0).any()
+            assert 0.0 < r.projector_column_distance < 2.0
+            assert abs(r.projector_column_distance - projector_distance_oracle(r)) <= 1e-14
+
 
 def unclipped_sum(r) -> np.ndarray:
     """alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W], as `reduce`
     sums it before the clip: the first four indirect factor pairs, with
     G_rr's V_r^T added to V_s^T Y, and the direct links added to alpha A_rs Y."""
     block = r.direct_block
-    right = r.indirect_right[:4].copy()
+    links, left, right = r._parts["indirect"]
+    right = right[:4].copy()
     right[:2] += block.v.T
-    summed = r.indirect_left[:, :4] @ right
-    summed += (r.indirect_links + block.alpha * block.links).toarray()
+    summed = left[:, :4] @ right
+    summed += (links + block.alpha * block.links).toarray()
     return summed
 
 
@@ -755,6 +823,21 @@ class TestMemory:
         result.split_error  # the split's eigenpair is computed on its first read, not here
         _, peak = traced_peak(lambda: result.weights)
         assert peak < 0.1 * unit  # summed from factors: no n x n array
+
+    def test_projector_distance_peak_at_paper_selection(self):
+        """Every live projector column, normalized, is the same vector, so once
+        the split is read the distance allocates less than one n x n array
+        at the 1 648-node paper selection."""
+        tensor = w.synth_tensor(1, 227, 61, 0.25)
+        reg = tensor.registry
+        source = reg.node_id(reg.countries[-2], reg.products[1])
+        sel = w.Selection.for_countries(reg, reg.countries[:27], extra_nodes=(source,))
+        assert sel.n_selected == 1648
+        result = w.reduce(w.build_trade_pair(tensor)[0], sel)
+        result.split_error
+        distance, peak = traced_peak(lambda: result.projector_column_distance)
+        assert 0.0 < distance < 2.0
+        assert peak < 8 * sel.n_selected**2
 
     def test_indirect_diag_peak_at_shock_mid_shape(self):
         """The indirect part is freed before its diagonal matrix is made: one
