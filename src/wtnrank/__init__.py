@@ -11,7 +11,6 @@ from .gmatrix import (
     personalization_volume,
     rank_personalization,
 )
-from .groups import EU27_2008
 from .ingest import (
     MoneyTensor,
     Registry,
@@ -58,7 +57,6 @@ __all__ = [
     "build_trade_pair",
     "personalization_volume",
     "rank_personalization",
-    "EU27_2008",
     "MoneyTensor",
     "Registry",
     "VolumeTable",

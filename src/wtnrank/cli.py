@@ -323,6 +323,12 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
             group=cfg.group,
             delta=cfg.delta,
         )
+    product = None
+    if sensitivity.METHOD_GLOBAL_PRICE in cfg.methods:
+        product = cfg.global_product or cfg.source_product
+        if product is None:
+            raise TradeDataError("global-price needs --global-product or --source-product")
+        tensor.registry.product_index(product)  # an unknown code fails before any method runs
     for method in cfg.methods:
         if method == sensitivity.METHOD_REDUCED:
             report = sensitivity.reduced_balance_sensitivity(
@@ -331,9 +337,6 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
         elif method == sensitivity.METHOD_IMPORT_EXPORT:
             report = sensitivity.import_export_sensitivity(tensor, spec)
         else:
-            product = cfg.global_product or cfg.source_product
-            if product is None:
-                raise TradeDataError("global-price needs --global-product or --source-product")
             report = sensitivity.global_price_sensitivity(
                 tensor, product, group=cfg.group or None, alpha=cfg.alpha,
                 delta=cfg.delta, tol=cfg.tol, max_iter=cfg.max_iter,

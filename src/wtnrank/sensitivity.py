@@ -8,12 +8,12 @@ on per-country export/import probabilities:
   the stationary vectors of the shocked reduced pair. The pair is reduced one
   direction at a time by `regomax.reduce_trade_pair`, and each direction is
   shocked and solved before the other is reduced. A shocked R' is never
-  built: it is an operator on the stored R. The direct shock moves the
-  source column c to c' (group rows scaled by 1 + delta, renormalized), so
-  R'x = Rx + x_s (c' - c). The inverted shock scales the source row r on the
-  group by 1 + delta and divides each group column by its new sum, so with
-  w = 1 / (1 + delta r) on the group and 1 at the source,
-  R'x = R (w x) + e_s delta (r w) . x.
+  built: it is an operator on the stored R. Both shocks raise the source's
+  flows into the group by 1 + delta and divide each column they reach by its
+  new sum, and R's columns sum to 1, so both have one form:
+  R' = (R + delta a b^T) diag(1 + delta (1^T a) b)^-1. The direct shock takes
+  a = R's source column on the group (0 at the source) and b = e_s; the
+  inverted one a = e_s and b = R's source row on the group (0 at the source).
 * import-export: shock applied to the raw bilateral flows; probabilities are
   the normalized volume marginals.
 * global-price: every flow of one product is rescaled and the full matrix
@@ -183,47 +183,22 @@ def _linear_response(
     raise ConvergenceError("linear response iteration did not converge", max_iter, step)
 
 
-def _direct_shock_rhs(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """R'(0) p of the direct shock: only the source column c moves, by
-    c*1_g - S*c with S its group mass."""
-    s = matrix.shape[0] - 1
-    c = matrix[:, s]
-    return p[s] * (np.append(c[:s], 0.0) - c[:s].sum() * c)
-
-
-def _inverted_shock_rhs(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """R'(0) p of the inverted shock: group column c_j moves by c_j[s] (e_s - c_j)."""
-    s = matrix.shape[0] - 1
-    moved = p[:s] * matrix[s, :s]
-    return np.append(np.zeros(s), moved.sum()) - matrix[:, :s] @ moved
-
-
-def _direct_shock(matrix: np.ndarray, delta: float) -> SimpleNamespace:
-    """R' of the direct shock as an operator on the stored R (source last):
-    R'x = Rx + x_s (c' - c), see the module docstring."""
-    s = matrix.shape[0] - 1
-    c = matrix[:, s]
-    moved = np.append(c[:s] * (1.0 + delta), c[s])
-    moved /= moved.sum()
-    moved -= c
-    return SimpleNamespace(size=s + 1, matvec=lambda x: matrix @ x + x[s] * moved)
-
-
-def _inverted_shock(matrix: np.ndarray, delta: float) -> SimpleNamespace:
-    """R' of the inverted shock as an operator on the stored R (source last):
-    R'x = R (w x) + e_s delta (r w) . x, see the module docstring. The new
-    sum of group column j is 1 + delta r_j, since R's columns sum to 1."""
-    s = matrix.shape[0] - 1
-    r = matrix[s, :s]
-    w = np.append(1.0 / (1.0 + delta * r), 1.0)
-    rw = delta * r * w[:s]
+def _shock(matrix: np.ndarray, a: np.ndarray, b: np.ndarray, delta: float) -> SimpleNamespace:
+    """R' = (R + delta a b^T) diag(1 + delta (1^T a) b)^-1 as an operator on
+    the stored R: R'x = R z + delta (b . z) a with z = x / (1 + delta (1^T a) b),
+    see the module docstring. At delta == 0 its products are R x exactly."""
+    scale = 1.0 + delta * a.sum() * b
 
     def matvec(x):
-        y = matrix @ (w * x)
-        y[s] += rw @ x[:s]
-        return y
+        z = x / scale
+        return matrix @ z + delta * (b @ z) * a
 
-    return SimpleNamespace(size=s + 1, matvec=matvec)
+    return SimpleNamespace(size=len(a), matvec=matvec)
+
+
+def _shock_rhs(matrix: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R'(0) p of `_shock(matrix, a, b, delta)`: a (b . p) - (1^T a) R (b p)."""
+    return a * (b @ p) - a.sum() * (matrix @ (b * p))
 
 
 def reduced_balance_sensitivity(
@@ -245,22 +220,26 @@ def reduced_balance_sensitivity(
     deltas = (0.0, spec.delta, -spec.delta)
     responses = []  # per direction: group marginals per delta, exact derivative
     settled = True  # the inverted response is only taken when the direct one settled
-    for shock, rhs in ((_direct_shock, _direct_shock_rhs), (_inverted_shock, _inverted_shock_rhs)):
+    for direct in (True, False):
         matrix = next(reductions).reduced  # the rest of the reduction is dropped here
         s = matrix.shape[0] - 1
-        # delta == 0 solves the stored R itself; +/- delta an operator on it, not a copy
-        p = {}
-        for dv in deltas:
-            operator = shock(matrix, dv) if dv else matrix
-            p[dv] = pagerank(operator, tol=tol, max_iter=max_iter).probabilities
+        source = np.zeros(s + 1)
+        source[s] = 1.0
+        flows = np.append(matrix[:s, s] if direct else matrix[s, :s], 0.0)
+        a, b = (flows, source) if direct else (source, flows)
+        # each delta, 0 too, solves an operator on the stored R, not a copy
+        p = {
+            dv: pagerank(_shock(matrix, a, b, dv), tol=tol, max_iter=max_iter).probabilities
+            for dv in deltas
+        }
         derivative = None
         if settled:
             try:
-                dp = _linear_response(matrix, p[0.0], rhs(matrix, p[0.0]), tol, max_iter)
+                dp = _linear_response(matrix, p[0.0], _shock_rhs(matrix, a, b, p[0.0]), tol, max_iter)
                 derivative = dp[:s].reshape(-1, n_products).sum(axis=1)
             except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
                 settled = False
-        del matrix, operator  # an operator holds R too: both go before the next reduction
+        del matrix  # before the next reduction
         marginals = {dv: x[:s].reshape(-1, n_products).sum(axis=1) for dv, x in p.items()}
         responses.append((marginals, derivative))
     (imp, d_imp), (exp, d_exp) = responses

@@ -341,6 +341,16 @@ def apply_inverted_shock(matrix, source_row, group_cols, delta):
     return _shocked_copy(matrix, [source_row], np.asarray(group_cols), delta)
 
 
+def shock_vectors(matrix):
+    """The (a, b) of `sensitivity._shock` on R = `matrix` (source last) for the
+    direct, then the inverted shock: R's source column on the group and e_s,
+    then e_s and R's source row on the group."""
+    s = matrix.shape[0] - 1
+    source = np.zeros(s + 1)
+    source[s] = 1.0
+    return (np.append(matrix[:s, s], 0.0), source), (source, np.append(matrix[s, :s], 0.0))
+
+
 def shock_pair(direct: np.ndarray, inverted: np.ndarray, delta: float):
     """Apply the price shock to both baseline reduced matrices."""
     s = direct.shape[0] - 1

@@ -16,7 +16,6 @@ import pytest
 
 import wtnrank as w
 from wtnrank.cli import main as cli_main
-from wtnrank.groups import EU27_2008
 
 from conftest import (
     apply_direct_shock,
@@ -281,6 +280,13 @@ def test_c8_cli_determinism(tmp_path):
 
 REAL_DATA = os.environ.get("WTNRANK_COMTRADE_2016")
 REAL_REGISTRY = os.environ.get("WTNRANK_COMTRADE_REGISTRY")
+
+# The 27 EU member states as of 2008 (ISO 3166-1 alpha-2).
+EU27_2008 = (
+    "AT", "BE", "BG", "CY", "CZ", "DE", "DK", "EE", "ES", "FI",
+    "FR", "GB", "GR", "HU", "IE", "IT", "LT", "LU", "LV", "MT",
+    "NL", "PL", "PT", "RO", "SE", "SI", "SK",
+)
 
 PETROLEUM_TOP10 = {
     "pagerank": ["US", "SG", "NL", "IN", "FR", "DE", "ES", "GB", "IT", "BE"],

@@ -474,6 +474,17 @@ class TestSensitivityCommand:
         rc = run("sensitivity", "--input", FIXTURE, "--out-dir", tmp_path)
         assert rc == 2
 
+    def test_unknown_global_product_fails_before_any_report(self, tmp_path):
+        """The global-price product is checked against the registry before the
+        first method runs, so the regomax report is not written either."""
+        rc, records = run_logged(
+            "sensitivity", *SHOCK, "--methods", "regomax,global-price",
+            "--global-product", "ZZ", "--out-dir", tmp_path,
+        )
+        assert rc == 2
+        assert len([r for r in records if r.levelno >= logging.ERROR]) == 1
+        assert not list(tmp_path.glob("sensitivity_*.csv"))
+
     def test_tiny_shares_give_a_finite_fd_error(self, tmp_path, caplog):
         """Flows of 1e-300 give CC a volume share whose square underflows: both
         exact derivatives divide by E + I before they multiply."""

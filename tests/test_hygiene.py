@@ -93,11 +93,55 @@ def unpassed_defaults(trees) -> list[str]:
     return found
 
 
+def src_trees():
+    """(file name, module AST) of every module in `src/wtnrank`."""
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted(SRC.glob("*.py"))]
+
+
 def test_every_default_is_overridden_somewhere_in_src():
     """A default that no caller in the library overrides is a parameter that
     only tests read: the variation belongs in the tests."""
-    trees = [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted(SRC.glob("*.py"))]
-    assert unpassed_defaults(trees) == []
+    assert unpassed_defaults(src_trees()) == []
+
+
+def _bound_names(node) -> list[str]:
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment stores."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def private_definitions(trees) -> list[tuple[str, str]]:
+    """(file name, name) of each module-level private function, class or
+    assigned name."""
+    return [
+        (file, name) for file, tree in trees for node in tree.body for name in _bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def unreferenced_privates(trees) -> list[str]:
+    """`file:name` of each module-level private definition in `trees` that no
+    name or attribute read, and no `from ... import`, in them refers to."""
+    used = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{file}:{name}" for file, name in private_definitions(trees) if name not in used]
+
+
+def test_every_private_definition_is_used_in_src():
+    """A private helper or constant that the library no longer reads is dead
+    code, even if a test still reads it."""
+    assert private_definitions(src_trees())  # the scan sees the definitions
+    assert unreferenced_privates(src_trees()) == []
 
 
 SAMPLE = """
@@ -135,3 +179,44 @@ def test_the_scan_finds_each_unpassed_default():
     reach their targets; `*args` passes every position."""
     found = unpassed_defaults([("cli.py", ast.parse(SAMPLE))])
     assert found == ["cli.py:Spec(size)", "cli.py:Codes.code(upper)"]
+
+
+PRIVATE_SAMPLE = """
+from .other import _imported
+
+_LIMIT = 3
+_UNUSED: int = 4
+
+class _Kept:
+    pass
+
+class _Dropped:
+    pass
+
+def _called():
+    return _Kept()
+
+def _read_as_attribute():
+    pass
+
+def _only_assigned():
+    pass
+
+def _recursive(n):
+    return _recursive(n - 1)
+
+def run(module):
+    _only_assigned = None
+    return _called(), module._read_as_attribute, _LIMIT
+
+def __getattr__(name):
+    raise AttributeError(name)
+"""
+
+
+def test_the_scan_finds_each_unreferenced_private():
+    """Reads by name, by attribute and by import count as uses; a store does
+    not; a function that only calls itself counts as used; dunders are
+    exempt."""
+    found = unreferenced_privates([("a.py", ast.parse(PRIVATE_SAMPLE))])
+    assert found == ["a.py:_UNUSED", "a.py:_Dropped", "a.py:_only_assigned"]

@@ -19,6 +19,7 @@ from conftest import (
     reduce_dense_oracle,
     reduce_single_lu_reference,
     shock_mid,
+    shock_vectors,
     small_shocks,
     split_diagonal,
 )
@@ -851,10 +852,12 @@ class TestMemory:
         """A shocked stationary vector is solved on an operator over the
         stored reduced matrix: each solve allocates under 0.1 arrays."""
         tensor, spec, sel = shock_mid()
-        shocks = (w.sensitivity._direct_shock, w.sensitivity._inverted_shock)
-        for shock, matrix in zip(shocks, w.build_trade_pair(tensor)):
+        for k, matrix in enumerate(w.build_trade_pair(tensor)):  # direct, then inverted
             reduced = w.reduce(matrix, sel).reduced
-            result, peak = traced_peak(lambda: w.pagerank(shock(reduced, spec.delta)))
+            a, b = shock_vectors(reduced)[k]
+            result, peak = traced_peak(
+                lambda: w.pagerank(w.sensitivity._shock(reduced, a, b, spec.delta))
+            )
             assert result.residual < 1e-12
             assert peak < 0.1 * 8 * sel.n_selected**2
 

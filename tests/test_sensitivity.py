@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 
 import wtnrank as w
 from wtnrank.errors import ConvergenceError, TradeDataError
-from wtnrank.sensitivity import _volume_exact_derivative, write_report
+from wtnrank.sensitivity import _shock, _shock_rhs, _volume_exact_derivative, write_report
 
 from conftest import (
     apply_direct_shock,
@@ -21,6 +21,7 @@ from conftest import (
     reduced_sensitivity_oracle,
     shock_mid,
     shock_pair,
+    shock_vectors,
     small_shocks,
 )
 
@@ -167,22 +168,48 @@ def random_stochastic(seed: int) -> np.ndarray:
 
 
 class TestShockOperators:
-    """Each shock is an operator on the stored R whose products are those of
-    its dense oracle, the shocked copy."""
+    """One operator on the stored R serves both shocks: its products are those
+    of each shock's dense oracle, the shocked copy."""
+
+    ORACLES = (apply_direct_shock, apply_inverted_shock)
+
+    @staticmethod
+    def point(seed, n):
+        x = np.random.default_rng(seed + 100).random(n)
+        return x / x.sum()
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("delta", [1e-3, -1e-3, 0.4])
     def test_matvec_matches_the_dense_oracle(self, seed, delta):
         m = random_stochastic(seed)
         s = m.shape[0] - 1
-        group = np.arange(s)
-        x = np.random.default_rng(seed + 100).random(s + 1)
-        x /= x.sum()
-        for shock, oracle in ((w.sensitivity._direct_shock, apply_direct_shock),
-                              (w.sensitivity._inverted_shock, apply_inverted_shock)):
-            operator = shock(m, delta)
+        x = self.point(seed, s + 1)
+        for (a, b), oracle in zip(shock_vectors(m), self.ORACLES):
+            operator = _shock(m, a, b, delta)
             assert operator.size == s + 1
-            assert np.abs(operator.matvec(x) - oracle(m, s, group, delta) @ x).max() <= 1e-15
+            assert np.abs(operator.matvec(x) - oracle(m, s, np.arange(s), delta) @ x).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_delta_is_the_stored_matrix_bit_for_bit(self, seed):
+        """The unshocked solve runs on the same operator: at delta == 0 the
+        scale is exactly 1 and the added term +0.0, so each product is R x."""
+        m = random_stochastic(seed)
+        x = self.point(seed, m.shape[0])
+        for a, b in shock_vectors(m):
+            assert _shock(m, a, b, 0.0).matvec(x).tobytes() == (m @ x).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rhs_is_the_oracles_central_difference(self, seed):
+        """R'(0) p against (R'(h) - R'(-h)) p / 2h of the dense oracles; the
+        shocked columns stay stochastic, so it sums to zero."""
+        m = random_stochastic(seed)
+        s, h = m.shape[0] - 1, 1e-5
+        p = self.point(seed, s + 1)
+        for (a, b), oracle in zip(shock_vectors(m), self.ORACLES):
+            rhs = _shock_rhs(m, a, b, p)
+            shocked = (oracle(m, s, np.arange(s), dv) @ p for dv in (h, -h))
+            assert np.abs(rhs - (next(shocked) - next(shocked)) / (2.0 * h)).max() <= 1e-9
+            assert abs(rhs.sum()) <= 1e-15
 
     def test_zero_group_entries_leave_the_products(self):
         """A source column (row) with no group mass: neither shock moves R x
@@ -190,8 +217,8 @@ class TestShockOperators:
         m = random_stochastic(0)
         assert not m[:-1, -1].any() and not m[-1, :-1].any()
         x = np.full(m.shape[0], 1.0 / m.shape[0])
-        for shock in (w.sensitivity._direct_shock, w.sensitivity._inverted_shock):
-            assert np.abs(shock(m, 0.3).matvec(x) - m @ x).max() <= 1e-16
+        for a, b in shock_vectors(m):
+            assert np.abs(_shock(m, a, b, 0.3).matvec(x) - m @ x).max() <= 1e-16
 
 
 class TestBuildShockMatrices:
