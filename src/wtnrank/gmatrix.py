@@ -36,7 +36,9 @@ class GoogleMatrix:
 
     `links` holds A[rows, cols], `dangling` the flags of the columns and
     `personalization` v[rows]; `total` is the full node count N that a
-    dangling column spreads over.
+    dangling column spreads over. `n_products` is the product count of the
+    node layout (node = country * n_products + product), whose links never
+    join two products; a matrix with no product layout has 1.
     """
 
     links: sparse.csr_matrix
@@ -44,6 +46,7 @@ class GoogleMatrix:
     personalization: np.ndarray  # per row
     alpha: float
     total: int
+    n_products: int = 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,6 +127,7 @@ def build_stochastic(tensor: MoneyTensor, direction: str = DIRECT) -> GoogleMatr
         personalization=np.full(size, 1.0 / size),
         alpha=1.0,
         total=size,
+        n_products=tensor.registry.n_products,
     )
 
 

@@ -13,14 +13,14 @@ and a 2 x 2 capacitance system (Sherman-Morrison-Woodbury),
     X = Y + Z C^(-1) (V_s^T Y + V_r^T),
     Y = M^(-1) alpha A_sr,   Z = M^(-1) U,   C = 1 - V_s^T Z .
 
-M is block-diagonal over the weakly connected components of A_ss (on trade
-matrices, one block per product of at most one node per country, since
-products mix only through the rank-two term). With A_ss permuted into
-component order, each component is one diagonal slice, densified and solved
-by one dense LU, with U and only the columns of alpha A_sr that reach it as
-right-hand sides, so Y is kept sparse. Nodes
-alone in their component are divided by their diagonal 1 - alpha A_ii, as
-one more block.
+M is block-diagonal over the products of the node layout (node = country x
+`n_products` + product): trade links never join two products, which mix
+only through the rank-two term, so each block has at most one node per
+country. With A_ss permuted into product order, each product's block is
+one diagonal slice, densified and solved by one dense LU, with U and only
+the columns of alpha A_sr that reach it as right-hand sides, so Y is kept
+sparse. A node with no link inside the complement is solved in its
+product's block.
 
 With W = C^(-1) (V_s^T Y + V_r^T), and since G_rr = alpha A_rr + U_r V_r^T
 shares U_r with G_rs = alpha A_rs + U_r V_s^T, the reduced matrix is one
@@ -29,10 +29,12 @@ sparse part plus one rank-four product, all nonnegative,
     R = alpha (A_rr + A_rs Y) + [U_r, G_rs Z] [V_r^T + V_s^T Y; W] ,
 
 summed from the solve alone; its columns are clipped at zero and divided by
-their sums, which only moves LU rounding. A complement whose capacitance C
-is singular to working precision (1-norm condition number above 1 / eps,
-or NaN) is refused: 1 - G_ss is then singular too, or too close to it for
-the solve.
+their sums. That moves an entry by LU rounding and by the column-sum defect
+of the exact reduction of the float input, which a nearly closed complement
+amplifies. A complement whose capacitance C is singular to working precision
+(1-norm condition number above 1 / eps, or NaN), or with a product block
+whose LU fails, is refused: 1 - G_ss is then singular too, or too close to
+it for the solve.
 
 The leading eigenpair of G_ss only splits R, and it is computed only when
 the split is first read (the `reduce` command writes it; the reduced matrix
@@ -77,9 +79,9 @@ DEFAULT_EIG_MAX_ITER = 100000
 # elements). `reduce_trade_pair` reduces one direction at a time, so its callers hold
 # one reduced matrix, and at most one more n x n array: the component the `reduce`
 # command is writing (`sensitivity` shocks the reduced matrix without a copy).
-# Larger selections are refused up front, and so is a complement component whose one
-# dense block would exceed it (trade links never cross products, so a component there
-# has at most one node per country)
+# Larger selections are refused up front, and so is a complement product block whose one
+# dense block would exceed it (on trade matrices it has at most one node per country;
+# a matrix with no product layout solves its whole complement as one block)
 DENSE_CAP_BYTES = 2 * 1024**3
 DENSE_ARRAYS = 2
 
@@ -145,7 +147,7 @@ class ReducedSet:
     Only `reduced` is stored dense, summed from the complement solve alone (see
     the module docstring). `solve_residual` is the max-norm of
     (1 - G_ss) X - G_sr; `complement_blocks` counts the dense LU blocks the
-    solve used (the batch of link-free complement nodes counts as one).
+    solve used, one per product that has a complement node.
 
     The split keeps each component as a (links, left, right) triple, read as
     links + left @ right: direct (alpha A_rr, U_r, V_r^T), projector (no links,
@@ -334,42 +336,6 @@ def _add_sparse(dense: np.ndarray, matrix) -> None:
     dense[coo.row, coo.col] += coo.data
 
 
-def _complement_pattern(links, s: np.ndarray) -> sparse.coo_matrix:
-    """The pattern of `links[s][:, s]`, without a copy of the values."""
-    where = np.full(links.shape[0], -1, dtype=links.indices.dtype)
-    where[s] = np.arange(s.size)
-    head, tail = np.repeat(where, np.diff(links.indptr)), where[links.indices]
-    inside = (head >= 0) & (tail >= 0)
-    return sparse.coo_matrix((inside[inside], (head[inside], tail[inside])), shape=(s.size, s.size))
-
-
-def _components(links) -> np.ndarray:
-    """Weak-component labels of a square sparse matrix: each node is labelled
-    with the smallest node id of its component.
-
-    Min-label hooking with pointer jumping. Every link, taken in both
-    directions, hooks the larger of its two end labels onto the smaller one;
-    then every label jumps to its root. Labels only fall and always name a
-    node of the same component. A link whose ends share a label never joins
-    anything again, so it is dropped; the loop ends with no link left.
-    """
-    coo = links.tocoo()
-    head, tail = coo.row, coo.col
-    label = np.arange(links.shape[0], dtype=head.dtype)
-    a, b = head, tail  # the labels of each link's ends: at first, the ends themselves
-    while a.size:
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        apart = np.flatnonzero(label[head] != label[tail])
-        head, tail = head[apart], tail[apart]
-        a, b = label[head], label[tail]
-    return label
-
-
 @contextmanager
 def one_blas_thread():
     """Run on one thread of numpy's OpenBLAS, then restore the count."""
@@ -384,39 +350,35 @@ def one_blas_thread():
         put(before)
 
 
-def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray, labels: np.ndarray):
+def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray):
     """Y = M^(-1) alpha A_sr and Z = M^(-1) U with M = 1 - alpha A_ss, one
-    weakly connected component of A_ss (as `labels` gives them) at a time,
-    from one gather of G's complement rows in component order (see the
+    product block of the complement (its nodes with one `s % n_products`) at
+    a time, from one gather of G's complement rows in product order (see the
     module docstring).
 
     Returns Y (CSC) and Z (dense), the residual factors M Y - alpha A_sr and
-    [M Z - U, U] with rows in component order, taken with the whole M so that
-    a wrong partition into components shows there, and the number of blocks
-    solved. A component whose dense block would exceed `DENSE_CAP_BYTES`
-    raises ValueError before any block is allocated.
+    [M Z - U, U] with rows in product order, taken with the whole M so that
+    a link joining two products shows there, and the number of blocks
+    solved. A block that would exceed `DENSE_CAP_BYTES` raises ValueError
+    before any block is allocated, and a singular one ConvergenceError.
     """
     m, n, alpha = s.size, r.size, matrix.alpha
     u = matrix.u[s]
-    sizes = np.bincount(labels)[labels]  # per node: the size of its component
-    widest = int(sizes.max())
+    product = s % matrix.n_products
+    products, counts = np.unique(product, return_counts=True)
+    widest = int(counts.max())
     if 8 * widest * widest > DENSE_CAP_BYTES:
         raise ValueError(
             f"a complement component of {widest} nodes needs "
             f"{8 * widest * widest / 2**20:,.1f} MiB for its dense block, above the "
             f"{DENSE_CAP_BYTES / 2**20:,.1f} MiB cap"
         )
-    # nodes alone in their component (a self-link at most) are one last, diagonal group
-    alone = sizes == 1
-    _, group, counts = np.unique(np.where(alone, m, labels), return_inverse=True, return_counts=True)
-    n_blocks = counts.size
-    n_shared = n_blocks - int(alone.any())  # components of two nodes or more
-    nodes = np.argsort(group, kind="stable")  # group by group, ascending within
+    nodes = np.argsort(product, kind="stable")  # block by block, ascending within
     starts = np.concatenate(([0], np.cumsum(counts)))
 
-    # G's complement rows in group order: group k is rows starts[k]:starts[k + 1],
+    # G's complement rows in block order: block k is rows starts[k]:starts[k + 1],
     # column j < m is complement node nodes[j] and column m + i selected node r[i].
-    # Links between groups fall outside each group's columns, so M Y shows a wrong partition.
+    # Links between blocks fall outside each block's columns, so M Y shows them.
     where = np.argsort(np.concatenate((s[nodes], r))).astype(matrix.links.indices.dtype)
     rows = matrix.links[s[nodes]]
     gathered = sparse.csr_matrix((rows.data, where[rows.indices], rows.indptr), shape=(m, m + n))
@@ -426,7 +388,7 @@ def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray, labels
            alpha * gathered.data[far])
     z = np.empty((m, 2))
     parts = []  # (rows, columns, values) of Y
-    for k in range(n_shared):
+    for k, p in enumerate(products):
         lo, hi = starts[k], starts[k + 1]
         size, idx = hi - lo, nodes[lo:hi]
         block = gathered[lo:hi, lo:hi].toarray()
@@ -437,40 +399,39 @@ def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray, labels
         b_k = np.zeros((size, 2 + reached.size))
         b_k[:, :2] = u[idx]
         np.add.at(b_k, (row - lo, 2 + at), val)
-        x_k = np.linalg.solve(block, b_k)
+        try:
+            x_k = np.linalg.solve(block, b_k)
+        except np.linalg.LinAlgError as exc:
+            message = f"complement block of product index {p} ({size} nodes) is singular"
+            raise ConvergenceError(message, 0, np.inf) from exc
         z[idx] = x_k[:, :2]
         parts.append((np.repeat(idx, reached.size), np.tile(reached, size), x_k[:, 2:].ravel()))
-    lo = starts[n_shared]
-    diag = 1.0 - alpha * gathered[lo:, lo:m].diagonal()
-    z[nodes[lo:]] = u[nodes[lo:]] / diag[:, None]
-    row, col, val = (part[np.searchsorted(rhs[0], lo) :] for part in rhs)
-    parts.append((nodes[row], col, val / diag[row - lo]))
     rows, cols, vals = map(np.concatenate, zip(*parts))
     y = sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
     del parts, rows, cols, vals
-    # in group order, A_ss X + A_sr = gathered @ [X; I] for X = Y, and with 0 for I, X = Z
+    # in block order, A_ss X + A_sr = gathered @ [X; I] for X = Y, and with 0 for I, X = Z
     z_res = z[nodes] - alpha * (gathered @ np.vstack((z[nodes], np.zeros((n, 2))))) - u[nodes]
     y_p = y[nodes]
     y_res = gathered @ sparse.vstack((y_p, sparse.identity(n)), format="csr")
     del gathered  # the largest array here, freed before the sum
-    return y, (y_p - alpha * y_res).tocsc(), z, np.hstack((z_res, u[nodes])), n_blocks
+    return y, (y_p - alpha * y_res).tocsc(), z, np.hstack((z_res, u[nodes])), products.size
 
 
 @one_blas_thread()
-def reduce(matrix: GoogleMatrix, sel: Selection, labels: list | None = None) -> ReducedSet:
+def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     """Reduce a Google matrix onto a selection by the complement solve; the
     split into components waits for its first read (see `ReducedSet`).
 
     Args:
         matrix: the damped matrix to reduce.
         sel: ordered node selection (its order is the reduced index order).
-        labels: a list holding the complement's component labels, or an empty one to fill.
 
     The trivial all-nodes selection returns the dense matrix itself with
     zero projector/indirect parts. A selection whose `DENSE_ARRAYS` dense
     n x n arrays would exceed `DENSE_CAP_BYTES` raises ValueError before any
     allocation. A complement whose Woodbury capacitance is singular to
-    working precision raises ConvergenceError. It runs on one BLAS thread.
+    working precision, or with a singular product block, raises
+    ConvergenceError. It runs on one BLAS thread.
     """
     if matrix.size != sel.total:
         raise ValueError("selection built for a different matrix size")
@@ -486,9 +447,7 @@ def reduce(matrix: GoogleMatrix, sel: Selection, labels: list | None = None) -> 
         return _trivial_reduction(matrix, sel)
 
     r, s = np.asarray(sel.node_ids), sel.complement
-    labels = [] if labels is None else labels
-    labels[:] = labels or [_components(_complement_pattern(matrix.links, s))]  # once per pair
-    y, y_res, z, left, blocks = _solve_components(matrix, r, s, labels[0])
+    y, y_res, z, left, blocks = _solve_components(matrix, r, s)
     v_s, v_r = matrix.v[s], matrix.v[r]
     capacitance = np.eye(2) - v_s.T @ z
     condition = np.linalg.cond(capacitance, 1)
@@ -543,10 +502,8 @@ def reduce_trade_pair(
     that drops each `ReducedSet` before the next holds one direction at a time
     (not under `zip`, whose reused result tuple keeps the last one alive)."""
     pair = list(build_trade_pair(tensor, alpha=alpha, tol=tol, max_iter=max_iter))
-    # labelled once: the inverted links are the direct ones' transposed pattern, with the same components
-    labels = []
     while pair:
-        yield reduce(pair.pop(0), sel, labels)
+        yield reduce(pair.pop(0), sel)
 
 
 def write_reduced_csv(path, matrix: np.ndarray, labels) -> None:

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -11,6 +12,10 @@ import wtnrank as w
 from wtnrank.errors import ConvergenceError, ParseError, TradeDataError
 from wtnrank.ingest import CSV_HEADER
 from wtnrank.sensitivity import _linear_response
+
+# a property failure prints its @reproduce_failure line, so a log alone replays it
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 logging.getLogger("wtnrank").setLevel(logging.ERROR)
 for name in ("ingest", "gmatrix", "regomax", "sensitivity"):
@@ -98,6 +103,26 @@ def small_shocks(draw):
         group = tuple(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
     spec = w.ShockSpec(source, draw(st.sampled_from(reg.products)), group)
     return tensor, spec, draw(st.sampled_from([0.5, 0.85]))
+
+
+def four_country_shock(flows):
+    """A `small_shocks` case: countries C0-C3 of one product 00, with flows
+    {(exporter, importer): value}, and a shock on C0:00 seen by C1. The
+    registry is explicit, so a country may trade nothing."""
+    reg = w.Registry(countries=tuple(f"C{i}" for i in range(4)), products=("00",))
+    m = np.zeros((4, 4))  # m[importer, exporter]
+    for (exporter, importer), value in flows.items():
+        m[importer, exporter] = value
+    return from_product_matrices(reg, 2016, [m]), w.ShockSpec("C0", "00", ("C1",)), 0.5
+
+
+# at alpha = 1 the direct complement {C2, C3} of the shock is a closed 2-cycle: 1 - G_ss is singular
+CLOSED_PAIR = four_country_shock({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (3, 2): 1.0})
+# at alpha = 1 only C3 -> C1 = 1e-6 leaves that complement: its exact reduction has
+# column sums 1 + 6.1e-11 from the float input's rounding
+NEARLY_CLOSED_PAIR = four_country_shock(
+    {(0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (3, 1): 1e-6, (3, 2): 1.0}
+)
 
 
 def same_trade(a, b) -> bool:

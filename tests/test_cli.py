@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import assert_same_tensor, parse_edge_csv, reduce_dense_oracle, same_trade
+from conftest import CLOSED_PAIR, assert_same_tensor, parse_edge_csv, reduce_dense_oracle, same_trade
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -188,9 +188,11 @@ class TestExitCodes:
 
     def test_lapack_failure_exits_1(self, tmp_path, caplog):
         """np.linalg.LinAlgError is a ValueError, yet a failed solve is a
-        numerical failure, not bad input."""
+        numerical failure, not bad input. The product blocks' own LU failures
+        are refused as ConvergenceError, so the error is raised in place of
+        their solve."""
         singular = np.linalg.LinAlgError("Singular matrix")
-        with mock.patch.object(np.linalg, "solve", side_effect=singular) as solve:
+        with mock.patch.object(w.regomax, "_solve_components", side_effect=singular) as solve:
             rc = run(
                 "network", "--input", FIXTURE, "--group", "AA,AB",
                 "--source-country", "AC", "--source-product", "01",
@@ -200,6 +202,25 @@ class TestExitCodes:
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == ["numerical failure: Singular matrix"]
+
+    def test_singular_complement_block_exits_1(self, tmp_path, caplog):
+        """At alpha = 1 the complement C2 <-> C3 is closed: its product block
+        is singular, and one error line names it."""
+        tensor, spec, _ = CLOSED_PAIR
+        w.serialize_tensor(tensor, tmp_path / "trade.csv")
+        w.save_registry(tensor.registry, tmp_path / "registry.txt")
+        rc = run(
+            "network", "--input", tmp_path / "trade.csv", "--registry", tmp_path / "registry.txt",
+            "--group", ",".join(spec.group), "--source-country", spec.source_country,
+            "--source-product", spec.source_product, "--alpha", 1, "--k", 1,
+            "--out-dir", tmp_path / "out",
+        )
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "numerical failure: complement block of product index 0 (2 nodes) is singular"
+        )
 
     @pytest.mark.parametrize("argv", [
         ("sensitivity", *SHOCK, "--products", "01"),
@@ -377,11 +398,11 @@ def test_one_direction_reduced_at_a_time(
     alive = []
     matrices = []
 
-    def counting(matrix, sel, *labels):
+    def counting(matrix, sel):
         seen.append(live_reduced_sets())
         alive.append(sum(ref() is not None for ref in matrices))
         matrices.append(weakref.ref(matrix))
-        return reduce(matrix, sel, *labels)
+        return reduce(matrix, sel)
 
     monkeypatch.setattr(w.regomax, "reduce", counting)
     assert run(command, *SHOCK, *extra, "--out-dir", tmp_path) == 0

@@ -53,6 +53,16 @@ class TestBuildStochastic:
                 if i % reg.n_products != p_col:
                     assert dense[i, j] == 0.0
 
+    def test_links_stay_inside_the_product_count_they_carry(self):
+        """Every matrix the pipeline builds declares its product count, and no
+        stored link joins two of its products: the complement solve's blocks."""
+        tensor = w.synth_tensor(5, 5, 3, 0.7)
+        stochastic = [w.build_stochastic(tensor, d) for d in (DIRECT, INVERTED)]
+        for matrix in (*stochastic, *w.build_trade_pair(tensor)):
+            assert matrix.n_products == tensor.registry.n_products == 3
+            coo = matrix.links.tocoo()
+            assert coo.nnz and np.array_equal(coo.row % 3, coo.col % 3)
+
     def test_matvec_matches_dense(self):
         tensor = w.synth_tensor(2, 5, 2, 0.4)
         s = w.build_stochastic(tensor, DIRECT)

@@ -275,10 +275,10 @@ class TestReducedSensitivity:
         seen = []
         reduce = w.regomax.reduce
 
-        def watching(matrix, sel, *labels):
+        def watching(matrix, sel):
             alive.append(sum(ref() is not None for ref in seen))
             seen.append(weakref.ref(matrix))
-            result = reduce(matrix, sel, *labels)
+            result = reduce(matrix, sel)
             seen.append(weakref.ref(result.reduced))
             return result
 
