@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(_merge_config(args))
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:  # first: LinAlgError is a ValueError
+    except ConvergenceError as exc:
         log.error("numerical failure: %s", exc)
         return 1
     except (TradeDataError, OSError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a huge field

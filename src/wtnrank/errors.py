@@ -16,9 +16,12 @@ class ParseError(TradeDataError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """A numerical solve failed. An iterative solver passes `iterations` and
+    `residual`, which end the message; a direct solve names its own quantity."""
 
-    def __init__(self, message: str, iterations: int, residual: float):
+    def __init__(self, message: str, iterations: int | None = None, residual: float | None = None):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
+        if iterations is not None:
+            message = f"{message} (iterations={iterations}, residual={residual:.3e})"
+        super().__init__(message)

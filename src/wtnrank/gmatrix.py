@@ -20,7 +20,7 @@ from scipy import sparse
 
 from .errors import TradeDataError
 from .ingest import MoneyTensor, Registry
-from .ranking import pagerank, trace
+from .ranking import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank, trace
 
 log = logging.getLogger(__name__)
 
@@ -187,8 +187,8 @@ def assemble_google(
 def build_trade_pair(
     tensor: MoneyTensor,
     alpha: float = DEFAULT_ALPHA,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GoogleMatrix, GoogleMatrix]:
     """Build the second-iteration (direct, inverted) Google matrix pair.
 

@@ -70,7 +70,7 @@ from scipy import sparse
 from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, GoogleMatrix, build_trade_pair
 from .ingest import MoneyTensor, Registry
-from .ranking import pagerank
+from .ranking import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank
 
 DEFAULT_EIG_TOL = 1e-13
 DEFAULT_EIG_MAX_ITER = 100000
@@ -188,7 +188,8 @@ class ReducedSet:
         lam, psi_r, psi_l, _ = _leading_pair(matrix.block(s, s))
         if 1.0 - lam < 1e-12:
             raise ConvergenceError(
-                "complement block is not strictly substochastic; no split", 0, 1.0 - lam
+                f"complement block is not strictly substochastic (1 - lambda_c = {1.0 - lam:.3e});"
+                " no split"
             )
         column = matrix.block(r, s).matvec(psi_r)
         row = matrix.block(s, r).rmatvec(psi_l) / (1.0 - lam)
@@ -313,9 +314,7 @@ def _leading_pair(block: GoogleMatrix):
         return 0.0, x, np.zeros(n), it + it_l
     overlap = float(z @ x)
     if overlap <= 1e-300:
-        raise ConvergenceError(
-            "degenerate left/right eigenvector overlap in complement block", it + it_l, overlap
-        )
+        raise ConvergenceError(f"degenerate eigenvector overlap {overlap:.3e} in complement block")
     return lam, x, z / overlap, it + it_l
 
 
@@ -403,7 +402,7 @@ def _solve_components(matrix: GoogleMatrix, r: np.ndarray, s: np.ndarray):
             x_k = np.linalg.solve(block, b_k)
         except np.linalg.LinAlgError as exc:
             message = f"complement block of product index {p} ({size} nodes) is singular"
-            raise ConvergenceError(message, 0, np.inf) from exc
+            raise ConvergenceError(message) from exc
         z[idx] = x_k[:, :2]
         parts.append((np.repeat(idx, reached.size), np.tile(reached, size), x_k[:, 2:].ravel()))
     rows, cols, vals = map(np.concatenate, zip(*parts))
@@ -453,8 +452,8 @@ def reduce(matrix: GoogleMatrix, sel: Selection) -> ReducedSet:
     condition = np.linalg.cond(capacitance, 1)
     if not condition <= 1.0 / np.finfo(float).eps:  # NaN too
         raise ConvergenceError(
-            "Woodbury capacitance of the complement block is singular to working precision",
-            0, condition,
+            "Woodbury capacitance of the complement block is singular to working precision"
+            f" (condition number {condition:.1e})"
         )
     vy = (y.T @ v_s).T  # V_s^T Y
     w_rhs = vy + v_r.T
@@ -492,8 +491,8 @@ def reduce_trade_pair(
     tensor: MoneyTensor,
     sel: Selection,
     alpha: float = DEFAULT_ALPHA,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Iterator[ReducedSet]:
     """Build the (direct, inverted) pair of `tensor` on first use and yield the
     reduction of each onto `sel`, the direct one first. The generator keeps no

@@ -22,7 +22,11 @@ on per-country export/import probabilities:
 Derivatives are central finite differences at +/- delta. The reduced and
 import-export reports put in metadata["fd_error"] their largest distance
 from the exact dB/ddelta at delta = 0: the linear response of both reduced
-stationary vectors, and a closed form in the volumes. The reduced method
+stationary vectors, and a closed form in the volumes. Where that response
+cannot settle, because a reduced stationary vector is not unique (possible at
+alpha = 1) or the reduced matrix is periodic, the reduced method raises
+ConvergenceError instead of reporting a balance that depends on the start
+vector. The reduced method
 reads only each reduced matrix, never the split of its `ReducedSet`, so the
 complement eigenpair is never computed: its metadata holds alpha, the
 PageRank tol and fd_error, and no lambda_c or component weights (the
@@ -39,7 +43,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .gmatrix import DEFAULT_ALPHA, build_trade_pair
 from .ingest import MoneyTensor
-from .ranking import pagerank, trace
+from .ranking import DEFAULT_MAX_ITER, DEFAULT_TOL, pagerank, trace
 from .regomax import ReducedSet, Selection, reduce_trade_pair
 
 DEFAULT_DELTA = 1e-3
@@ -119,8 +123,8 @@ def reduce_for_shock(
     tensor: MoneyTensor,
     spec: ShockSpec,
     alpha: float = DEFAULT_ALPHA,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Iterator[ReducedSet]:
     """The reductions of the direct, then the inverted matrix onto the shock
     selection, one at a time as `reduce_trade_pair` yields them. An unknown
@@ -144,9 +148,9 @@ def _central_difference(balance_at, delta: float):
 
 def _report(method, source, delta, countries, baseline, derivative, metadata, exact=None):
     """The report of a central difference, with `fd_error`, its largest distance
-    from the exact dB/ddelta at delta = 0 that `exact()` gives, if given."""
+    from the exact dB/ddelta at delta = 0, `exact`, if given."""
     if exact is not None:
-        metadata["fd_error"] = float(np.abs(derivative - exact()).max())
+        metadata["fd_error"] = float(np.abs(derivative - exact).max())
     b, imp, exp = baseline[:3]
     return SensitivityReport(method, source, delta, countries, b, derivative, imp, exp, metadata)
 
@@ -180,7 +184,10 @@ def _linear_response(
         ratio = step / previous
         if step < tol and step * ratio < tol * (1.0 - ratio):
             return x[0]
-    raise ConvergenceError("linear response iteration did not converge", max_iter, step)
+    raise ConvergenceError(
+        "linear response did not settle: the reduced stationary vector is not unique, or the"
+        " reduced matrix is periodic", max_iter, step,
+    )
 
 
 def _shock(matrix: np.ndarray, a: np.ndarray, b: np.ndarray, delta: float) -> SimpleNamespace:
@@ -205,8 +212,8 @@ def reduced_balance_sensitivity(
     tensor: MoneyTensor,
     spec: ShockSpec,
     alpha: float = DEFAULT_ALPHA,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SensitivityReport:
     """Balance sensitivity through the reduced matrices of the selection.
 
@@ -219,7 +226,6 @@ def reduced_balance_sensitivity(
     n_products = tensor.registry.n_products
     deltas = (0.0, spec.delta, -spec.delta)
     responses = []  # per direction: group marginals per delta, exact derivative
-    settled = True  # the inverted response is only taken when the direct one settled
     for direct in (True, False):
         matrix = next(reductions).reduced  # the rest of the reduction is dropped here
         s = matrix.shape[0] - 1
@@ -232,29 +238,18 @@ def reduced_balance_sensitivity(
             dv: pagerank(_shock(matrix, a, b, dv), tol=tol, max_iter=max_iter).probabilities
             for dv in deltas
         }
-        derivative = None
-        if settled:
-            try:
-                dp = _linear_response(matrix, p[0.0], _shock_rhs(matrix, a, b, p[0.0]), tol, max_iter)
-                derivative = dp[:s].reshape(-1, n_products).sum(axis=1)
-            except ConvergenceError:  # p not unique, or R periodic: the iteration cannot settle
-                settled = False
+        dp = _linear_response(matrix, p[0.0], _shock_rhs(matrix, a, b, p[0.0]), tol, max_iter)
         del matrix  # before the next reduction
         marginals = {dv: x[:s].reshape(-1, n_products).sum(axis=1) for dv, x in p.items()}
-        responses.append((marginals, derivative))
+        responses.append((marginals, dp[:s].reshape(-1, n_products).sum(axis=1)))
     (imp, d_imp), (exp, d_exp) = responses
 
-    def balance_at(dv):
-        return balance(exp[dv], imp[dv]), imp[dv], exp[dv]
-
-    def exact():
-        if d_imp is None or d_exp is None:
-            return np.inf  # the response is undefined: infinitely far
-        i, e = imp[0.0], exp[0.0]
-        total = e + i  # divided before the products: (e + i)^2 underflows for tiny shares
-        return 2.0 * ((i / total) * (d_exp / total) - (e / total) * (d_imp / total))
-
-    baseline, derivative = _central_difference(balance_at, spec.delta)
+    i, e = imp[0.0], exp[0.0]
+    total = e + i  # divided before the products: (e + i)^2 underflows for tiny shares
+    exact = 2.0 * ((i / total) * (d_exp / total) - (e / total) * (d_imp / total))
+    baseline, derivative = _central_difference(
+        lambda dv: (balance(exp[dv], imp[dv]), imp[dv], exp[dv]), spec.delta
+    )
     return _report(
         METHOD_REDUCED, spec.source_label, spec.delta, spec.group, baseline, derivative,
         {"alpha": alpha, "pagerank_tol": tol}, exact=exact,
@@ -305,7 +300,7 @@ def import_export_sensitivity(tensor: MoneyTensor, spec: ShockSpec) -> Sensitivi
     )
     return _report(
         METHOD_IMPORT_EXPORT, spec.source_label, spec.delta, spec.group, baseline, derivative, {},
-        exact=lambda: _volume_exact_derivative(tensor, spec),
+        exact=_volume_exact_derivative(tensor, spec),
     )
 
 
@@ -315,8 +310,8 @@ def global_price_sensitivity(
     group=None,
     alpha: float = DEFAULT_ALPHA,
     delta: float = DEFAULT_DELTA,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SensitivityReport:
     """Balance sensitivity to a worldwide price change of one product.
 

@@ -12,7 +12,6 @@ import tempfile
 import warnings
 import weakref
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,14 @@ from hypothesis import strategies as st
 import wtnrank as w
 from wtnrank.cli import main
 
-from conftest import CLOSED_PAIR, assert_same_tensor, parse_edge_csv, reduce_dense_oracle, same_trade
+from conftest import (
+    CLOSED_PAIR,
+    assert_same_tensor,
+    closed_classes,
+    parse_edge_csv,
+    reduce_dense_oracle,
+    same_trade,
+)
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_small.csv"
@@ -186,26 +192,29 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
         assert any(bad in r.getMessage() for r in caplog.records)
 
-    def test_lapack_failure_exits_1(self, tmp_path, caplog):
-        """np.linalg.LinAlgError is a ValueError, yet a failed solve is a
-        numerical failure, not bad input. The product blocks' own LU failures
-        are refused as ConvergenceError, so the error is raised in place of
-        their solve."""
-        singular = np.linalg.LinAlgError("Singular matrix")
-        with mock.patch.object(w.regomax, "_solve_components", side_effect=singular) as solve:
-            rc = run(
-                "network", "--input", FIXTURE, "--group", "AA,AB",
-                "--source-country", "AC", "--source-product", "01",
-                "--k", 1, "--out-dir", tmp_path,
-            )
-        assert solve.called
+    def test_sensitivity_without_a_unique_reduced_vector_exits_1(self, tmp_path, caplog):
+        """At alpha = 1 the closed classes XX <-> YY and AA <-> ZZ leave no
+        unique reduced stationary vector: the balance would depend on the
+        start vector, so no report is written and one error line names why."""
+        tensor, spec = closed_classes()
+        w.serialize_tensor(tensor, tmp_path / "trade.csv")
+        out = tmp_path / "out"
+        rc = run(
+            "sensitivity", "--input", tmp_path / "trade.csv", "--group", ",".join(spec.group),
+            "--source-country", spec.source_country, "--source-product", spec.source_product,
+            "--alpha", 1, "--methods", "regomax", "--out-dir", out,
+        )
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-        assert errors == ["numerical failure: Singular matrix"]
+        assert len(errors) == 1
+        assert errors[0].startswith("numerical failure: linear response")
+        assert "not unique, or the reduced matrix is periodic" in errors[0]
+        assert not (out / "sensitivity_regomax.csv").exists()
 
     def test_singular_complement_block_exits_1(self, tmp_path, caplog):
         """At alpha = 1 the complement C2 <-> C3 is closed: its product block
-        is singular, and one error line names it."""
+        is singular, and one error line names it, with no iteration count:
+        an LU has none."""
         tensor, spec, _ = CLOSED_PAIR
         w.serialize_tensor(tensor, tmp_path / "trade.csv")
         w.save_registry(tensor.registry, tmp_path / "registry.txt")
@@ -217,10 +226,9 @@ class TestExitCodes:
         )
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-        assert len(errors) == 1
-        assert errors[0].startswith(
+        assert errors == [
             "numerical failure: complement block of product index 0 (2 nodes) is singular"
-        )
+        ]
 
     @pytest.mark.parametrize("argv", [
         ("sensitivity", *SHOCK, "--products", "01"),
@@ -553,11 +561,11 @@ def write_trade(path, rows) -> Path:
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])")
 
 
-def check_run(rc, records, out_dir, alpha=0.5):
+def check_run(rc, records, out_dir):
     """The contract of any run: exit 0, 1 or 2; a failure logs exactly one
     ERROR line; a success logs none, writes no NaN or infinity and logs only
-    finite `fd_error`s (but at alpha = 1, where an undefined response is
-    reported as an infinite `fd_error`)."""
+    finite `fd_error`s, at alpha = 1 too (an undefined response is refused
+    with exit 1)."""
     assert rc in (0, 1, 2)
     errors = [r.getMessage() for r in records if r.levelno >= logging.ERROR]
     assert len(errors) == (rc != 0), errors
@@ -567,7 +575,7 @@ def check_run(rc, records, out_dir, alpha=0.5):
         assert not NON_FINITE.search(path.read_text(encoding="utf-8").lower()), path.name
     logged = [r.getMessage().split(" finite-difference error ") for r in records]
     for method, value in (m for m in logged if len(m) == 2):
-        assert np.isfinite(float(value)) or (alpha == 1.0 and method == "regomax"), method
+        assert np.isfinite(float(value)), method
 
 
 def every_command(path, out_dir, group, source, alpha=0.5):
@@ -627,7 +635,7 @@ class TestExtremeValues:
             path = write_trade(tmp / "trade.csv", rows)
             for argv, out_dir in every_command(path, tmp, group, countries[-1], alpha):
                 rc, records = run_logged(*argv, "--out-dir", out_dir, "-v")
-                check_run(rc, records, out_dir, alpha)
+                check_run(rc, records, out_dir)
 
 
 class TestNetworkCommand:

@@ -220,3 +220,53 @@ def test_the_scan_finds_each_unreferenced_private():
     exempt."""
     found = unreferenced_privates([("a.py", ast.parse(PRIVATE_SAMPLE))])
     assert found == ["a.py:_UNUSED", "a.py:_Dropped", "a.py:_only_assigned"]
+
+
+def _written_number(node) -> bool:
+    """A number spelled in the source: a numeric literal, signed or not, or
+    an `inf` or `nan` name (`np.inf`, `math.nan`, a bare `inf`)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("inf", "nan")
+
+
+def made_up_solver_counts(trees) -> list[str]:
+    """`file:line` of each `ConvergenceError(...)` call in `trees` that passes
+    a number spelled in the source as its iteration count or residual."""
+    found = []
+    for file, tree in trees:
+        for call in _calls([(file, tree)]).get("ConvergenceError", []):
+            counts = call.args[1:3] + [
+                k.value for k in call.keywords if k.arg in ("iterations", "residual")
+            ]
+            if any(_written_number(value) for value in counts):
+                found.append(f"{file}:{call.lineno}")
+    return found
+
+
+def test_no_convergence_error_passes_a_made_up_count():
+    """Only an iterative solver has an iteration count and a residual to
+    report; a direct solve names its own quantity in the message."""
+    assert _calls(src_trees())["ConvergenceError"]  # the scan sees the raise sites
+    assert made_up_solver_counts(src_trees()) == []
+
+
+COUNTS_SAMPLE = """
+def solve(it, residual):
+    raise ConvergenceError("singular", 0, np.inf)
+    raise errors.ConvergenceError("stalled", it, residual)
+    raise ConvergenceError("cond", iterations=0, residual=condition)
+    raise ConvergenceError("negative", it, -1.0)
+    raise ConvergenceError("no counts")
+    raise ConvergenceError("keywords", residual=residual, iterations=it)
+    raise ConvergenceError("bare", it, inf)
+"""
+
+
+def test_the_scan_finds_each_made_up_count():
+    """Positions and keywords both count; a name or an omitted count does not."""
+    found = made_up_solver_counts([("a.py", ast.parse(COUNTS_SAMPLE))])
+    assert found == ["a.py:3", "a.py:5", "a.py:6", "a.py:9"]

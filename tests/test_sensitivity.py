@@ -14,6 +14,7 @@ from conftest import (
     brute_force_derivative,
     build_shock_matrices,
     close_reports,
+    closed_classes,
     from_product_matrices,
     linear_response_oracle,
     make_toy3,
@@ -339,17 +340,12 @@ class TestReducedSensitivity:
         assert np.sign(report.derivative[0]) == np.sign(brute[0])
         assert abs(report.derivative[0] - brute[0]) / abs(brute[0]) < 0.05
 
-    def test_no_unique_stationary_vector_gives_infinite_fd_error(self):
-        # at alpha = 1, XX<->YY and AA<->ZZ are closed classes: both reduced
-        # matrices are the 2 x 2 identity, so the response system is singular
-        reg = w.Registry(countries=("AA", "XX", "YY", "ZZ"), products=("00",))
-        m = np.zeros((4, 4))
-        m[2, 1] = m[1, 2] = m[3, 0] = m[0, 3] = 1.0
-        tensor = from_product_matrices(reg, 2016, [m])
-        spec = w.ShockSpec("AA", "00", ("XX",))
-        report = w.reduced_balance_sensitivity(tensor, spec, alpha=1.0)
-        assert np.array_equal(report.derivative, [0.0])
-        assert report.metadata["fd_error"] == np.inf
+    def test_no_unique_stationary_vector_is_refused(self):
+        """Both reduced matrices are the 2 x 2 identity, so the response
+        system is singular and the balance would depend on the start vector."""
+        tensor, spec = closed_classes()
+        with pytest.raises(ConvergenceError, match="not unique, or the reduced matrix is periodic"):
+            w.reduced_balance_sensitivity(tensor, spec, alpha=1.0)
 
     def test_baseline_reproducible_from_marginals(self, toy3):
         spec = w.ShockSpec("AA", "00", ("XX",))
